@@ -17,7 +17,11 @@
 //! * **kill → reroute** — one gateway on an active route is killed; the
 //!   stale wave must NACK (never deliver into the dead node), and the
 //!   refresh → reinstall → retransmit → redelivery sequence is timed end
-//!   to end.
+//!   to end. `adjacency_ns` is the part of the refresh the churn engine
+//!   does not account for (refresh minus its halo + solve + scatter
+//!   time): the dataplane's adjacency upkeep. The engine's times are
+//!   summed over its pool workers, so the engine runs one pool thread
+//!   (as in perfbench's churn-reroute) to keep that difference exact.
 //!
 //! The `misroutes` counter — packets forwarded into a dead node — is
 //! asserted **zero** at exit; this is the structural NACK guarantee, not
@@ -105,6 +109,10 @@ fn main() -> ExitCode {
     let min_pps = env_f64("PACDS_DP_MIN_PPS", 1e6);
     let min_reduction = env_f64("PACDS_DP_MIN_FLOOD_REDUCTION", 0.60);
     let machine_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let spec = ShardSpec {
+        threads: 1,
+        ..ShardSpec::all_cores()
+    };
     let mut rows = Vec::new();
 
     for n in sizes() {
@@ -114,7 +122,7 @@ fn main() -> ExitCode {
         let energy: Vec<u64> = (0..n).map(|i| (i as u64 * 7919) % 100 + 1).collect();
 
         let t = Instant::now();
-        let mut net = ChurnNet::open(ShardSpec::all_cores(), bounds, RADIUS, &points, &energy, &cfg)
+        let mut net = ChurnNet::open(spec, bounds, RADIUS, &points, &energy, &cfg)
             .expect("benchmark config is shardable");
         let open_ns = t.elapsed().as_nanos() as f64;
         let gateways = net.gateway_count();
@@ -232,8 +240,9 @@ fn main() -> ExitCode {
         let nacked = stale.nacked - before_kill.nacked;
         assert!(nacked > 0, "the kill must strand at least flow 0's route");
         let t = Instant::now();
-        net.refresh();
+        let cs = net.refresh();
         let refresh_ns = t.elapsed().as_nanos() as f64;
+        let adjacency_ns = refresh_ns - (cs.halo_build_ns + cs.solve_ns + cs.scatter_ns) as f64;
         dp.install_tables(net.gateway(), net.alive());
         let requeued = dp.requeue_nacked();
         dp.pump(net.graph(), net.alive());
@@ -254,9 +263,10 @@ fn main() -> ExitCode {
             "n={n:>8}  gateways={gateways:>7}  {hops_per_s:>12.0} hops/s  \
              {delivered_per_s:>9.0} pkts/s  {mean_hops:>6.1} hops/pkt  \
              stretch +{mean_extra:.2} ({mean_ratio:.3}x)  \
-             flood -{:.1}%  reroute {:.1} ms ({requeued} retransmits)",
+             flood -{:.1}%  reroute {:.1} ms (adjacency {:.2} ms, {requeued} retransmits)",
             100.0 * reduction,
             reroute_ns / 1e6,
+            adjacency_ns / 1e6,
         );
         rows.push(format!(
             concat!(
@@ -272,7 +282,8 @@ fn main() -> ExitCode {
                 "      \"blind_transmissions\": {}, \"gateway_transmissions\": {}, ",
                 "\"flood_reached\": {}, \"flood_reduction\": {:.4},\n",
                 "      \"kill_nacked\": {}, \"kill_retransmits\": {}, ",
-                "\"refresh_ns\": {:.0}, \"reroute_ns\": {:.0}, \"misroutes\": {}\n",
+                "\"refresh_ns\": {:.0}, \"adjacency_ns\": {:.0}, \"reroute_ns\": {:.0}, ",
+                "\"misroutes\": {}\n",
                 "    }}"
             ),
             n,
@@ -298,6 +309,7 @@ fn main() -> ExitCode {
             nacked,
             requeued,
             refresh_ns,
+            adjacency_ns,
             reroute_ns,
             rerouted.misroutes,
         ));
@@ -331,7 +343,9 @@ fn main() -> ExitCode {
             "sampled flows; flood_reduction = 1 - gateway/blind transmissions from the ",
             "same source at full coverage; kill_* time the gateway-death NACK -> churn ",
             "refresh -> table reinstall -> retransmit -> redelivery sequence end to end ",
-            "(reroute_ns includes refresh_ns); misroutes counts packets forwarded into a ",
+            "(reroute_ns includes refresh_ns; adjacency_ns is refresh_ns minus the churn ",
+            "engine's halo + solve + scatter time, i.e. the adjacency upkeep, exact because ",
+            "the engine runs one pool thread); misroutes counts packets forwarded into a ",
             "dead node and is asserted zero — the structural liveness-check guarantee. ",
             "Wall times depend on machine_threads\",\n",
             "  \"unit\": \"hops/s\",\n",

@@ -12,6 +12,13 @@
 //! so it is amortised-free, not strictly free). The CDS path has no such
 //! caveat, and this test fails if anyone reintroduces a per-interval
 //! allocation there.
+//!
+//! The counting allocator is process-global, so the cases must not run
+//! at the same time: libtest's parallel runner would charge one case's
+//! allocations, and its own thread spawns and result printing, to another
+//! case's measured window. This file is therefore a `harness = false`
+//! test whose `main` runs the cases one after another (see the bottom of
+//! the file). Worker threads a case spawns itself are still counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,13 +60,13 @@ use pacds::serve::protocol;
 use pacds::sim::{NetworkState, SimConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const N: usize = 1000;
 const WARMUP: usize = 25;
 const MEASURED: usize = 10;
 
-#[test]
 fn cds_interval_work_is_allocation_free_after_warmup() {
     // EnergyDegree exercises the full path: energy quantisation, priority
     // key construction, and both pruning rules.
@@ -93,7 +100,6 @@ fn cds_interval_work_is_allocation_free_after_warmup() {
     }
 }
 
-#[test]
 fn workspace_recompute_on_static_topology_is_allocation_free() {
     // With the topology frozen, the *entire* recompute cycle must be free
     // after a single priming call — this isolates the workspace-reuse
@@ -117,7 +123,6 @@ fn workspace_recompute_on_static_topology_is_allocation_free() {
     );
 }
 
-#[test]
 fn sharded_engine_recompute_is_allocation_free_after_warmup() {
     // The sharded engine's spatial path with `threads == 1` (tiles solved
     // inline, no spawns): partition, per-tile halo gather + CSR build,
@@ -176,7 +181,6 @@ fn sharded_engine_recompute_is_allocation_free_after_warmup() {
     }
 }
 
-#[test]
 fn parallel_sharded_recompute_is_allocation_free_after_warmup() {
     // The same property for the *parallel* path (`threads == 2`): the
     // persistent worker pool spawns its thread on the first compute, the
@@ -242,7 +246,6 @@ fn parallel_sharded_recompute_is_allocation_free_after_warmup() {
     }
 }
 
-#[test]
 fn serve_cache_warm_request_handling_is_allocation_free() {
     // The serving layer's hot path: decode a compute-CDS frame, validate
     // and canonicalise the edges into retained scratch, derive the cache
@@ -301,7 +304,6 @@ fn serve_cache_warm_request_handling_is_allocation_free() {
     assert_eq!(state.cache.stats().hits as usize, WARMUP - 1 + MEASURED);
 }
 
-#[test]
 fn dataplane_warm_forwarding_loop_is_allocation_free() {
     // The forwarding hot path, epoch churn included: inject a wave on
     // every registered flow plus both broadcast kinds, pump the node
@@ -373,4 +375,162 @@ fn dataplane_warm_forwarding_loop_is_allocation_free() {
     let stats = dp.stats();
     assert_eq!(stats.delivered, stats.injected, "every wave fully delivered");
     assert!(stats.forwarded_hops > stats.injected, "multi-hop traffic");
+}
+
+fn csr_kill_patch_is_allocation_free_after_warmup() {
+    // The dataplane's refresh path after a kill: `CsrGraph::isolate_in_place`
+    // empties the dead hosts' rows, drops them from their neighbours' rows
+    // and block-moves the rows between. On a warm graph and a retained
+    // pending list, a patch performs zero heap allocations. Each round
+    // restores the full graph (itself allocation-free once warm) and then
+    // applies a fixed cycle of batches, so warm-up sees every batch.
+    use pacds::geom::Rect;
+    use pacds::graph::gen::{unit_disk_csr, UnitDiskScratch};
+    use pacds::graph::CsrGraph;
+
+    let bounds = Rect::square(300.0);
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let pts = pacds::geom::placement::uniform_points(&mut rng, bounds, N);
+    let mut full = CsrGraph::new();
+    unit_disk_csr(bounds, 25.0, &pts, None, &mut full, &mut UnitDiskScratch::new());
+    let batches: [&[u32]; 4] = [&[500], &[0, 999], &[17, 400, 401, 402], &[3, 250, 750, 998]];
+
+    let mut g = CsrGraph::new();
+    let mut pending = Vec::new();
+    let round = |g: &mut CsrGraph, pending: &mut Vec<u32>| {
+        g.rebuild_from(&full);
+        for batch in batches {
+            pending.extend_from_slice(batch);
+            g.isolate_in_place(pending);
+        }
+    };
+
+    for _ in 0..WARMUP {
+        round(&mut g, &mut pending);
+    }
+
+    for r in 0..MEASURED {
+        let before = allocs();
+        round(&mut g, &mut pending);
+        let grew = allocs() - before;
+        assert_eq!(
+            grew, 0,
+            "round {r}: warm kill patches performed {grew} heap allocations"
+        );
+    }
+
+    let mut dropped = vec![false; N];
+    for &v in batches.concat().iter() {
+        dropped[v as usize] = true;
+    }
+    let mut want = CsrGraph::new();
+    want.rebuild_from_masked(&full, &dropped);
+    assert_eq!(g, want, "the patched graph equals a masked rebuild");
+    assert!(g.m() < full.m(), "the kills removed edges");
+}
+
+/// Every case, in the order `main` runs them.
+const CASES: &[(&str, fn())] = &[
+    (
+        "cds_interval_work_is_allocation_free_after_warmup",
+        cds_interval_work_is_allocation_free_after_warmup,
+    ),
+    (
+        "workspace_recompute_on_static_topology_is_allocation_free",
+        workspace_recompute_on_static_topology_is_allocation_free,
+    ),
+    (
+        "sharded_engine_recompute_is_allocation_free_after_warmup",
+        sharded_engine_recompute_is_allocation_free_after_warmup,
+    ),
+    (
+        "parallel_sharded_recompute_is_allocation_free_after_warmup",
+        parallel_sharded_recompute_is_allocation_free_after_warmup,
+    ),
+    (
+        "serve_cache_warm_request_handling_is_allocation_free",
+        serve_cache_warm_request_handling_is_allocation_free,
+    ),
+    (
+        "dataplane_warm_forwarding_loop_is_allocation_free",
+        dataplane_warm_forwarding_loop_is_allocation_free,
+    ),
+    (
+        "csr_kill_patch_is_allocation_free_after_warmup",
+        csr_kill_patch_is_allocation_free_after_warmup,
+    ),
+];
+
+/// A serial runner that speaks enough of libtest's command line for
+/// `cargo test` and per-case filters: name filters (substring, or whole
+/// name with `--exact`) and `--list`; other flags, such as
+/// `--test-threads`, are accepted and ignored. Result lines follow
+/// libtest's format.
+fn main() -> ExitCode {
+    const TAKES_VALUE: &[&str] = &["--test-threads", "--color", "--format", "--logfile", "-Z"];
+    let mut filters = Vec::new();
+    let (mut exact, mut list) = (false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--exact" => exact = true,
+            "--list" => list = true,
+            a if TAKES_VALUE.contains(&a) => {
+                args.next();
+            }
+            a if a.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    let selected: Vec<_> = CASES
+        .iter()
+        .filter(|(name, _)| {
+            filters.is_empty()
+                || filters
+                    .iter()
+                    .any(|f| if exact { name == f } else { name.contains(f.as_str()) })
+        })
+        .collect();
+
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        println!("\n{} tests, 0 benchmarks", selected.len());
+        return ExitCode::SUCCESS;
+    }
+
+    println!("\nrunning {} tests", selected.len());
+    let start = Instant::now();
+    let mut failed = Vec::new();
+    for (name, case) in &selected {
+        print!("test {name} ... ");
+        let ok = std::panic::catch_unwind(case).is_ok();
+        // A case that panics mid-measurement must not leave sampling on.
+        pacds::obs::set_sampling(0);
+        println!("{}", if ok { "ok" } else { "FAILED" });
+        if !ok {
+            failed.push(*name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        CASES.len() - selected.len(),
+        start.elapsed().as_secs_f64(),
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(101)
+    }
 }
