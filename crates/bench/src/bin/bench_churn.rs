@@ -10,8 +10,8 @@
 //!
 //! * **events/s** over the whole applied-and-refreshed stream,
 //! * **re-solved tiles per step** against the total tile count — the
-//!   headline locality claim: a churn step at `n = 10⁶` re-solves a
-//!   handful of the ~500 tiles, not all of them,
+//!   headline locality claim: a churn step at `n = 10⁶` re-solves a few
+//!   dozen of the engine's 10⁴ derived tiles, not all of them,
 //! * **gateway churn per event** (verdict flips / events),
 //! * the **from-scratch baseline** (`ShardedCds::compute_unit_disk` on
 //!   the same instance) a non-incremental server would pay per step.
@@ -217,7 +217,7 @@ fn main() -> ExitCode {
             "{} steps of {} mixed events (70% mobility hop, 20% battery drain, 6% death, ",
             "4% arrival) with one incremental refresh per step, final state asserted ",
             "bit-identical to a from-scratch masked recompute. Schema per result: ",
-            "open_ns is the engine open (includes the initial full solve); ",
+            "open_ns is the engine open (includes the coarse seed solve); ",
             "scratch_solve_ns is a fresh ShardedCds full solve on the same instance — the ",
             "per-step cost of not being incremental; mean/max_step_ns time apply+refresh ",
             "of one whole step; resolved_tiles_per_step vs tiles is the locality headline ",

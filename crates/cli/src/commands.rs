@@ -987,9 +987,9 @@ pub fn churn(args: &Args) -> CliResult {
     let mut engine =
         pacds_shard::ChurnEngine::open(spec, bounds, radius, &points, &energy, &cfg)?;
     let tiles = engine.tiles();
-    // Lifetime totals include the initial full solve (every tile solved,
-    // every initial gateway a flip); snapshot it so the reported numbers
-    // cover only the churn stream.
+    // Lifetime totals include the seed at open (one refresh, every
+    // initial gateway a flip); snapshot it so the reported numbers cover
+    // only the churn stream.
     let initial = engine.totals();
     println!(
         "churn: n={n} radius={radius} side={side:.1} policy={} — {} tiles, \

@@ -949,7 +949,9 @@ pub struct OpenGraphRequest<'a> {
     pub name: &'a str,
     /// CDS configuration the graph will run (must be shardable).
     pub cfg: CdsConfig,
-    /// Shard (tile) count; `0` sizes automatically from `n`.
+    /// Shard (tile) count; `0` lets the churn engine derive its grid from
+    /// the radius, the domain and `n` (tiles twice the 2-hop margin wide,
+    /// at least 64 hosts each on average).
     pub shards: u32,
     /// Unit-disk transmission radius.
     pub radius: f64,

@@ -15,13 +15,34 @@
 //! 1-hop margin — and when the active policy ignores energy entirely they
 //! dirty nothing at all.
 //!
+//! ## Tile sizing
+//!
+//! With `spec.shards == 0` the grid follows the geometry, not `n`: tiles
+//! of side `s = 2·m`, `m` the inflated 2-hop margin (50 at r = 25). An
+//! event dirties the tiles within `m` of it, about `(s + 2m)² / s²` of
+//! them, and each costs about `(s + 2m)²` (its owned square plus halo),
+//! so the work per event grows as `(s + 2m)⁴ / s²` — smallest at
+//! `s = 2m`. The side is floored so a tile owns at least 64 hosts on
+//! average, which keeps sparse arenas from becoming a sea of empty tiles.
+//!
+//! ## Seeding at open
+//!
+//! A fine grid makes a full solve dearer: the halo replication factor
+//! `(s + 2m)² / s²` is 4 at `s = 2m`. So [`ChurnEngine::open`] does not
+//! solve its own tiles; it runs one batch
+//! [`ShardedCds::compute_unit_disk`] at the batch engine's coarse
+//! automatic count over the engine's domain and fills the merged masks and
+//! every tile's stored verdicts from it by ownership. Verdicts do not
+//! depend on the tiling (the sharding proofs; the conformance suites pin
+//! it), so the seed is exact.
+//!
 //! After [`ChurnEngine::refresh`], the merged masks are bit-identical to
 //! a from-scratch [`ShardedCds::compute_unit_disk_masked`] (and hence to
 //! the whole-graph pipeline) on the current points / off-mask / energy —
 //! the testkit's differential churn harness pins this after every event.
 
 use crate::engine::{
-    grid_for, run_tiles, schedule_order, solve_locals, ShardSpec, WorkerSlot,
+    grid_for, run_tiles, schedule_order, solve_locals, ShardSpec, ShardedCds, WorkerSlot,
 };
 use crate::error::{check_shardable, ChurnError, ShardError};
 use crate::pool::WorkerPool;
@@ -98,11 +119,12 @@ pub struct ChurnStats {
 pub struct ChurnTotals {
     /// Events accepted since [`ChurnEngine::open`].
     pub events: u64,
-    /// Refreshes run (the initial full solve counts as one).
+    /// Refreshes run (the seed at open counts as one).
     pub refreshes: u64,
-    /// Tiles re-solved, summed over refreshes.
+    /// Tiles re-solved, summed over refreshes (the seed at open re-solves
+    /// none of the engine's own tiles).
     pub resolved_tiles: u64,
-    /// Gateway verdict flips, summed over refreshes (the initial solve
+    /// Gateway verdict flips, summed over refreshes (the seed at open
     /// counts every initial gateway as a flip from the empty set).
     pub gateway_flips: u64,
 }
@@ -212,6 +234,26 @@ impl GridGeom {
     }
 }
 
+/// Hosts a derived tile owns on average, at least.
+const MIN_HOSTS_PER_TILE: usize = 64;
+
+/// The derived grid for a `w × h` domain holding `n` hosts: tiles of side
+/// `2·margin` (see the module docs), floored so a tile owns at least
+/// [`MIN_HOSTS_PER_TILE`] hosts on average. Each axis takes the count whose
+/// side is nearest the target, but never one that cuts a side below the
+/// floor.
+fn derived_grid(margin: f64, w: f64, h: f64, n: usize) -> (usize, usize) {
+    let floor = (MIN_HOSTS_PER_TILE as f64 * w * h / n.max(1) as f64).sqrt();
+    let side = (2.0 * margin).max(floor);
+    let axis = |span: f64| ((span / side).round().min((span / floor).floor()) as usize).max(1);
+    (axis(w), axis(h))
+}
+
+/// The inflated 2-hop margin: topology events dirty the tiles within it.
+fn topo_margin(radius: f64) -> f64 {
+    inflate(REQUIRED_HALO as f64 * (radius * radius + EPS).sqrt())
+}
+
 /// Inflates a margin exactly as `gather_expanded` does, so the dirty
 /// predicate and the halo membership predicate can never disagree at the
 /// rim.
@@ -241,7 +283,7 @@ impl TileResultsPtr {
 /// A persistent sharded unit-disk CDS instance that absorbs a stream of
 /// [`ChurnEvent`]s and re-solves only the dirty tiles.
 ///
-/// Usage: [`ChurnEngine::open`] performs the initial full solve; then any
+/// Usage: [`ChurnEngine::open`] seeds the initial verdicts; then any
 /// number of [`ChurnEngine::apply`] calls accumulate events and their
 /// dirty tiles, and [`ChurnEngine::refresh`] re-solves the dirty set on
 /// the worker pool and folds the verdicts into the merged masks.
@@ -271,6 +313,9 @@ pub struct ChurnEngine {
     tile_results: Vec<Vec<(u32, u8)>>,
     slots: Vec<WorkerSlot>,
     pool: WorkerPool,
+    /// Tiles the current refresh re-solves, in dirty-list order.
+    solve: Vec<u32>,
+    /// `solve` in LPT order, as tile ids.
     order: Vec<u32>,
     weights: Vec<u64>,
     cursors: Vec<AtomicUsize>,
@@ -286,10 +331,14 @@ pub struct ChurnEngine {
 
 impl ChurnEngine {
     /// Opens a persistent instance over `points` / `energy` inside
-    /// `bounds` and runs the initial full solve. The tile grid is fixed
-    /// here — `spec.shards` (or the automatic count for the initial `n`)
-    /// tiles over `bounds` expanded to the initial points' bounding box —
-    /// and later events must stay inside that domain.
+    /// `bounds` and seeds its verdicts. The domain is `bounds` expanded to
+    /// the initial points' bounding box; later events must stay inside it.
+    /// The tile grid over it is fixed here: `spec.shards` tiles when
+    /// non-zero, otherwise the derived grid — tiles of side twice the
+    /// 2-hop margin, floored to 64 hosts per tile on average (see the
+    /// module docs). The initial verdicts come from one
+    /// batch [`ShardedCds`] solve at its automatic count, copied into
+    /// every tile by ownership; no tile of the engine is solved here.
     ///
     /// Rejects unshardable configurations and too-narrow halos with the
     /// same typed errors as the batch engine.
@@ -324,7 +373,12 @@ impl ChurnEngine {
             x1 = x1.max(p.x);
             y1 = y1.max(p.y);
         }
-        let (tx, ty) = grid_for(spec.resolved_shards(n), x1 - x0, y1 - y0);
+        let margin_topo = topo_margin(radius);
+        let (tx, ty) = if spec.shards == 0 {
+            derived_grid(margin_topo, x1 - x0, y1 - y0, n)
+        } else {
+            grid_for(spec.shards, x1 - x0, y1 - y0)
+        };
         let geom = GridGeom {
             tx,
             ty,
@@ -344,24 +398,24 @@ impl ChurnEngine {
         }
         // Ids are pushed in ascending order, so every list is ascending.
 
-        let hop = (radius * radius + EPS).sqrt();
         let mut engine = Self {
             spec,
             cfg: *cfg,
             radius,
-            margin_topo: inflate(REQUIRED_HALO as f64 * hop),
-            margin_energy: inflate(hop),
+            margin_topo,
+            margin_energy: inflate((radius * radius + EPS).sqrt()),
             geom,
             points: points.to_vec(),
             energy: energy.to_vec(),
             alive: vec![true; n],
             node_tile,
             owned,
-            dirty: vec![true; tiles],
-            dirty_list: (0..tiles as u32).collect(),
+            dirty: vec![false; tiles],
+            dirty_list: Vec::new(),
             tile_results: vec![Vec::new(); tiles],
             slots: Vec::new(),
             pool: WorkerPool::default(),
+            solve: Vec::new(),
             order: Vec::new(),
             weights: Vec::new(),
             cursors: Vec::new(),
@@ -373,8 +427,54 @@ impl ChurnEngine {
             totals: ChurnTotals::default(),
             trace: pacds_obs::TraceId::NONE,
         };
-        engine.refresh();
+        engine.seed(Rect::new(x0, y0, x1, y1))?;
         Ok(engine)
+    }
+
+    /// Fills the merged masks and every tile's stored verdicts from one
+    /// batch solve over `domain` at the batch engine's automatic count.
+    fn seed(&mut self, domain: Rect) -> Result<(), ShardError> {
+        let mut batch = ShardedCds::new(ShardSpec {
+            shards: 0,
+            ..self.spec
+        })?;
+        batch.compute_unit_disk(
+            domain,
+            self.radius,
+            &self.points,
+            Some(&self.energy),
+            &self.cfg,
+        )?;
+        let sc = Instant::now();
+        self.marked = batch.marked().clone();
+        self.after1 = batch.after_rule1().clone();
+        self.gateways = batch.gateways().clone();
+        let (marked, after1, gateways) = (&self.marked, &self.after1, &self.gateways);
+        for (res, owned) in self.tile_results.iter_mut().zip(&self.owned) {
+            res.extend(owned.iter().map(|&g| {
+                let i = g as usize;
+                (
+                    g,
+                    u8::from(marked[i]) | (u8::from(after1[i]) << 1) | (u8::from(gateways[i]) << 2),
+                )
+            }));
+        }
+        let bs = batch.stats();
+        let flips = self.gateway_count() as u64;
+        self.stats = ChurnStats {
+            total_tiles: self.geom.tiles(),
+            gateway_flips: flips,
+            halo_build_ns: bs.halo_build_ns,
+            solve_ns: bs.solve_ns,
+            scatter_ns: bs.merge_ns + sc.elapsed().as_nanos() as u64,
+            stolen_tiles: bs.stolen_tiles,
+            ..ChurnStats::default()
+        };
+        self.totals.refreshes = 1;
+        self.totals.gateway_flips = flips;
+        pacds_obs::add(pacds_obs::Counter::ChurnRefreshes, 1);
+        pacds_obs::add(pacds_obs::Counter::ChurnGatewayFlips, flips);
+        Ok(())
     }
 
     /// Validates and applies one event, accumulating (but not solving) the
@@ -495,19 +595,22 @@ impl ChurnEngine {
         let _refresh_timer = pacds_obs::phase_timer(pacds_obs::Phase::ChurnRefresh);
 
         // Solve list: dirty tiles passing the filter, largest-owned first.
-        self.order.clear();
-        self.order
+        // Both lists are retained, so a warm refresh allocates nothing.
+        self.solve.clear();
+        self.solve
             .extend(self.dirty_list.iter().filter(|&&t| keep(t as usize)));
-        let solve = std::mem::take(&mut self.order);
         let owned_lists = &self.owned;
         self.weights.clear();
-        self.weights
-            .extend(solve.iter().map(|&t| owned_lists[t as usize].len() as u64));
+        self.weights.extend(
+            self.solve
+                .iter()
+                .map(|&t| owned_lists[t as usize].len() as u64),
+        );
         schedule_order(&mut self.order, &self.weights);
         // `order` holds indexes into `solve`; map back to tile ids so the
         // run closure receives real tiles.
         for slot in self.order.iter_mut() {
-            *slot = solve[*slot as usize];
+            *slot = self.solve[*slot as usize];
         }
 
         let nthreads = self
@@ -805,7 +908,106 @@ mod tests {
             assert_eq!(eng.marked(), &m, "{policy:?}");
             assert_eq!(eng.after_rule1(), &a, "{policy:?}");
             assert_eq!(eng.gateways(), &g, "{policy:?}");
-            assert_eq!(eng.stats().resolved_tiles, eng.tiles());
+            // The seed solves none of the engine's own tiles.
+            assert_eq!(eng.stats().resolved_tiles, 0);
+            assert_eq!(eng.stats().total_tiles, eng.tiles());
+            assert_eq!(eng.totals().refreshes, 1);
+            assert_eq!(eng.totals().gateway_flips, eng.gateway_count() as u64);
+        }
+    }
+
+    /// A square arena at the paper's density (100 hosts per 100×100).
+    fn paper_density_side(n: usize) -> f64 {
+        100.0 * (n as f64 / 100.0).sqrt()
+    }
+
+    #[test]
+    fn derived_grid_tiles_are_twice_the_two_hop_margin() {
+        let m = topo_margin(25.0);
+        assert!((m - 50.0).abs() < 1e-6, "2-hop margin at r = 25 is 50: {m}");
+        // The churn-reroute arena (n = 10⁵, side 3162) and the wire
+        // arena (n = 10⁴, side 1000).
+        let side = paper_density_side(100_000);
+        assert_eq!(derived_grid(m, side, side, 100_000), (32, 32));
+        let side = paper_density_side(10_000);
+        assert_eq!(derived_grid(m, side, side, 10_000), (10, 10));
+        // Wide domains tile along their long side.
+        assert_eq!(derived_grid(m, 800.0, 200.0, 1600), (8, 2));
+        // Degenerate inputs still give one tile.
+        assert_eq!(derived_grid(m, 0.0, 0.0, 1), (1, 1));
+        assert_eq!(derived_grid(m, 100.0, 100.0, 0), (1, 1));
+
+        // The engine uses it when `shards == 0`: the paper arena is one
+        // tile, a 400-wide arena at 1200 hosts is 4×4.
+        let cfg = CdsConfig::policy(Policy::EnergyDegree);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        for (side, n, tiles) in [(100.0, 100, 1), (400.0, 1200, 16)] {
+            let bounds = Rect::square(side);
+            let pts = placement::uniform_points(&mut rng, bounds, n);
+            let energy = vec![7u64; n];
+            let eng =
+                ChurnEngine::open(ShardSpec::auto(), bounds, 25.0, &pts, &energy, &cfg).unwrap();
+            assert_eq!(eng.tiles(), tiles, "side {side}, n {n}");
+        }
+    }
+
+    #[test]
+    fn sparse_arenas_keep_the_hosts_per_tile_floor() {
+        let m = topo_margin(25.0);
+        // At the paper's density the margin binds, not the floor.
+        let (tx, ty) = derived_grid(m, 1000.0, 1000.0, 10_000);
+        assert!(10_000 / (tx * ty) >= MIN_HOSTS_PER_TILE);
+        let sparse = [
+            (1000.0, 2000),
+            (1000.0, 500),
+            (3000.0, 4000),
+            (500.0, 64),
+            (700.0, 130),
+        ];
+        for (side, n) in sparse {
+            let (tx, ty) = derived_grid(m, side, side, n);
+            let per_tile = n as f64 / (tx * ty) as f64;
+            assert!(
+                per_tile >= MIN_HOSTS_PER_TILE as f64,
+                "side {side}, n {n}: {tx}×{ty} tiles hold {per_tile:.1} hosts each"
+            );
+            // The floor binds: the margin alone would cut finer tiles.
+            let margin_only = (side / (2.0 * m)).round() as usize;
+            assert!(tx < margin_only, "side {side}, n {n}: {tx} vs {margin_only}");
+        }
+    }
+
+    #[test]
+    fn seeded_tiles_hold_exactly_their_owned_verdicts() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let bounds = Rect::square(400.0);
+        let pts = placement::uniform_points(&mut rng, bounds, 1200);
+        let energy: Vec<u64> = (0..1200u64).map(|v| (v * 31 + 7) % 89).collect();
+        for policy in Policy::ALL {
+            let cfg = CdsConfig::policy(policy);
+            let eng =
+                ChurnEngine::open(ShardSpec::auto(), bounds, 25.0, &pts, &energy, &cfg).unwrap();
+            assert!(eng.tiles() >= 16, "{policy:?}: {} tiles", eng.tiles());
+            let mut covered = 0;
+            for t in 0..eng.tiles() {
+                let res = eng.tile_result(t);
+                let ids: Vec<u32> = res.iter().map(|&(g, _)| g).collect();
+                assert_eq!(ids, eng.tile_owned(t), "{policy:?} tile {t}");
+                for &(g, bits) in res {
+                    let g = g as usize;
+                    assert_eq!(bits & 1 != 0, eng.marked()[g], "{policy:?} node {g}");
+                    assert_eq!(bits & 2 != 0, eng.after_rule1()[g], "{policy:?} node {g}");
+                    assert_eq!(bits & 4 != 0, eng.gateways()[g], "{policy:?} node {g}");
+                }
+                covered += res.len();
+            }
+            assert_eq!(covered, eng.n(), "{policy:?}");
+            let (m, a, g) = scratch_masks(&eng, bounds);
+            assert_eq!(eng.marked(), &m, "{policy:?}");
+            assert_eq!(eng.after_rule1(), &a, "{policy:?}");
+            assert_eq!(eng.gateways(), &g, "{policy:?}");
+            assert!(eng.gateway_count() > 0, "{policy:?}");
+            assert!(eng.dirty_tiles().is_empty(), "{policy:?}");
         }
     }
 

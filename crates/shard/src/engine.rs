@@ -14,8 +14,11 @@ use std::time::Instant;
 /// Shape of a sharded computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Desired shard (tile/block) count; `0` sizes automatically from `n`
-    /// (about one shard per 2048 nodes).
+    /// Desired shard (tile/block) count. `0` sizes automatically: the
+    /// batch [`ShardedCds`] takes about one shard per 2048 nodes, while a
+    /// [`ChurnEngine`](crate::ChurnEngine) derives its grid from the
+    /// geometry — tiles twice the 2-hop margin wide, at least 64 hosts
+    /// each on average.
     pub shards: usize,
     /// Halo width in hops. [`REQUIRED_HALO`] is the proven exactness
     /// minimum; wider halos only cost replication. Narrower halos are

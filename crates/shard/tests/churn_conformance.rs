@@ -12,7 +12,10 @@
 use pacds_core::CdsConfig;
 use pacds_geom::Rect;
 use pacds_shard::{check_shardable, ChurnEngine, ChurnError, ShardSpec};
-use pacds_testkit::churn::{corpus_traces, first_divergence, shardable_matrix, ChurnTrace};
+use pacds_testkit::churn::{
+    corpus_traces, derived_grid_traces, first_divergence, shardable_matrix, ChurnTrace,
+    TraceArena,
+};
 use pacds_testkit::harness::full_config_matrix;
 use pacds_testkit::ChurnReport;
 
@@ -45,12 +48,39 @@ fn churn_corpus_is_bit_identical_across_the_shardable_matrix() {
     report.finish();
 }
 
+/// Every trace family replayed with `shards: 0` on an arena where the
+/// engine derives a 16-tile grid, every event compared against both
+/// from-scratch oracles: the derived grid and the coarse seed at open
+/// are as invisible as a fixed grid.
+#[test]
+fn derived_grid_churn_replays_every_trace_family() {
+    let mut report = ChurnReport::new();
+    for trace in derived_grid_traces(0xD1CE) {
+        assert_eq!(trace.shards, 0, "{}", trace.name);
+        let eng = ChurnEngine::open(
+            ShardSpec::new(trace.shards),
+            trace.bounds,
+            trace.radius,
+            &trace.points,
+            &trace.energy,
+            &CdsConfig::policy(pacds_core::Policy::Id),
+        )
+        .unwrap();
+        assert!(eng.tiles() >= 16, "{}: {} tiles", trace.name, eng.tiles());
+        for cfg in shardable_matrix() {
+            report.check_trace(&trace, &cfg);
+        }
+    }
+    assert_eq!(report.replays, 4 * 7, "every family under every shardable config");
+    report.finish();
+}
+
 /// Different shard counts (including the degenerate single tile) replay
 /// the same trace to the same states — the dirty-set machinery must be
 /// invisible at every grid granularity.
 #[test]
 fn shard_count_is_invisible_to_churn_replay() {
-    let base = pacds_testkit::churn::mixed_trace(0x51AB, 50, 30);
+    let base = pacds_testkit::churn::mixed_trace(TraceArena::paper(), 0x51AB, 50, 30);
     let cfg = CdsConfig::policy(pacds_core::Policy::EnergyDegree);
     for shards in [1usize, 4, 16] {
         let mut t = base.clone();
@@ -67,7 +97,7 @@ fn shard_count_is_invisible_to_churn_replay() {
 /// the batch engine's typed errors, before any work happens.
 #[test]
 fn unshardable_configs_are_mirrored_at_open() {
-    let trace = pacds_testkit::churn::mobility_trace(3, 20, 0);
+    let trace = pacds_testkit::churn::mobility_trace(TraceArena::paper(), 3, 20, 0);
     let mut rejected = 0usize;
     for cfg in full_config_matrix() {
         match check_shardable(&cfg) {
@@ -104,7 +134,7 @@ fn unshardable_configs_are_mirrored_at_open() {
 /// trace — the JSON format loses nothing the replay depends on.
 #[test]
 fn emitted_traces_replay_identically() {
-    let trace = pacds_testkit::churn::death_burst_trace(0xDEAD, 40, 2, 4);
+    let trace = pacds_testkit::churn::death_burst_trace(TraceArena::paper(), 0xDEAD, 40, 2, 4);
     let dir = std::env::temp_dir().join("pacds-churn-roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.json");
@@ -122,7 +152,7 @@ fn emitted_traces_replay_identically() {
 #[test]
 fn rejected_events_are_deterministic_no_ops_in_replay() {
     use pacds_testkit::TraceEvent;
-    let mut trace = pacds_testkit::churn::mobility_trace(77, 30, 5);
+    let mut trace = pacds_testkit::churn::mobility_trace(TraceArena::paper(), 77, 30, 5);
     trace.events.push(TraceEvent::Kill { node: 2 });
     trace.events.push(TraceEvent::Kill { node: 2 }); // double kill
     trace.events.push(TraceEvent::Move {

@@ -7,10 +7,11 @@
 //!
 //! `PACDS_FUZZ_MODE=churn` instead fuzzes the churn engine: random event
 //! traces (mobility walks, death bursts, battery drains, mixed streams)
-//! against random unit-disk instances, replayed through
-//! `ChurnEngine::apply`/`refresh` with the incremental state checked
-//! against both from-scratch oracles after **every** event, across the
-//! shardable configuration matrix.
+//! against random unit-disk instances — about a quarter of them on the
+//! engine's derived grid (`shards: 0`, a 250–500-wide arena with 600–1600
+//! hosts) — replayed through `ChurnEngine::apply`/`refresh` with the
+//! incremental state checked against both from-scratch oracles after
+//! **every** event, across the shardable configuration matrix.
 //!
 //! Exit code 1 on any mismatch, after shrinking and emitting a replayable
 //! case/trace file.
@@ -26,6 +27,7 @@ use pacds_graph::gen;
 use pacds_testkit::casefile::{emit_case, shrink_case, CaseFile};
 use pacds_testkit::churn::{
     death_burst_trace, drain_trace, mixed_trace, mobility_trace, shardable_matrix, ChurnReport,
+    TraceArena,
 };
 use pacds_testkit::harness::{full_config_matrix, run_impl, ImplKind};
 use pacds_testkit::oracle;
@@ -52,13 +54,20 @@ fn churn_smoke(budget: Duration, seed: u64) {
     while start.elapsed() < budget {
         let trace_seed = seed.wrapping_add(iterations.wrapping_mul(0x9E37_79B9));
         let mut rng = StdRng::seed_from_u64(trace_seed);
-        let n = rng.random_range(10..=80usize);
+        // About one trace in four runs on the engine's derived grid: a
+        // wider arena with enough hosts for several tiles.
+        let (arena, n) = if rng.random_range(0..4u32) == 0 {
+            let side = rng.random_range(250.0..=500.0);
+            (TraceArena::derived(side), rng.random_range(600..=1600usize))
+        } else {
+            (TraceArena::paper(), rng.random_range(10..=80usize))
+        };
         let steps = rng.random_range(5..=40usize);
         let trace = match iterations % 4 {
-            0 => mobility_trace(trace_seed, n, steps),
-            1 => death_burst_trace(trace_seed, n, (steps / 8).max(1), 4),
-            2 => drain_trace(trace_seed, n, steps),
-            _ => mixed_trace(trace_seed, n, steps),
+            0 => mobility_trace(arena, trace_seed, n, steps),
+            1 => death_burst_trace(arena, trace_seed, n, (steps / 8).max(1), 4),
+            2 => drain_trace(arena, trace_seed, n, steps),
+            _ => mixed_trace(arena, trace_seed, n, steps),
         };
         for cfg in &matrix {
             report.check_trace(&trace, cfg);

@@ -119,7 +119,8 @@ pub struct ChurnTrace {
     pub bounds: Rect,
     /// Unit-disk transmission radius.
     pub radius: f64,
-    /// Shard count handed to [`ShardSpec::new`].
+    /// Shard count handed to [`ShardSpec::new`] (`0`: the engine's
+    /// derived grid).
     pub shards: usize,
     /// Initial host positions.
     pub points: Vec<Point2>,
@@ -163,8 +164,41 @@ pub fn shardable_matrix() -> Vec<CdsConfig> {
 // Seeded generators
 // ---------------------------------------------------------------------
 
-fn base_instance(rng: &mut StdRng, n: usize) -> (Rect, f64, Vec<Point2>, Vec<u64>) {
-    let bounds = Rect::paper_arena();
+/// Where a generated trace lives: its bounds, and the shard count its
+/// replay opens the engine with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceArena {
+    /// The engine's open-time bounds (hosts are placed inside them).
+    pub bounds: Rect,
+    /// Shard count handed to [`ShardSpec::new`].
+    pub shards: usize,
+}
+
+impl TraceArena {
+    /// The paper's 100×100 arena on a fixed 3×3 grid (the standard
+    /// corpus).
+    pub fn paper() -> Self {
+        Self {
+            bounds: Rect::paper_arena(),
+            shards: 9,
+        }
+    }
+
+    /// A `side`-wide square on the engine's derived grid (`shards: 0`).
+    pub fn derived(side: f64) -> Self {
+        Self {
+            bounds: Rect::square(side),
+            shards: 0,
+        }
+    }
+}
+
+fn base_instance(
+    rng: &mut StdRng,
+    arena: TraceArena,
+    n: usize,
+) -> (Rect, f64, Vec<Point2>, Vec<u64>) {
+    let bounds = arena.bounds;
     let radius = 25.0;
     let points = placement::uniform_points(rng, bounds, n);
     let energy: Vec<u64> = (0..n).map(|_| rng.random_range(5..100)).collect();
@@ -178,9 +212,9 @@ fn clamp(bounds: Rect, x: f64, y: f64) -> (f64, f64) {
 /// Mobility walk: every step one live host takes a bounded random step
 /// (the paper's update-interval model — hosts drift, the gateway set is
 /// refreshed).
-pub fn mobility_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
+pub fn mobility_trace(arena: TraceArena, seed: u64, n: usize, steps: usize) -> ChurnTrace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (bounds, radius, points, energy) = base_instance(&mut rng, n);
+    let (bounds, radius, points, energy) = base_instance(&mut rng, arena, n);
     let mut pos = points.clone();
     let mut events = Vec::with_capacity(steps);
     for _ in 0..steps {
@@ -199,7 +233,7 @@ pub fn mobility_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
         seed,
         bounds,
         radius,
-        shards: 9,
+        shards: arena.shards,
         points,
         energy,
         events,
@@ -208,9 +242,15 @@ pub fn mobility_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
 
 /// Death bursts: clusters of permanent switch-offs separated by single
 /// moves (exercises mass invalidation and the dead-host model).
-pub fn death_burst_trace(seed: u64, n: usize, bursts: usize, burst_size: usize) -> ChurnTrace {
+pub fn death_burst_trace(
+    arena: TraceArena,
+    seed: u64,
+    n: usize,
+    bursts: usize,
+    burst_size: usize,
+) -> ChurnTrace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (bounds, radius, points, energy) = base_instance(&mut rng, n);
+    let (bounds, radius, points, energy) = base_instance(&mut rng, arena, n);
     let mut alive: Vec<u32> = (0..n as u32).collect();
     let mut events = Vec::new();
     for _ in 0..bursts {
@@ -234,7 +274,7 @@ pub fn death_burst_trace(seed: u64, n: usize, bursts: usize, burst_size: usize) 
         seed,
         bounds,
         radius,
-        shards: 9,
+        shards: arena.shards,
         points,
         energy,
         events,
@@ -244,9 +284,9 @@ pub fn death_burst_trace(seed: u64, n: usize, bursts: usize, burst_size: usize) 
 /// Battery drain schedule: monotonically decreasing absolute levels on
 /// random hosts (exercises the energy-only dirty path, which reaches one
 /// hop instead of two and is a no-op under energy-blind policies).
-pub fn drain_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
+pub fn drain_trace(arena: TraceArena, seed: u64, n: usize, steps: usize) -> ChurnTrace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (bounds, radius, points, energy) = base_instance(&mut rng, n);
+    let (bounds, radius, points, energy) = base_instance(&mut rng, arena, n);
     let mut level = energy.clone();
     let mut events = Vec::with_capacity(steps);
     for _ in 0..steps {
@@ -261,7 +301,7 @@ pub fn drain_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
         seed,
         bounds,
         radius,
-        shards: 9,
+        shards: arena.shards,
         points,
         energy,
         events,
@@ -270,9 +310,9 @@ pub fn drain_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
 
 /// Mixed stream interleaving all four mutation kinds, including spawns
 /// (new ids mid-trace) and kills of freshly spawned hosts.
-pub fn mixed_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
+pub fn mixed_trace(arena: TraceArena, seed: u64, n: usize, steps: usize) -> ChurnTrace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (bounds, radius, points, energy) = base_instance(&mut rng, n);
+    let (bounds, radius, points, energy) = base_instance(&mut rng, arena, n);
     let mut pos = points.clone();
     let mut alive: Vec<bool> = vec![true; n];
     let mut events = Vec::with_capacity(steps);
@@ -320,7 +360,7 @@ pub fn mixed_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
         seed,
         bounds,
         radius,
-        shards: 9,
+        shards: arena.shards,
         points,
         energy,
         events,
@@ -330,12 +370,27 @@ pub fn mixed_trace(seed: u64, n: usize, steps: usize) -> ChurnTrace {
 /// The standard churn corpus: one trace per generator family at a couple
 /// of sizes, all seeded from `seed`.
 pub fn corpus_traces(seed: u64) -> Vec<ChurnTrace> {
+    let a = TraceArena::paper();
     vec![
-        mobility_trace(seed, 60, 30),
-        mobility_trace(seed ^ 0x9e37_79b9, 120, 25),
-        death_burst_trace(seed.wrapping_add(1), 80, 3, 6),
-        drain_trace(seed.wrapping_add(2), 70, 30),
-        mixed_trace(seed.wrapping_add(3), 60, 40),
+        mobility_trace(a, seed, 60, 30),
+        mobility_trace(a, seed ^ 0x9e37_79b9, 120, 25),
+        death_burst_trace(a, seed.wrapping_add(1), 80, 3, 6),
+        drain_trace(a, seed.wrapping_add(2), 70, 30),
+        mixed_trace(a, seed.wrapping_add(3), 60, 40),
+    ]
+}
+
+/// One trace per generator family on the engine's derived grid: a
+/// 400-wide arena with 1200 hosts and `shards: 0`, where the grid at
+/// radius 25 is 4×4, so events cross tile borders and dirty sets span
+/// several tiles.
+pub fn derived_grid_traces(seed: u64) -> Vec<ChurnTrace> {
+    let (a, n) = (TraceArena::derived(400.0), 1200);
+    vec![
+        mobility_trace(a, seed, n, 16),
+        death_burst_trace(a, seed.wrapping_add(1), n, 2, 6),
+        drain_trace(a, seed.wrapping_add(2), n, 16),
+        mixed_trace(a, seed.wrapping_add(3), n, 20),
     ]
 }
 
@@ -544,15 +599,16 @@ mod tests {
 
     #[test]
     fn traces_round_trip_through_json() {
-        let t = mixed_trace(11, 20, 15);
+        let t = mixed_trace(TraceArena::paper(), 11, 20, 15);
         let back = ChurnTrace::from_json(&t.to_json()).unwrap();
         assert_eq!(t, back);
     }
 
     #[test]
     fn generators_are_deterministic() {
-        assert_eq!(mobility_trace(5, 30, 10), mobility_trace(5, 30, 10));
-        assert_ne!(mobility_trace(5, 30, 10), mobility_trace(6, 30, 10));
+        let a = TraceArena::paper();
+        assert_eq!(mobility_trace(a, 5, 30, 10), mobility_trace(a, 5, 30, 10));
+        assert_ne!(mobility_trace(a, 5, 30, 10), mobility_trace(a, 6, 30, 10));
     }
 
     #[test]
@@ -568,7 +624,7 @@ mod tests {
     fn shrinker_reaches_a_minimal_trace() {
         // Synthetic predicate: "fails" iff the trace still contains a
         // Kill of node 3 — the shrinker must strip everything else.
-        let mut t = mobility_trace(9, 20, 12);
+        let mut t = mobility_trace(TraceArena::paper(), 9, 20, 12);
         t.events.insert(5, TraceEvent::Kill { node: 3 });
         let has_kill = |tr: &ChurnTrace| {
             tr.events
@@ -582,7 +638,7 @@ mod tests {
 
     #[test]
     fn a_clean_trace_replays_without_divergence() {
-        let t = mobility_trace(21, 40, 8);
+        let t = mobility_trace(TraceArena::paper(), 21, 40, 8);
         let cfg = CdsConfig::policy(pacds_core::Policy::Degree);
         assert_eq!(first_divergence(&t, &cfg), None);
     }

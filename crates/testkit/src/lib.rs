@@ -46,8 +46,8 @@ pub mod oracle;
 
 pub use casefile::{emit_case, shrink_case, CaseFile};
 pub use churn::{
-    corpus_traces, emit_trace, first_divergence, shardable_matrix, shrink_trace, ChurnReport,
-    ChurnTrace, TraceEvent,
+    corpus_traces, derived_grid_traces, emit_trace, first_divergence, shardable_matrix,
+    shrink_trace, ChurnReport, ChurnTrace, TraceArena, TraceEvent,
 };
 pub use corpus::{named_families, random_unit_disk_cases, TopoCase};
 pub use harness::{run_impl, ConformanceReport, ImplKind};

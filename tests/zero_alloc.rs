@@ -429,6 +429,93 @@ fn csr_kill_patch_is_allocation_free_after_warmup() {
     assert!(g.m() < full.m(), "the kills removed edges");
 }
 
+fn churn_engine_refresh_is_allocation_free_after_warmup() {
+    // The churn engine's warm step on its derived grid (`shards: 0`): apply
+    // events (ownership moves, dirty marking), re-solve the dirty tiles,
+    // scatter their verdicts. The events form a fixed cycle that returns
+    // the engine to its start state — hosts hop across a tile border and
+    // back, batteries drain to fixed levels — so warm-up drives every
+    // retained buffer (solve list, schedule, tile results, ownership lists,
+    // slot workspaces) to the cycle's high-water mark.
+    use pacds::geom::{Point2, Rect};
+    use pacds::shard::{ChurnEngine, ChurnEvent, ShardSpec};
+
+    let side = 316.0;
+    let bounds = Rect::square(side);
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    let pts = pacds::geom::placement::uniform_points(&mut rng, bounds, N);
+    let energy: Vec<u64> = (0..N as u64).map(|i| (i * 4099) % 100 + 1).collect();
+    let cds_cfg = CdsConfig::policy(Policy::EnergyDegree);
+    let mut engine = ChurnEngine::open(ShardSpec::auto(), bounds, 25.0, &pts, &energy, &cds_cfg)
+        .expect("shardable config");
+    assert_eq!(engine.tiles(), 9, "the derived grid of a 316-wide arena is 3×3");
+
+    // Hosts within 4 units left of the first vertical tile border hop 8
+    // units right (into the next tile) and back; others drain and recover.
+    let border = side / 3.0;
+    let hoppers: Vec<u32> = (0..N as u32)
+        .filter(|&v| (border - 4.0..border - 1.0).contains(&pts[v as usize].x))
+        .take(4)
+        .collect();
+    assert_eq!(hoppers.len(), 4, "the instance has hosts near the border");
+    let drained = [3u32, 333, 666, 999];
+    let hop = |dx: f64| -> Vec<ChurnEvent> {
+        hoppers
+            .iter()
+            .map(|&v| {
+                let p = pts[v as usize];
+                ChurnEvent::MoveNode {
+                    node: v,
+                    to: Point2::new(p.x + dx, p.y),
+                }
+            })
+            .collect()
+    };
+    let drain = |level: Option<u64>| -> Vec<ChurnEvent> {
+        drained
+            .iter()
+            .map(|&v| ChurnEvent::DrainBattery {
+                node: v,
+                remaining: level.unwrap_or(energy[v as usize]),
+            })
+            .collect()
+    };
+    let cycle: Vec<Vec<ChurnEvent>> = vec![
+        [hop(8.0), drain(Some(2))].concat(),
+        drain(Some(1)),
+        [hop(0.0), drain(None)].concat(),
+    ];
+    let start = engine.gateways().clone();
+
+    for _ in 0..WARMUP {
+        for events in &cycle {
+            engine.step(events).expect("valid events");
+        }
+    }
+    let crossed = engine.tile_of_node(hoppers[0]);
+
+    for round in 0..MEASURED {
+        for (k, events) in cycle.iter().enumerate() {
+            let before = allocs();
+            let stats = engine.step(events).expect("valid events");
+            let grew = allocs() - before;
+            assert!(stats.resolved_tiles > 0, "round {round} step {k}: nothing re-solved");
+            assert_eq!(
+                grew, 0,
+                "round {round} step {k}: warm churn step performed {grew} heap allocations"
+            );
+            if k == 0 {
+                assert_ne!(
+                    engine.tile_of_node(hoppers[0]),
+                    crossed,
+                    "round {round}: the hop crosses a tile border"
+                );
+            }
+        }
+        assert_eq!(engine.gateways(), &start, "round {round}: the cycle returns to the start");
+    }
+}
+
 /// Every case, in the order `main` runs them.
 const CASES: &[(&str, fn())] = &[
     (
@@ -458,6 +545,10 @@ const CASES: &[(&str, fn())] = &[
     (
         "csr_kill_patch_is_allocation_free_after_warmup",
         csr_kill_patch_is_allocation_free_after_warmup,
+    ),
+    (
+        "churn_engine_refresh_is_allocation_free_after_warmup",
+        churn_engine_refresh_is_allocation_free_after_warmup,
     ),
 ];
 
