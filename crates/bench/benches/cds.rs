@@ -109,33 +109,11 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel");
-    group.sample_size(15);
-    for n in [1000usize, 5000] {
-        let (g, energy) = udg(n, 46);
-        let cfg = CdsConfig::policy(Policy::EnergyDegree);
-        group.bench_function(format!("sequential/{n}"), |b| {
-            b.iter(|| {
-                black_box(compute_cds(
-                    &CdsInput::with_energy(&g, &energy),
-                    &cfg,
-                ))
-            })
-        });
-        group.bench_function(format!("rayon/{n}"), |b| {
-            b.iter(|| black_box(pacds_core::compute_cds_par(&g, Some(&energy), &cfg)))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_marking,
     bench_rule_passes,
     bench_end_to_end,
-    bench_baselines,
-    bench_parallel_speedup
+    bench_baselines
 );
 criterion_main!(benches);

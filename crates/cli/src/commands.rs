@@ -31,7 +31,7 @@ COMMANDS:
               topology options as cds, plus --from <id> --to <id>
   simulate  Run the update-interval lifetime simulation.
               --n <int=50> --policy <..=el1> --model <1|2|3|d2 =2>
-              --trials <int=10> --seed <int=1> --incremental
+              --trials <int=10> --seed <int=1>
   compare   All five policies on one topology: set sizes + verification.
               topology options as cds
   trace     Run a simulation and emit a JSON-lines trace (one interval/line).
@@ -326,9 +326,7 @@ pub fn route(args: &Args) -> CliResult {
 
 /// `pacds simulate`
 pub fn simulate(args: &Args) -> CliResult {
-    args.check_known(&[
-        "n", "policy", "model", "trials", "seed", "incremental", "semantics",
-    ])?;
+    args.check_known(&["n", "policy", "model", "trials", "seed", "semantics"])?;
     let n: usize = args.get_or("n", 50)?;
     let policy = policy_of(args.get("policy").unwrap_or("el1"))?;
     let model = model_of(args.get("model").unwrap_or("2"))?;
@@ -338,7 +336,6 @@ pub fn simulate(args: &Args) -> CliResult {
     if let Some(sem) = args.get("semantics") {
         cfg.cds = cds_config_of(policy, sem)?;
     }
-    cfg.incremental = args.flag("incremental");
 
     println!(
         "simulating n={n} policy={} model={} trials={trials}",
@@ -1869,6 +1866,15 @@ mod tests {
     fn unknown_options_are_rejected() {
         assert!(gen(&args("gen --bogus 3")).is_err());
         assert!(simulate(&args("simulate --radius 3")).is_err());
+    }
+
+    #[test]
+    fn simulate_no_longer_takes_incremental() {
+        let err = simulate(&args("simulate --n 10 --trials 1 --incremental")).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown option --incremental"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -49,9 +49,7 @@
 
 pub mod daiwu;
 pub mod explain;
-pub mod incremental;
 pub mod marking;
-pub mod parallel;
 pub mod pipeline;
 pub mod priority;
 pub mod rules;
@@ -68,9 +66,7 @@ pub use pacds_graph::kernels;
 
 pub use daiwu::{compute_cds_daiwu, rule_k_pass};
 pub use explain::{explain, Explanation};
-pub use incremental::{CdsDelta, IncrementalCds};
 pub use marking::{marking, marking_into};
-pub use parallel::{compute_cds_par, compute_cds_par_with, marking_par};
 pub use pipeline::{
     compute_cds, compute_cds_trace, Application, CdsConfig, CdsInput, CdsTrace, PruneSchedule,
 };

@@ -56,25 +56,25 @@ pub enum Rule2Semantics {
 /// has grown to the topology's high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct RuleScratch {
-    pub(crate) nbrs: Vec<NodeId>,
-    pub(crate) support: Vec<(u32, u64)>,
+    nbrs: Vec<NodeId>,
+    support: Vec<(u32, u64)>,
 }
 
 /// Stack-local counters for one Rule 1 sweep (zero-sized when the `obs`
 /// feature is off). Hot loops bump these plain `u64`s and flush into the
 /// global atomics once per pass.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Rule1Tally {
-    pub(crate) candidates: Tally,
-    pub(crate) prefilter_rejects: Tally,
-    pub(crate) witness_probes: Tally,
-    pub(crate) witness_rejects: Tally,
-    pub(crate) subset_scans: Tally,
-    pub(crate) unmarked: Tally,
+struct Rule1Tally {
+    candidates: Tally,
+    prefilter_rejects: Tally,
+    witness_probes: Tally,
+    witness_rejects: Tally,
+    subset_scans: Tally,
+    unmarked: Tally,
 }
 
 impl Rule1Tally {
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         self.candidates.flush(Counter::Rule1Candidates);
         self.prefilter_rejects.flush(Counter::Rule1PrefilterRejects);
         self.witness_probes.flush(Counter::Rule1WitnessProbes);
@@ -86,17 +86,17 @@ impl Rule1Tally {
 
 /// Stack-local counters for one Rule 2 sweep; see [`Rule1Tally`].
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Rule2Tally {
-    pub(crate) vertices: Tally,
-    pub(crate) candidates: Tally,
-    pub(crate) pairs: Tally,
-    pub(crate) witness_rejects: Tally,
-    pub(crate) coverage_scans: Tally,
-    pub(crate) unmarked: Tally,
+struct Rule2Tally {
+    vertices: Tally,
+    candidates: Tally,
+    pairs: Tally,
+    witness_rejects: Tally,
+    coverage_scans: Tally,
+    unmarked: Tally,
 }
 
 impl Rule2Tally {
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         self.vertices.flush(Counter::Rule2Vertices);
         self.candidates.flush(Counter::Rule2Candidates);
         self.pairs.flush(Counter::Rule2PairsProbed);
@@ -381,7 +381,7 @@ pub fn rule2_pass_sequential_into<G: Neighbors + ?Sized>(
 /// min-of-three — there, coverage and priority are a pure conjunction, so a
 /// lower-priority neighbour can never be half of a removing pair. Returns
 /// `false` when fewer than two remain (no pair is possible).
-pub(crate) fn fill_rule2_candidates<G: Neighbors + ?Sized>(
+fn fill_rule2_candidates<G: Neighbors + ?Sized>(
     g: &G,
     marked: &[bool],
     key: &PriorityKey,
@@ -410,7 +410,7 @@ pub(crate) fn fill_rule2_candidates<G: Neighbors + ?Sized>(
 /// [`NeighborBitmap::open_subset_pair`] on every pair, at a fraction of the
 /// word traffic. The removal outcome is an OR over pairs, so the evaluation
 /// order cannot change the result.
-pub(crate) fn rule2_decides_removal(
+fn rule2_decides_removal(
     bm: &NeighborBitmap,
     key: &PriorityKey,
     semantics: Rule2Semantics,

@@ -33,17 +33,17 @@ use std::collections::VecDeque;
 /// until the next call.
 #[derive(Debug, Clone, Default)]
 pub struct CdsWorkspace {
-    pub(crate) bm: NeighborBitmap,
-    pub(crate) key: PriorityKey,
-    pub(crate) marked: VertexMask,
-    pub(crate) after1: VertexMask,
-    pub(crate) after2: VertexMask,
+    bm: NeighborBitmap,
+    key: PriorityKey,
+    marked: VertexMask,
+    after1: VertexMask,
+    after2: VertexMask,
     tmp1: VertexMask,
     tmp2: VertexMask,
     scratch: RuleScratch,
-    pub(crate) removed1: Vec<NodeId>,
-    pub(crate) removed2: Vec<NodeId>,
-    pub(crate) rounds: usize,
+    removed1: Vec<NodeId>,
+    removed2: Vec<NodeId>,
+    rounds: usize,
     seen: Vec<bool>,
     queue: VecDeque<NodeId>,
 }

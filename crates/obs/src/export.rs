@@ -12,7 +12,7 @@
 //!   buckets plus `_sum`/`_count`.
 
 use crate::recorder::{
-    bucket_bound_ns, counter_value, enabled, par_work_per_thread, shard_tiles_per_thread,
+    bucket_bound_ns, counter_value, enabled, shard_tiles_per_thread,
     Counter, COUNTER_NAMES, NUM_BUCKETS, NUM_COUNTERS, NUM_PHASES,
 };
 use serde::{Deserialize, Serialize};
@@ -66,12 +66,9 @@ pub struct Snapshot {
     pub counters: Vec<CounterEntry>,
     /// Non-empty phase timings.
     pub phases: Vec<PhaseSnapshot>,
-    /// Per-thread parallel work totals (slot-indexed, first-use order).
-    pub par_thread_work: Vec<u64>,
-    /// Per-thread sharded tiles solved (same slot identities as
-    /// `par_thread_work`); the work-distribution evidence for parallel
-    /// shard runs. Absent in older snapshot lines, so deserialisation
-    /// defaults it to empty.
+    /// Per-thread sharded tiles solved (slot-indexed, first-use order);
+    /// the work-distribution evidence for parallel shard runs. Absent in
+    /// older snapshot lines, so deserialisation defaults it to empty.
     #[serde(default)]
     pub shard_thread_tiles: Vec<u64>,
 }
@@ -119,7 +116,6 @@ impl Snapshot {
             enabled: enabled(),
             counters,
             phases,
-            par_thread_work: par_work_per_thread(),
             shard_thread_tiles: shard_tiles_per_thread(),
         }
     }
@@ -131,7 +127,6 @@ impl Snapshot {
             enabled: false,
             counters: Vec::new(),
             phases: Vec::new(),
-            par_thread_work: Vec::new(),
             shard_thread_tiles: Vec::new(),
         }
     }
@@ -193,7 +188,6 @@ const ALL_COUNTERS: [Counter; NUM_COUNTERS] = {
         DistHelloMessages,
         DistMarkerMessages,
         DistRuns,
-        ParVertices,
         ServeRequests,
         ServeCacheHits,
         ServeCacheMisses,
@@ -245,9 +239,8 @@ pub fn write_jsonl<W: Write>(snap: &Snapshot, w: &mut W) -> io::Result<()> {
 ///
 /// Counters become `pacds_<label>_total` (dots mapped to underscores);
 /// phases become the histogram family `pacds_phase_duration_ns` with
-/// cumulative `le` buckets, `_sum` and `_count`; per-thread parallel work
-/// becomes `pacds_par_thread_work_total{thread="i"}` and per-thread shard
-/// tile counts `pacds_shard_thread_tiles_total{thread="i"}`.
+/// cumulative `le` buckets, `_sum` and `_count`; per-thread shard tile
+/// counts become `pacds_shard_thread_tiles_total{thread="i"}`.
 pub fn write_prometheus<W: Write>(snap: &Snapshot, w: &mut W) -> io::Result<()> {
     for c in &snap.counters {
         let name = c.name.replace('.', "_");
@@ -279,12 +272,6 @@ pub fn write_prometheus<W: Write>(snap: &Snapshot, w: &mut W) -> io::Result<()> 
             writeln!(w, "pacds_phase_duration_ns_sum{{phase=\"{label}\"}} {}", p.total_ns)?;
             writeln!(w, "pacds_phase_duration_ns_count{{phase=\"{label}\"}} {}", p.count)?;
         }
-    }
-    for (i, work) in snap.par_thread_work.iter().enumerate() {
-        if i == 0 {
-            writeln!(w, "# TYPE pacds_par_thread_work_total counter")?;
-        }
-        writeln!(w, "pacds_par_thread_work_total{{thread=\"{i}\"}} {work}")?;
     }
     for (i, tiles) in snap.shard_thread_tiles.iter().enumerate() {
         if i == 0 {
@@ -321,7 +308,6 @@ mod tests {
             total_ns: 9_000,
             buckets: vec![0, 1, 2],
         });
-        snap.par_thread_work = vec![7, 0, 3];
         snap.shard_thread_tiles = vec![4, 4];
         let mut buf = Vec::new();
         write_jsonl(&snap, &mut buf).unwrap();
@@ -329,7 +315,8 @@ mod tests {
         assert!(line.ends_with('\n'));
         let back: Snapshot = serde_json::from_str(line.trim_end()).unwrap();
         assert_eq!(back, snap);
-        // Older producers omit the shard tile table; it must default.
+        // Older producers omit the shard tile table (it must default) and
+        // may still carry the retired `par_thread_work` table (ignored).
         let old: Snapshot =
             serde_json::from_str(r#"{"kind":"obs_snapshot","enabled":false,"counters":[],"phases":[],"par_thread_work":[]}"#)
                 .unwrap();

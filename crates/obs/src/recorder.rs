@@ -106,8 +106,6 @@ metric_enum! {
         DistMarkerMessages => "dist.marker_messages",
         /// Distributed protocol executions.
         DistRuns => "dist.runs",
-        /// Vertices processed by data-parallel sweeps (all threads).
-        ParVertices => "par.vertices",
         /// Serve: requests fully read and dispatched to a handler.
         ServeRequests => "serve.requests",
         /// Serve: result-cache hits.
@@ -253,8 +251,9 @@ pub fn bucket_bound_ns(i: usize) -> Option<u64> {
     (i + 1 < NUM_BUCKETS).then(|| 128u64 << i)
 }
 
-/// Maximum number of per-thread slots tracked for parallel work counts.
-/// Threads beyond this many share the last slots (sums stay exact).
+/// Maximum number of per-thread slots tracked (shard tile counts and the
+/// trace ring's thread ids). Threads beyond this many share the last
+/// slots (sums stay exact).
 pub const NUM_PAR_SLOTS: usize = 64;
 
 /// Whether the recording runtime is compiled in. `const`, so
@@ -277,17 +276,15 @@ mod storage {
     #[allow(clippy::declare_interior_mutable_const)]
     pub static PHASE_HIST: [[AtomicU64; NUM_BUCKETS]; NUM_PHASES] =
         [const { [const { AtomicU64::new(0) }; NUM_BUCKETS] }; NUM_PHASES];
-    pub static PAR_WORK: [AtomicU64; NUM_PAR_SLOTS] =
-        [const { AtomicU64::new(0) }; NUM_PAR_SLOTS];
     pub static SHARD_TILES: [AtomicU64; NUM_PAR_SLOTS] =
         [const { AtomicU64::new(0) }; NUM_PAR_SLOTS];
 
-    /// Monotone id source for per-thread parallel-work slots.
+    /// Monotone id source for per-thread slots.
     pub static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
     thread_local! {
-        /// This thread's slot in [`PAR_WORK`], assigned on first use.
-        /// Rayon pool threads live for the process, so each worker keeps
+        /// This thread's slot in [`SHARD_TILES`], assigned on first use.
+        /// Shard pool workers live as long as their engine, so each keeps
         /// one slot and the table reads as per-thread totals.
         pub static PAR_SLOT: usize = NEXT_SLOT
             .fetch_add(1, Ordering::Relaxed)
@@ -334,30 +331,6 @@ pub fn record_phase_ns(phase: Phase, ns: u64) {
     let _ = (phase, ns);
 }
 
-/// Adds `n` vertices of data-parallel work to the calling thread's slot
-/// (and to [`Counter::ParVertices`]).
-#[inline]
-pub fn par_tick(n: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        add(Counter::ParVertices, n);
-        storage::PAR_SLOT.with(|&slot| {
-            storage::PAR_WORK[slot].fetch_add(n, Ordering::Relaxed);
-        });
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = n;
-}
-
-/// Per-thread parallel work totals (empty when disabled). Slots are
-/// assigned in first-use order and trailing zero slots are trimmed.
-pub fn par_work_per_thread() -> Vec<u64> {
-    #[cfg(feature = "enabled")]
-    return trimmed(&storage::PAR_WORK);
-    #[cfg(not(feature = "enabled"))]
-    Vec::new()
-}
-
 /// Adds `n` sharded tiles solved to the calling thread's slot (and to
 /// [`Counter::ShardTiles`] via the engine's own totals, not here) —
 /// the work-distribution evidence CI uses where wall-clock scaling
@@ -372,8 +345,8 @@ pub fn shard_thread_tiles_tick(n: u64) {
     let _ = n;
 }
 
-/// Per-thread sharded-tiles-solved totals (empty when disabled); same
-/// slot identities as [`par_work_per_thread`].
+/// Per-thread sharded-tiles-solved totals (empty when disabled). Slots
+/// are assigned in first-use order and trailing zero slots are trimmed.
 pub fn shard_tiles_per_thread() -> Vec<u64> {
     #[cfg(feature = "enabled")]
     return trimmed(&storage::SHARD_TILES);
@@ -498,9 +471,6 @@ pub fn reset() {
                 b.store(0, Ordering::Relaxed);
             }
         }
-        for s in &storage::PAR_WORK {
-            s.store(0, Ordering::Relaxed);
-        }
         for s in &storage::SHARD_TILES {
             s.store(0, Ordering::Relaxed);
         }
@@ -508,8 +478,8 @@ pub fn reset() {
     crate::trace::reset_tracing();
 }
 
-/// The calling thread's parallel-work slot id (shared with the trace
-/// ring's `thread` field).
+/// The calling thread's per-thread slot id (shared with the trace ring's
+/// `thread` field).
 #[cfg(feature = "enabled")]
 #[cfg_attr(not(feature = "trace"), allow(dead_code))]
 pub(crate) fn par_slot() -> usize {
@@ -642,21 +612,5 @@ mod tests {
             assert_eq!(p.buckets[p.buckets.len() - 1], 2);
             reset();
         }
-    }
-
-    #[test]
-    fn par_tick_accumulates_per_thread() {
-        let _guard = serial();
-        reset();
-        par_tick(10);
-        par_tick(5);
-        if enabled() {
-            assert_eq!(counter_value(Counter::ParVertices), 15);
-            assert_eq!(par_work_per_thread().iter().sum::<u64>(), 15);
-        } else {
-            assert_eq!(counter_value(Counter::ParVertices), 0);
-            assert!(par_work_per_thread().is_empty());
-        }
-        reset();
     }
 }

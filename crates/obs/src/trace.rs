@@ -120,7 +120,7 @@ pub struct SpanRecord {
     /// Kind-specific detail (tile id, request kind, hit/miss, ...).
     pub detail: u32,
     /// Recording thread's obs slot (same identities as
-    /// `par_thread_work`).
+    /// `shard_thread_tiles`).
     pub thread: u32,
     /// Start, nanoseconds since the process trace epoch.
     pub start_ns: u64,

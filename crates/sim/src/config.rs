@@ -42,22 +42,10 @@ pub struct SimConfig {
     /// Hard cap on simulated intervals (guards degenerate configurations
     /// where no host ever dies).
     pub max_intervals: u32,
-    /// Maintain the gateway set incrementally (localized 3-ball updates)
-    /// instead of recomputing from scratch each interval. Produces
-    /// identical results for simultaneous-application configs.
-    pub incremental: bool,
     /// Per-interval probability that a host switches itself off (the
     /// paper's "switching on/off" form of mobility). Off hosts leave the
     /// topology for the interval and pay no energy.
     pub off_probability: f64,
-    /// Maintain the gateway set through the sharded churn engine
-    /// (`pacds_shard::ChurnEngine`): mobility, battery drain and deaths
-    /// are fed as mutation events and only the dirty tiles are re-solved
-    /// each interval. Produces identical gateway sets to the default
-    /// from-scratch path. Requires a shardable configuration
-    /// (`pacds_shard::check_shardable`), `off_probability == 0`, and is
-    /// mutually exclusive with `incremental`.
-    pub churn: bool,
 }
 
 impl SimConfig {
@@ -81,9 +69,7 @@ impl SimConfig {
             connectivity: ConnectivityMode::ResampleInitial,
             placement_retries: 200,
             max_intervals: 100_000,
-            incremental: false,
             off_probability: 0.0,
-            churn: false,
         }
     }
 
@@ -97,16 +83,6 @@ impl SimConfig {
             (0.0..=1.0).contains(&self.off_probability),
             "off_probability out of range"
         );
-        if self.churn {
-            assert!(
-                self.off_probability == 0.0,
-                "churn mode has no event for on/off flapping"
-            );
-            assert!(
-                !self.incremental,
-                "churn and incremental maintenance are mutually exclusive"
-            );
-        }
     }
 }
 
@@ -129,24 +105,6 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn churn_with_off_flapping_rejected() {
-        let mut cfg = SimConfig::paper(10, Policy::Energy, DrainModel::LinearInN);
-        cfg.churn = true;
-        cfg.off_probability = 0.1;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn churn_with_incremental_rejected() {
-        let mut cfg = SimConfig::paper(10, Policy::Energy, DrainModel::LinearInN);
-        cfg.churn = true;
-        cfg.incremental = true;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic]
     fn zero_hosts_rejected() {
         let mut cfg = SimConfig::paper(1, Policy::Id, DrainModel::ConstantTotal);
         cfg.n = 0;
@@ -158,6 +116,21 @@ mod tests {
         let cfg = SimConfig::paper(10, Policy::Degree, DrainModel::QuadraticInN);
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn configs_naming_the_retired_maintenance_flags_still_load() {
+        // Scenario files written before `incremental`/`churn` were removed
+        // still parse; both flags only ever selected an engine with the
+        // same output, so dropping them changes no result.
+        let cfg = SimConfig::paper(10, Policy::Energy, DrainModel::LinearInN);
+        let json = serde_json::to_string(&cfg).unwrap();
+        let legacy = format!(
+            "{},\"incremental\":true,\"churn\":false}}",
+            json.strip_suffix('}').unwrap()
+        );
+        let back: SimConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(cfg, back);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! [`experiments`] wraps this loop into the paper's two studies — average
 //! gateway count (Figure 10) and average lifetime under three drain models
-//! (Figures 11–13) — and [`montecarlo`] runs independent trials in parallel
-//! (rayon) with per-trial deterministic seeding.
+//! (Figures 11–13) — and [`montecarlo`] runs independent trials with
+//! per-trial deterministic seeding.
 
 pub mod config;
 pub mod csv;

@@ -1,24 +1,21 @@
-//! Parallel Monte-Carlo trial execution.
+//! Monte-Carlo trial execution.
 //!
-//! Trials are embarrassingly parallel: each gets its own ChaCha8 RNG
-//! seeded from `(master_seed, trial_index)`, so results are identical
-//! whatever the thread count — rayon only changes wall-clock time.
+//! Each trial gets its own ChaCha8 RNG seeded from `(master_seed,
+//! trial_index)`, so a trial's result depends only on its index, never on
+//! which trials ran before it.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
-/// Runs `trials` independent evaluations of `f` in parallel and collects
-/// the results in trial order.
+/// Runs `trials` independent evaluations of `f` and collects the results
+/// in trial order.
 ///
 /// `f` receives the trial index and a deterministic per-trial RNG.
 pub fn run_trials<T, F>(master_seed: u64, trials: usize, f: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize, &mut ChaCha8Rng) -> T + Sync,
+    F: Fn(usize, &mut ChaCha8Rng) -> T,
 {
     (0..trials)
-        .into_par_iter()
         .map(|i| {
             let mut rng = trial_rng(master_seed, i);
             f(i, &mut rng)

@@ -1,12 +1,11 @@
 //! The live network state: host positions, topology, batteries.
 
 use crate::config::{ConnectivityMode, SimConfig};
-use pacds_core::{CdsWorkspace, IncrementalCds};
+use pacds_core::CdsWorkspace;
 use pacds_energy::Fleet;
-use pacds_geom::{Point2, Rect};
+use pacds_geom::Point2;
 use pacds_graph::{algo, gen, CsrGraph, Graph, VertexMask};
 use pacds_mobility::{MobilityModel, PaperWalk};
-use pacds_shard::{ChurnEngine, ChurnEvent, ShardSpec, REQUIRED_HALO};
 use rand::Rng;
 
 /// Mutable state of the simulated network.
@@ -28,146 +27,10 @@ pub struct NetworkState {
     csr: CsrGraph,
     fleet: Fleet,
     walk: PaperWalk,
-    incremental: Option<IncrementalCds>,
-    churn: Option<ChurnDriver>,
     off: Vec<bool>,
     ws: CdsWorkspace,
     udg_scratch: gen::UnitDiskScratch,
     levels: Vec<u64>,
-}
-
-/// Tile-grid size for [`SimConfig::churn`] mode: one tile per ~50 hosts,
-/// at least a 4-tile grid so dirty-set locality is observable even at the
-/// paper's scale, capped so the per-tile bookkeeping stays cheap.
-fn churn_shards(n: usize) -> usize {
-    (n / 50).clamp(4, 256)
-}
-
-/// The [`SimConfig::churn`] driver: a persistent [`ChurnEngine`] fed
-/// mutation events diffed from the simulation state each interval —
-/// [`ChurnEvent::MoveNode`] for hosts mobility displaced,
-/// [`ChurnEvent::DrainBattery`] for hosts whose quantised level changed,
-/// [`ChurnEvent::KillNode`] for deaths — so only the dirty tiles are
-/// re-solved. Gateway sets are identical to the from-scratch path (pinned
-/// by `simulation::tests`).
-#[derive(Debug)]
-struct ChurnDriver {
-    engine: ChurnEngine,
-    bounds: Rect,
-    radius: f64,
-    /// Positions as of the last refresh, for move diffing.
-    prev_positions: Vec<Point2>,
-    /// Quantised energy levels as of the last refresh, for drain diffing.
-    prev_levels: Vec<u64>,
-    /// The merged gateway mask of the last refresh.
-    mask: VertexMask,
-    /// Cumulative tiles re-solved across all refreshes.
-    resolved_tiles: u64,
-    /// Number of refreshes performed.
-    refreshes: u64,
-}
-
-impl ChurnDriver {
-    fn open(cfg: &SimConfig, positions: &[Point2], levels: Vec<u64>) -> Self {
-        let engine = ChurnEngine::open(
-            ShardSpec {
-                shards: churn_shards(cfg.n),
-                halo: REQUIRED_HALO,
-                threads: 1,
-            },
-            cfg.bounds,
-            cfg.radius,
-            positions,
-            &levels,
-            &cfg.cds,
-        )
-        .expect("churn mode requires a shardable CDS configuration");
-        let mask = engine.gateways().clone();
-        Self {
-            engine,
-            bounds: cfg.bounds,
-            radius: cfg.radius,
-            prev_positions: positions.to_vec(),
-            prev_levels: levels,
-            mask,
-            resolved_tiles: 0,
-            refreshes: 0,
-        }
-    }
-
-    /// Diffs the simulation state against the last refresh, feeds the
-    /// resulting events, and re-solves the dirty tiles.
-    fn absorb(&mut self, positions: &[Point2], levels: &[u64]) {
-        for (i, prev) in self.prev_positions.iter_mut().enumerate() {
-            let p = positions[i];
-            if p != *prev {
-                if self.engine.alive()[i] {
-                    self.engine
-                        .apply(&ChurnEvent::MoveNode {
-                            node: i as u32,
-                            to: p,
-                        })
-                        .expect("in-bounds move of a live host");
-                }
-                *prev = p;
-            }
-        }
-        for (i, prev) in self.prev_levels.iter_mut().enumerate() {
-            let lv = levels[i];
-            if lv != *prev {
-                if self.engine.alive()[i] {
-                    self.engine
-                        .apply(&ChurnEvent::DrainBattery {
-                            node: i as u32,
-                            remaining: lv,
-                        })
-                        .expect("drain of a live host");
-                }
-                *prev = lv;
-            }
-        }
-        let stats = self.engine.refresh();
-        self.resolved_tiles += stats.resolved_tiles as u64;
-        self.refreshes += 1;
-        self.mask.clone_from(self.engine.gateways());
-    }
-}
-
-impl Clone for ChurnDriver {
-    /// The engine owns a worker pool and cannot be cloned field-wise:
-    /// reopen an equivalent instance from the current positions/energy
-    /// and replay the deaths (bit-identical by the churn conformance
-    /// contract).
-    fn clone(&self) -> Self {
-        let src = &self.engine;
-        let mut engine = ChurnEngine::open(
-            src.spec(),
-            self.bounds,
-            self.radius,
-            src.positions(),
-            src.energy(),
-            src.cfg(),
-        )
-        .expect("reopening a previously-valid configuration");
-        for (i, &alive) in src.alive().iter().enumerate() {
-            if !alive {
-                engine
-                    .apply(&ChurnEvent::KillNode { node: i as u32 })
-                    .expect("killing a live host");
-            }
-        }
-        engine.refresh();
-        Self {
-            engine,
-            bounds: self.bounds,
-            radius: self.radius,
-            prev_positions: self.prev_positions.clone(),
-            prev_levels: self.prev_levels.clone(),
-            mask: self.mask.clone(),
-            resolved_tiles: self.resolved_tiles,
-            refreshes: self.refreshes,
-        }
-    }
 }
 
 impl NetworkState {
@@ -204,12 +67,6 @@ impl NetworkState {
         let csr = CsrGraph::from(&graph);
         let fleet = Fleet::new(cfg.n, cfg.energy);
         let walk = cfg.walk;
-        let incremental = cfg.incremental.then(|| {
-            IncrementalCds::new(graph.clone(), Fleet::new(cfg.n, cfg.energy).levels(), cfg.cds)
-        });
-        let churn = cfg
-            .churn
-            .then(|| ChurnDriver::open(&cfg, &positions, fleet.levels()));
         Self {
             off: vec![false; cfg.n],
             ws: CdsWorkspace::with_capacity(cfg.n),
@@ -221,8 +78,6 @@ impl NetworkState {
             csr,
             fleet,
             walk,
-            incremental,
-            churn,
         }
     }
 
@@ -262,21 +117,13 @@ impl NetworkState {
 
     /// Computes the gateway set without allocating: energy levels are
     /// quantised into a retained buffer and the CDS runs in the owned
-    /// [`CdsWorkspace`] over the CSR topology. Uses the localized
-    /// incremental maintainer when `cfg.incremental` is set (identical
-    /// output). The returned reference stays valid until the next
-    /// computation.
+    /// [`CdsWorkspace`] over the CSR topology. The returned reference
+    /// stays valid until the next computation.
     pub fn compute_gateways_in_place(&mut self) -> &VertexMask {
         let _t = pacds_obs::phase_timer(pacds_obs::Phase::SimCds);
         self.fleet.levels_into(&mut self.levels);
-        if let Some(d) = self.churn.as_mut() {
-            d.absorb(&self.positions, &self.levels);
-            return &d.mask;
-        }
-        match self.incremental.as_mut() {
-            Some(inc) => inc.update(self.graph.clone(), self.levels.clone()),
-            None => self.ws.compute(&self.csr, Some(&self.levels), &self.cfg.cds),
-        }
+        self.ws
+            .compute(&self.csr, Some(&self.levels), &self.cfg.cds)
     }
 
     /// [`NetworkState::compute_gateways_in_place`], copied into a
@@ -293,21 +140,6 @@ impl NetworkState {
         self.ws.verify(&self.csr, mask)
     }
 
-    /// Vertices the incremental maintainer touched in the last update
-    /// (`None` when running full recomputation).
-    pub fn last_recomputed(&self) -> Option<usize> {
-        self.incremental.as_ref().map(IncrementalCds::last_recomputed)
-    }
-
-    /// Cumulative churn-engine tile statistics: `(re-solved tiles across
-    /// all refreshes, refreshes, tiles in the grid)`. `None` when
-    /// [`SimConfig::churn`] is off.
-    pub fn churn_tile_stats(&self) -> Option<(u64, u64, usize)> {
-        self.churn
-            .as_ref()
-            .map(|d| (d.resolved_tiles, d.refreshes, d.engine.tiles()))
-    }
-
     /// Which hosts are switched off this interval.
     pub fn off(&self) -> &[bool] {
         &self.off
@@ -322,15 +154,6 @@ impl NetworkState {
         } else {
             self.fleet.drain_interval(gateways)
         };
-        if let Some(d) = self.churn.as_mut() {
-            // Deaths become kill events; their dirty tiles re-solve on
-            // the next gateway computation.
-            for &v in &died {
-                d.engine
-                    .apply(&ChurnEvent::KillNode { node: v as u32 })
-                    .expect("first death of a live host");
-            }
-        }
         pacds_obs::add(pacds_obs::Counter::SimDeaths, died.len() as u64);
         died
     }
@@ -425,100 +248,6 @@ mod tests {
             }
         }
         assert!(!died.is_empty(), "model 2 must kill within the cap");
-    }
-
-    #[test]
-    fn incremental_mode_matches_full_recompute_over_a_run() {
-        let mut base = cfg(25);
-        base.max_intervals = 40;
-        let mut inc_cfg = base;
-        inc_cfg.incremental = true;
-        let run = |c: SimConfig| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-            let mut st = NetworkState::init(c, &mut rng);
-            let mut sets = Vec::new();
-            for _ in 0..c.max_intervals {
-                let gw = st.compute_gateways();
-                sets.push(gw.clone());
-                st.drain(&gw);
-                st.advance_topology(&mut rng);
-            }
-            sets
-        };
-        assert_eq!(run(base), run(inc_cfg));
-    }
-
-    #[test]
-    fn churn_mode_matches_full_recompute_over_a_run() {
-        let mut base = cfg(25);
-        base.cds = pacds_core::CdsConfig::policy(Policy::EnergyDegree);
-        base.max_intervals = 40;
-        let mut churn_cfg = base;
-        churn_cfg.churn = true;
-        let run = |c: SimConfig| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-            let mut st = NetworkState::init(c, &mut rng);
-            let mut sets = Vec::new();
-            for _ in 0..c.max_intervals {
-                let gw = st.compute_gateways();
-                sets.push(gw.clone());
-                st.drain(&gw);
-                st.advance_topology(&mut rng);
-            }
-            sets
-        };
-        assert_eq!(run(base), run(churn_cfg));
-    }
-
-    #[test]
-    fn churn_mode_survives_cloning_mid_run() {
-        let mut c = cfg(25);
-        c.cds = pacds_core::CdsConfig::policy(Policy::Energy);
-        c.churn = true;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut st = NetworkState::init(c, &mut rng);
-        for _ in 0..5 {
-            let gw = st.compute_gateways();
-            st.drain(&gw);
-            st.advance_topology(&mut rng);
-        }
-        // The clone reopens the engine from current state: both copies
-        // must compute the same mask from here on.
-        let mut copy = st.clone();
-        assert_eq!(st.compute_gateways(), copy.compute_gateways());
-    }
-
-    #[test]
-    fn churn_mode_reports_tile_stats() {
-        let mut c = cfg(30);
-        c.cds = pacds_core::CdsConfig::policy(Policy::Energy);
-        c.churn = true;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let mut st = NetworkState::init(c, &mut rng);
-        assert_eq!(st.churn_tile_stats(), Some((0, 0, 4)));
-        for _ in 0..3 {
-            let gw = st.compute_gateways();
-            st.drain(&gw);
-            st.advance_topology(&mut rng);
-        }
-        let _ = st.compute_gateways();
-        let (resolved, refreshes, tiles) = st.churn_tile_stats().unwrap();
-        assert_eq!(refreshes, 4);
-        assert!(resolved <= refreshes * tiles as u64);
-    }
-
-    #[test]
-    fn incremental_mode_touches_few_hosts() {
-        let mut c = cfg(60);
-        c.incremental = true;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut st = NetworkState::init(c, &mut rng);
-        let _ = st.compute_gateways();
-        // Second interval with mobility: churn should touch a strict subset.
-        st.advance_topology(&mut rng);
-        let _ = st.compute_gateways();
-        let touched = st.last_recomputed().unwrap();
-        assert!(touched <= 60);
     }
 
     #[test]

@@ -272,24 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_mode_lifetime_is_identical_to_the_default_path() {
-        // The churn engine feeds mobility/drain/death events through the
-        // sharded dirty-tile machinery; the whole lifetime outcome —
-        // intervals, death, mean gateways, violations — must match the
-        // from-scratch interval loop bit for bit.
-        let base = SimConfig::paper(30, Policy::Energy, DrainModel::LinearInN);
-        let mut churned = base;
-        churned.churn = true;
-        let run = |c: SimConfig, seed: u64| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            Simulation::new(c, &mut rng).run_lifetime(&mut rng)
-        };
-        for seed in [3u64, 8, 21] {
-            assert_eq!(run(base, seed), run(churned, seed), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn interval_cap_reports_no_death() {
         let mut cfg = SimConfig::paper(10, Policy::Id, DrainModel::ConstantTotal);
         cfg.max_intervals = 5; // far below any possible death

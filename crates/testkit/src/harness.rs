@@ -18,8 +18,8 @@ use crate::casefile::{emit_case, shrink_case, CaseFile};
 use crate::corpus::TopoCase;
 use crate::oracle;
 use pacds_core::{
-    compute_cds, compute_cds_par, verify_cds, Application, CdsConfig, CdsInput, CdsWorkspace,
-    IncrementalCds, Policy, PruneSchedule, Rule2Semantics,
+    compute_cds, verify_cds, Application, CdsConfig, CdsInput, CdsWorkspace, Policy, PruneSchedule,
+    Rule2Semantics,
 };
 use pacds_distributed::{run_distributed, run_distributed_sequential};
 use pacds_graph::{CsrGraph, Graph, VertexMask};
@@ -36,11 +36,6 @@ pub enum ImplKind {
     WorkspaceAdj,
     /// [`CdsWorkspace`] over the flat [`CsrGraph`].
     WorkspaceCsr,
-    /// The rayon data-parallel passes (`pacds_core::compute_cds_par`).
-    Parallel,
-    /// [`IncrementalCds`] initial computation (update sequences are
-    /// exercised separately — see `tests/incremental_seq.rs`).
-    Incremental,
     /// `pacds_distributed::run_distributed_sequential` (round-robin).
     DistributedSeq,
     /// `pacds_distributed::run_distributed` (one OS thread per host).
@@ -49,13 +44,11 @@ pub enum ImplKind {
 
 impl ImplKind {
     /// Every implementation, cheapest first.
-    pub const ALL: [ImplKind; 8] = [
+    pub const ALL: [ImplKind; 6] = [
         ImplKind::SeedBaseline,
         ImplKind::Pipeline,
         ImplKind::WorkspaceAdj,
         ImplKind::WorkspaceCsr,
-        ImplKind::Parallel,
-        ImplKind::Incremental,
         ImplKind::DistributedSeq,
         ImplKind::DistributedThreaded,
     ];
@@ -67,25 +60,18 @@ impl ImplKind {
             ImplKind::Pipeline => "pipeline",
             ImplKind::WorkspaceAdj => "workspace_adj",
             ImplKind::WorkspaceCsr => "workspace_csr",
-            ImplKind::Parallel => "parallel",
-            ImplKind::Incremental => "incremental",
             ImplKind::DistributedSeq => "distributed_seq",
             ImplKind::DistributedThreaded => "distributed_threaded",
         }
     }
 
-    /// Whether this implementation supports `cfg`. The seed baseline, the
-    /// parallel passes, the incremental maintainer, and both distributed
-    /// engines implement only the paper's simultaneous single-pass
-    /// procedure (they panic otherwise, by contract).
+    /// Whether this implementation supports `cfg`. The seed baseline and
+    /// both distributed engines implement only the paper's simultaneous
+    /// single-pass procedure (they panic otherwise, by contract).
     pub fn applicable(&self, cfg: &CdsConfig) -> bool {
         match self {
             ImplKind::Pipeline | ImplKind::WorkspaceAdj | ImplKind::WorkspaceCsr => true,
-            ImplKind::SeedBaseline
-            | ImplKind::Parallel
-            | ImplKind::Incremental
-            | ImplKind::DistributedSeq
-            | ImplKind::DistributedThreaded => {
+            ImplKind::SeedBaseline | ImplKind::DistributedSeq | ImplKind::DistributedThreaded => {
                 cfg.application == Application::Simultaneous
                     && cfg.schedule == PruneSchedule::SinglePass
             }
@@ -117,11 +103,6 @@ pub fn run_impl(
             let csr = CsrGraph::from(g);
             let mut ws = CdsWorkspace::new();
             ws.compute(&csr, energy, cfg).clone()
-        }
-        ImplKind::Parallel => compute_cds_par(g, energy, cfg),
-        ImplKind::Incremental => {
-            let e = energy.map_or_else(|| vec![0; g.n()], <[u64]>::to_vec);
-            IncrementalCds::new(g.clone(), e, *cfg).gateways().clone()
         }
         ImplKind::DistributedSeq => run_distributed_sequential(g, energy, cfg),
         ImplKind::DistributedThreaded => run_distributed(g, energy, cfg),
@@ -302,8 +283,6 @@ mod tests {
         }
         for kind in [
             ImplKind::SeedBaseline,
-            ImplKind::Parallel,
-            ImplKind::Incremental,
             ImplKind::DistributedSeq,
             ImplKind::DistributedThreaded,
         ] {

@@ -1,10 +1,11 @@
 //! Correctness layer for the PACDS workspace.
 //!
-//! The workspace now ships five coexisting ways of computing the same
-//! gateway set (the frozen seed baseline, the allocating pipeline, the
-//! zero-allocation workspace over adjacency and CSR graphs, the rayon
-//! parallel passes, the incremental maintainer, and the distributed
-//! engine). This crate pins all of them to a single ground truth:
+//! The workspace ships several ways of computing the same gateway set
+//! (the frozen seed baseline, the allocating pipeline, the zero-allocation
+//! workspace over adjacency and CSR graphs, and the distributed engine in
+//! its sequential and threaded forms; the sharded churn engine has its own
+//! event-trace harness in [`churn`]). This crate pins all of them to a
+//! single ground truth:
 //!
 //! * [`oracle`] — transparently-naive reference implementations written
 //!   directly from the paper's prose: O(n·Δ²) marking, literal Rules 1/2

@@ -79,8 +79,6 @@ fn random_unit_disk_corpus_conforms() {
                 ImplKind::Pipeline,
                 ImplKind::WorkspaceAdj,
                 ImplKind::WorkspaceCsr,
-                ImplKind::Parallel,
-                ImplKind::Incremental,
                 ImplKind::DistributedSeq,
             ]
         };

@@ -103,3 +103,18 @@ fn replay_reproduces_a_recorded_real_mismatch() {
     assert_eq!(pacds_testkit::casefile::to_mask(6, &rep.expected), expected);
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn replay_rejects_case_files_naming_a_retired_implementation() {
+    // Case files recorded against the removed `parallel` entry point must
+    // fail cleanly rather than panic or silently run something else.
+    let g = gen::path(4);
+    let energy = vec![1u64; 4];
+    let cfg = CdsConfig::policy(Policy::Id);
+    let mask = oracle::compute_cds_oracle(&g, Some(&energy), &cfg);
+    let file = CaseFile::capture_named("retired-impl", "parallel", &g, &energy, &cfg, &mask, &mask);
+    let path = emit_case(&file);
+    let err = replay(&path).expect_err("a retired implementation cannot replay");
+    assert_eq!(err, "unknown implementation \"parallel\"");
+    std::fs::remove_file(&path).ok();
+}
