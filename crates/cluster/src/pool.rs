@@ -14,11 +14,12 @@
 //! staleness must not masquerade as a dead backend. Only a fresh dial's
 //! verdict escalates to the caller.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use pacds_serve::frame::read_frame;
 use pacds_serve::protocol::{ErrorCode, ResponseKind, LEN_PREFIX};
 
 /// A bounded pool of connections to one backend.
@@ -31,7 +32,6 @@ pub struct ConnPool {
     /// Per-read socket timeout while awaiting a backend response; bounds
     /// how long a wedged (not dead) backend can pin a coordinator worker.
     relay_timeout: Option<Duration>,
-    max_frame_len: u32,
 }
 
 impl ConnPool {
@@ -41,7 +41,6 @@ impl ConnPool {
         max_idle: usize,
         connect_timeout: Duration,
         relay_timeout: Option<Duration>,
-        max_frame_len: u32,
     ) -> Self {
         Self {
             addr,
@@ -49,7 +48,6 @@ impl ConnPool {
             max_idle,
             connect_timeout,
             relay_timeout,
-            max_frame_len,
         }
     }
 
@@ -114,25 +112,19 @@ impl ConnPool {
         Ok(())
     }
 
-    /// One write + one framed read on an established connection.
+    /// One write + one framed read on an established connection. A
+    /// response that breaks framing is treated like a dead backend by the
+    /// caller (fail over), which is safe — the request is simply
+    /// re-answered by a sane one.
     fn relay(&self, conn: &mut TcpStream, frame: &[u8], resp: &mut Vec<u8>) -> io::Result<()> {
         conn.write_all(frame)?;
-        let mut prefix = [0u8; LEN_PREFIX];
-        conn.read_exact(&mut prefix)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len < 2 || len > self.max_frame_len as usize {
-            // The backend broke framing; treated like a dead backend by
-            // the caller (fail over), which is safe — the request is
-            // simply re-answered by a sane one.
+        read_frame(&*conn, resp, None)?;
+        if resp.len() < LEN_PREFIX + 2 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "backend response frame length out of range",
+                "backend response shorter than a header",
             ));
         }
-        resp.clear();
-        resp.extend_from_slice(&prefix);
-        resp.resize(LEN_PREFIX + len, 0);
-        conn.read_exact(&mut resp[LEN_PREFIX..])?;
         Ok(())
     }
 

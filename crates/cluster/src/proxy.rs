@@ -1,10 +1,11 @@
-//! The coordinator proxy: accept loop, request classification, routing,
-//! and relay.
+//! The coordinator proxy: request classification, routing, and relay.
 //!
-//! The worker structure mirrors `pacds_serve::server` — one acceptor
-//! feeding a bounded queue, a small worker pool, explicit backpressure
-//! with a pre-encoded `Rejected` frame — because the coordinator *is* a
-//! protocol server; it just answers most frames by asking someone else.
+//! The coordinator *is* a protocol server — it just answers most frames
+//! by asking someone else — so it runs on the same frame server as a
+//! backend ([`pacds_serve::frame`]: acceptor, bounded queue with a typed
+//! `Rejected` reply, worker pool, drain on shutdown). This module
+//! supplies the per-frame handler, the health prober, and the subscribe
+//! pump.
 //!
 //! Per frame kind:
 //!
@@ -30,30 +31,25 @@
 //! failing over to a backend that never saw the graph gets a typed
 //! `UnknownGraph` — **cold, never wrong**.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pacds_serve::frame::{
+    hand_off, read_frame, FrameServer, Handler, Outcome, Service, POLL_INTERVAL,
+};
 use pacds_serve::keys;
 use pacds_serve::protocol::{
-    self, encode_error, ComputeCdsRequest, ErrorCode, GenComputeRequest, RequestKind, ResponseKind,
-    StatsFormat, WireWrite, DEFAULT_MAX_FRAME_LEN, LEN_PREFIX, PROTOCOL_VERSION,
+    self, encode_error, ComputeCdsRequest, DecodeError, ErrorCode, GenComputeRequest, RequestKind,
+    ResponseKind, StatsFormat, LEN_PREFIX,
 };
 
 use crate::health::{probe_all, Backend};
 use crate::pool::{response_is_fatal_error, ConnPool};
 use crate::ring::{HashRing, DEFAULT_VNODES, MAX_BACKENDS};
 use crate::{BackendSpec, ClusterStats};
-
-/// How often blocked reads poll the shutdown flag (mirrors serve).
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Write timeout towards subscribed clients: the relay holds no queue, so
-/// a stalled client is disconnected rather than buffered for.
-const PUSH_WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Routing key for stats-only subscriptions (no graph name to pin by).
 const SUBSCRIBE_STATS_KEY: u128 = 0;
@@ -80,8 +76,6 @@ pub struct ClusterConfig {
     pub fail_threshold: u32,
     /// Consecutive successful probes before a down backend is marked up.
     pub rise_threshold: u32,
-    /// Maximum accepted frame payload length.
-    pub max_frame_len: u32,
 }
 
 impl Default for ClusterConfig {
@@ -96,7 +90,6 @@ impl Default for ClusterConfig {
             probe_interval: Duration::from_millis(200),
             fail_threshold: 2,
             rise_threshold: 2,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
         }
     }
 }
@@ -110,8 +103,6 @@ pub struct ClusterState {
     pub ring: HashRing,
     /// Always-on coordinator counters.
     pub stats: ClusterStats,
-    /// Maximum accepted frame payload length.
-    pub max_frame_len: u32,
 }
 
 impl ClusterState {
@@ -150,18 +141,14 @@ impl ClusterState {
 /// A running coordinator. Dropping it shuts it down.
 #[derive(Debug)]
 pub struct ClusterHandle {
-    addr: SocketAddr,
     state: Arc<ClusterState>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    prober: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    server: FrameServer,
 }
 
 impl ClusterHandle {
     /// The bound coordinator address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Shared coordinator state (ring, backends, counters).
@@ -183,25 +170,7 @@ impl ClusterHandle {
     /// threads. Idempotent. (Detached subscribe-relay threads observe the
     /// flag within one poll interval and exit on their own.)
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ClusterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.server.shutdown();
     }
 }
 
@@ -228,9 +197,7 @@ pub fn cluster(
         }
     }
     let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
     let workers = if cfg.workers == 0 { 4 } else { cfg.workers };
-    let queue = if cfg.queue == 0 { workers * 4 } else { cfg.queue };
     let vnodes = if cfg.vnodes == 0 { DEFAULT_VNODES } else { cfg.vnodes };
 
     let members: Vec<Arc<Backend>> = backends
@@ -246,7 +213,6 @@ pub fn cluster(
                     cfg.max_idle,
                     cfg.connect_timeout,
                     cfg.relay_timeout,
-                    cfg.max_frame_len,
                 ),
             ))
         })
@@ -256,273 +222,125 @@ pub fn cluster(
         backends: members,
         ring: HashRing::build(&ids, vnodes),
         stats: ClusterStats::default(),
-        max_frame_len: cfg.max_frame_len,
     });
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = sync_channel::<TcpStream>(queue);
-    let rx = Arc::new(Mutex::new(rx));
-    let mut worker_handles = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        worker_handles.push(
-            std::thread::Builder::new()
-                .name(format!("pacds-cluster-{i}"))
-                .spawn(move || worker_loop(&rx, &state, &stop))?,
-        );
-    }
-
-    let mut rejected_frame = Vec::new();
-    encode_error(
-        &mut rejected_frame,
-        ErrorCode::Rejected,
-        "coordinator queue full; retry later",
-    );
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("pacds-cluster-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(conn) = conn else { continue };
-                    match tx.try_send(conn) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(mut conn)) => {
-                            state.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            let _ = conn.write_all(&rejected_frame);
-                            let _ = conn.flush();
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
-                }
-            })?
-    };
-
-    let prober = {
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        let (interval, fail_t, rise_t) = (cfg.probe_interval, cfg.fail_threshold, cfg.rise_threshold);
-        std::thread::Builder::new()
-            .name("pacds-cluster-probe".into())
-            .spawn(move || {
-                let mut clients = Vec::new();
-                clients.resize_with(state.backends.len(), || None);
-                while !stop.load(Ordering::SeqCst) {
-                    probe_all(&state.backends, &mut clients, fail_t, rise_t, &state.stats);
-                    // Stop-aware sleep in small steps.
-                    let until = Instant::now() + interval;
-                    while Instant::now() < until && !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(25).min(interval));
-                    }
-                }
-            })?
-    };
-
-    Ok(ClusterHandle {
-        addr,
-        state,
-        stop,
-        acceptor: Some(acceptor),
-        prober: Some(prober),
-        workers: worker_handles,
-    })
+    let mut server =
+        FrameServer::spawn(listener, &state, workers, cfg.queue, |stop| ProxyWorker {
+            state: Arc::clone(&state),
+            stop: Arc::clone(stop),
+            edges: Vec::new(),
+        })?;
+    let prober = Arc::clone(&state);
+    let (interval, fail_t, rise_t) = (cfg.probe_interval, cfg.fail_threshold, cfg.rise_threshold);
+    server.spawn_aux("pacds-cluster-probe".into(), None, move |stop| {
+        let mut clients = Vec::new();
+        clients.resize_with(prober.backends.len(), || None);
+        while !stop.load(Ordering::SeqCst) {
+            let backends = &prober.backends;
+            probe_all(backends, &mut clients, fail_t, rise_t, &prober.stats);
+            // Stop-aware sleep in small steps.
+            let until = Instant::now() + interval;
+            while Instant::now() < until && !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(25).min(interval));
+            }
+        }
+    })?;
+    Ok(ClusterHandle { state, server })
 }
 
-/// Per-worker retained buffers.
-struct ProxyScratch {
+impl Service for ClusterState {
+    const NAME: &'static str = "pacds-cluster";
+    const BUSY: &'static str = "coordinator queue full; retry later";
+
+    fn rejected(&self) {
+        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn oversized(&self) {
+        self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One proxy worker: the shared state plus its retained buffers.
+struct ProxyWorker {
+    state: Arc<ClusterState>,
+    stop: Arc<AtomicBool>,
     /// Canonicalised edge buffer for compute-key derivation.
     edges: Vec<(u32, u32)>,
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &Arc<ClusterState>, stop: &Arc<AtomicBool>) {
-    let mut scratch = ProxyScratch { edges: Vec::new() };
-    let mut frame = Vec::new();
-    let mut resp = Vec::new();
-    loop {
-        let conn = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(POLL_INTERVAL)
+impl Handler for ProxyWorker {
+    /// Classifies one request frame and answers it — locally, or by
+    /// relaying it to the routed backend.
+    fn handle(&mut self, frame: &[u8], resp: &mut Vec<u8>, conn: &TcpStream) -> Outcome {
+        let state = &*self.state;
+        state.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let route_timer = pacds_obs::phase_timer(pacds_obs::Phase::ClusterRoute);
+        let (kind, body) = match protocol::request_header(&frame[LEN_PREFIX..]) {
+            Ok(header) => header,
+            Err((code, msg)) => return protocol_error(state, resp, code, msg),
         };
-        match conn {
-            Ok(conn) => serve_connection(conn, state, &mut scratch, &mut frame, &mut resp, stop),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// What the connection loop should do after a routed frame.
-enum Outcome {
-    /// `resp` holds a complete frame; write it, keep the connection.
-    Reply,
-    /// Write `resp`, then close (framing lost or backend went fatal).
-    CloseAfterReply,
-    /// The connection was handed to a subscribe-relay thread.
-    Subscribed,
-}
-
-fn serve_connection(
-    mut conn: TcpStream,
-    state: &Arc<ClusterState>,
-    scratch: &mut ProxyScratch,
-    frame: &mut Vec<u8>,
-    resp: &mut Vec<u8>,
-    stop: &Arc<AtomicBool>,
-) {
-    let _ = conn.set_nodelay(true);
-    let _ = conn.set_read_timeout(Some(POLL_INTERVAL));
-    loop {
-        match read_frame(&mut conn, state, frame, stop) {
-            FrameRead::Frame => {}
-            FrameRead::Closed => return,
-            FrameRead::TooLarge => {
-                state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                resp.clear();
-                encode_error(resp, ErrorCode::Oversized, "frame exceeds maximum length");
-                let _ = conn.write_all(resp);
-                return;
+        let keyed = match kind {
+            RequestKind::Ping => {
+                state.stats.local_answers.fetch_add(1, Ordering::Relaxed);
+                protocol::begin_frame(resp, ResponseKind::Pong as u8);
+                protocol::end_frame(resp);
+                return Outcome::KeepOpen;
             }
-        }
-        resp.clear();
-        let outcome = route_frame(state, scratch, frame, resp, &mut conn, stop);
-        match outcome {
-            Outcome::Reply => {
-                if conn.write_all(resp).is_err() {
-                    return;
-                }
+            RequestKind::Stats => return local_stats(state, body, resp),
+            RequestKind::ComputeCds => {
+                compute_key_of(&mut self.edges, body).map(|key| (key, false))
             }
-            Outcome::CloseAfterReply => {
-                let _ = conn.write_all(resp);
-                return;
+            RequestKind::GenCompute => {
+                GenComputeRequest::decode(body).map(|req| (keys::gen_key(&req), false))
             }
-            Outcome::Subscribed => return,
-        }
-        // Shutdown is observed between frames: a continuously-streaming
-        // client never leaves the socket idle, so the idle check in
-        // `read_frame` alone would let it pin this worker past
-        // `shutdown()`.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-/// Classifies one request frame (`frame` = prefix + payload) and answers
-/// it — locally, or by relaying to the routed backend.
-fn route_frame(
-    state: &Arc<ClusterState>,
-    scratch: &mut ProxyScratch,
-    frame: &[u8],
-    resp: &mut Vec<u8>,
-    conn: &mut TcpStream,
-    stop: &Arc<AtomicBool>,
-) -> Outcome {
-    state.stats.requests.fetch_add(1, Ordering::Relaxed);
-    let route_timer = pacds_obs::phase_timer(pacds_obs::Phase::ClusterRoute);
-    let payload = &frame[LEN_PREFIX..];
-    if payload.len() < 2 {
-        return protocol_error(state, resp, ErrorCode::Malformed, "payload shorter than header");
-    }
-    if payload[0] != PROTOCOL_VERSION {
-        return protocol_error(state, resp, ErrorCode::UnsupportedVersion, "unsupported version");
-    }
-    let Some(kind) = RequestKind::from_wire(payload[1]) else {
-        return protocol_error(state, resp, ErrorCode::UnknownKind, "unknown request kind");
-    };
-    let body = &payload[2..];
-    let (key, stateful) = match kind {
-        RequestKind::Ping => {
-            state.stats.local_answers.fetch_add(1, Ordering::Relaxed);
-            protocol::begin_frame(resp, ResponseKind::Pong as u8);
-            protocol::end_frame(resp);
-            return Outcome::Reply;
-        }
-        RequestKind::Stats => return local_stats(state, body, resp),
-        RequestKind::ComputeCds => match compute_key_of(scratch, body) {
-            Ok(key) => (key, false),
+            RequestKind::OpenGraph | RequestKind::Mutate | RequestKind::CloseGraph
+            | RequestKind::QueryTile => {
+                // Every stateful body starts with the graph name — all the
+                // coordinator needs; the pinned backend performs the full
+                // decode and answers any deeper malformation itself.
+                protocol::read_name(&mut protocol::Reader::new(body))
+                    .map(|name| (keys::graph_name_key(name), true))
+            }
+            RequestKind::Subscribe => protocol::decode_subscribe(body)
+                .map(|req| (req.graph.map_or(SUBSCRIBE_STATS_KEY, keys::graph_name_key), false)),
+        };
+        let (key, stateful) = match keyed {
+            Ok(keyed) => keyed,
             Err(e) => return decode_failed(state, resp, &e),
-        },
-        RequestKind::GenCompute => match GenComputeRequest::decode(body) {
-            Ok(req) => (keys::gen_key(&req), false),
-            Err(e) => return decode_failed(state, resp, &e),
-        },
-        RequestKind::OpenGraph | RequestKind::Mutate | RequestKind::CloseGraph
-        | RequestKind::QueryTile => match peek_graph_name(body) {
-            Ok(name) => (keys::graph_name_key(name), true),
-            Err(e) => return decode_failed(state, resp, &e),
-        },
-        RequestKind::Subscribe => {
-            let key = match protocol::decode_subscribe(body) {
-                Ok(req) => req
-                    .graph
-                    .map_or(SUBSCRIBE_STATS_KEY, keys::graph_name_key),
-                Err(e) => return decode_failed(state, resp, &e),
-            };
-            drop(route_timer);
-            return relay_subscribe(state, key, frame, resp, conn, stop);
+        };
+        drop(route_timer);
+        if kind == RequestKind::Subscribe {
+            return relay_subscribe(&self.state, key, frame, resp, conn, &self.stop);
         }
-    };
-    drop(route_timer);
-    relay(state, key, stateful, frame, resp)
+        relay(state, key, stateful, frame, resp)
+    }
 }
 
 /// Relays `frame` to the ring owner of `key`, failing over at most once.
 fn relay(
-    state: &Arc<ClusterState>,
+    state: &ClusterState,
     key: u128,
     stateful: bool,
     frame: &[u8],
     resp: &mut Vec<u8>,
 ) -> Outcome {
     let _relay_timer = pacds_obs::phase_timer(pacds_obs::Phase::ClusterRelay);
-    let mut exclude = None;
-    for attempt in 0..2u32 {
-        let Some(backend) = state.owner(key, exclude) else {
-            break;
-        };
+    let relayed = try_owners(state, key, |backend| {
         let t0 = Instant::now();
-        match backend.pool.round_trip(frame, resp) {
-            Ok(()) => {
-                backend.record_relay_ns(t0.elapsed().as_nanos() as u64);
-                backend.routed.fetch_add(1, Ordering::Relaxed);
-                state.stats.routed.fetch_add(1, Ordering::Relaxed);
-                pacds_obs::inc(pacds_obs::Counter::ClusterRouted);
-                if stateful {
-                    state.stats.routed_stateful.fetch_add(1, Ordering::Relaxed);
-                }
-                if attempt > 0 {
-                    state.stats.failed_over.fetch_add(1, Ordering::Relaxed);
-                    pacds_obs::inc(pacds_obs::Counter::ClusterFailedOver);
-                }
-                return if response_is_fatal_error(resp) {
-                    // The backend is closing its end; mirror that to our
-                    // client — the relayed frame still carries the typed
-                    // error that explains why.
-                    Outcome::CloseAfterReply
-                } else {
-                    Outcome::Reply
-                };
-            }
-            Err(_) => {
-                // A fresh dial failed: the backend is gone right now. Mark
-                // it down and walk on — the next distinct backend answers
-                // this request (cold at worst, never wrong).
-                backend.data_failure(&state.stats);
-                exclude = Some(backend.index);
-            }
-        }
+        backend.pool.round_trip(frame, resp)?;
+        backend.record_relay_ns(t0.elapsed().as_nanos() as u64);
+        Ok(())
+    });
+    if relayed.is_none() {
+        return no_backend(state, resp);
     }
-    state.stats.no_backend.fetch_add(1, Ordering::Relaxed);
-    pacds_obs::inc(pacds_obs::Counter::ClusterNoBackend);
-    resp.clear();
-    encode_error(resp, ErrorCode::Rejected, "no healthy backend");
-    Outcome::Reply
+    if stateful {
+        state.stats.routed_stateful.fetch_add(1, Ordering::Relaxed);
+    }
+    // A fatal typed error means the backend is closing its end; mirror
+    // that to our client — the relayed frame still carries the error that
+    // explains why.
+    relayed_outcome(resp)
 }
 
 /// Relays a Subscribe frame to the pinned backend on a dedicated
@@ -533,84 +351,98 @@ fn relay_subscribe(
     key: u128,
     frame: &[u8],
     resp: &mut Vec<u8>,
-    conn: &mut TcpStream,
+    conn: &TcpStream,
     stop: &Arc<AtomicBool>,
 ) -> Outcome {
+    // Subscriptions own their socket for their whole lifetime; they bypass
+    // the pool (and never return to it).
+    let dialed = try_owners(state, key, |backend| {
+        let mut up = backend.pool.dial()?;
+        up.write_all(frame)?;
+        read_frame(&up, resp, None)?;
+        Ok(up)
+    });
+    let Some(upstream) = dialed else {
+        return no_backend(state, resp);
+    };
+    if resp.get(LEN_PREFIX + 1) != Some(&(ResponseKind::SubscribeAck as u8)) {
+        // The backend declined (typed error — e.g. UnknownGraph after a
+        // failover); relay its answer, stay in request mode.
+        return relayed_outcome(resp);
+    }
+    let (pump_state, stop) = (Arc::clone(state), Arc::clone(stop));
+    let pump = move |client| pump_pushes(upstream, client, &pump_state, &stop);
+    if hand_off(conn, resp, "pacds-cluster-push".into(), pump).is_ok() {
+        state.stats.subscriptions.fetch_add(1, Ordering::Relaxed);
+    }
+    Outcome::HandedOff
+}
+
+/// Runs `attempt` on the ring owner of `key`, failing over at most once:
+/// an attempt that fails on a fresh connection means the backend is gone
+/// right now, so it is marked down and the next distinct backend
+/// clockwise answers instead (cold at worst, never wrong). Counts the
+/// successful relay.
+fn try_owners<T>(
+    state: &ClusterState,
+    key: u128,
+    mut attempt: impl FnMut(&Backend) -> io::Result<T>,
+) -> Option<T> {
     let mut exclude = None;
-    for _attempt in 0..2u32 {
-        let Some(backend) = state.owner(key, exclude) else {
-            break;
-        };
-        // Subscriptions own their socket for their whole lifetime; they
-        // bypass the pool (and never return to it).
-        let upstream = match backend.pool.dial().and_then(|mut up| {
-            up.write_all(frame)?;
-            read_one_frame(&mut up, state.max_frame_len, resp)?;
-            Ok(up)
-        }) {
-            Ok(up) => up,
+    while let Some(backend) = state.owner(key, exclude) {
+        match attempt(backend) {
+            Ok(t) => {
+                backend.routed.fetch_add(1, Ordering::Relaxed);
+                state.stats.routed.fetch_add(1, Ordering::Relaxed);
+                pacds_obs::inc(pacds_obs::Counter::ClusterRouted);
+                if exclude.is_some() {
+                    state.stats.failed_over.fetch_add(1, Ordering::Relaxed);
+                    pacds_obs::inc(pacds_obs::Counter::ClusterFailedOver);
+                }
+                return Some(t);
+            }
             Err(_) => {
                 backend.data_failure(&state.stats);
+                if exclude.is_some() {
+                    break;
+                }
                 exclude = Some(backend.index);
-                continue;
             }
-        };
-        backend.routed.fetch_add(1, Ordering::Relaxed);
-        state.stats.routed.fetch_add(1, Ordering::Relaxed);
-        pacds_obs::inc(pacds_obs::Counter::ClusterRouted);
-        if resp.get(LEN_PREFIX + 1) != Some(&(ResponseKind::SubscribeAck as u8)) {
-            // The backend declined (typed error — e.g. UnknownGraph after
-            // a failover); relay its answer, stay in request mode.
-            return if response_is_fatal_error(resp) {
-                Outcome::CloseAfterReply
-            } else {
-                Outcome::Reply
-            };
         }
-        if conn.write_all(resp).is_err() {
-            return Outcome::Subscribed; // client gone; nothing to pump
-        }
-        state.stats.subscriptions.fetch_add(1, Ordering::Relaxed);
-        let client = match conn.try_clone() {
-            Ok(c) => c,
-            Err(_) => return Outcome::Subscribed,
-        };
-        let state = Arc::clone(state);
-        let stop = Arc::clone(stop);
-        let sub_id = state.stats.subscriptions.load(Ordering::Relaxed);
-        let spawned = std::thread::Builder::new()
-            .name(format!("pacds-cluster-push-{sub_id}"))
-            .spawn(move || pump_pushes(upstream, client, &state, &stop));
-        drop(spawned);
-        return Outcome::Subscribed;
     }
+    None
+}
+
+/// How the client connection continues after a relayed response.
+fn relayed_outcome(resp: &[u8]) -> Outcome {
+    if response_is_fatal_error(resp) {
+        Outcome::CloseAfterReply
+    } else {
+        Outcome::KeepOpen
+    }
+}
+
+/// The typed answer when no backend is available for a key.
+fn no_backend(state: &ClusterState, resp: &mut Vec<u8>) -> Outcome {
     state.stats.no_backend.fetch_add(1, Ordering::Relaxed);
     pacds_obs::inc(pacds_obs::Counter::ClusterNoBackend);
-    resp.clear();
     encode_error(resp, ErrorCode::Rejected, "no healthy backend");
-    Outcome::Reply
+    Outcome::KeepOpen
 }
 
 /// Pumps pushed frames backend → client, one retained buffer, no queue:
 /// the socket pair provides all the backpressure there is, and a client
-/// that stalls past [`PUSH_WRITE_TIMEOUT`] is disconnected instead of
+/// that stalls past the push write timeout is disconnected instead of
 /// buffered for — the coordinator's subscribe path is O(1) memory per
 /// subscriber by construction. A backend-side lag NACK
 /// ([`ErrorCode::SubscriberLagged`]) is just another frame here: relayed
 /// verbatim, then both sockets close (the backend closed its end).
-fn pump_pushes(mut upstream: TcpStream, mut client: TcpStream, state: &ClusterState, stop: &AtomicBool) {
+fn pump_pushes(upstream: TcpStream, mut client: TcpStream, state: &ClusterState, stop: &AtomicBool) {
     let _ = upstream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = client.set_write_timeout(Some(PUSH_WRITE_TIMEOUT));
     let mut buf = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_one_frame_polling(&mut upstream, state.max_frame_len, &mut buf, stop) {
-            Ok(true) => {}
-            Ok(false) => continue, // idle poll tick
-            Err(_) => return,      // backend closed (incl. after a lag NACK)
-        }
+    // Ends when the server stops or the backend closes (incl. after a lag
+    // NACK).
+    while read_frame(&upstream, &mut buf, Some(stop)).is_ok() {
         if client.write_all(&buf).is_err() {
             return;
         }
@@ -624,19 +456,10 @@ fn pump_pushes(mut upstream: TcpStream, mut client: TcpStream, state: &ClusterSt
 /// renders the same table/JSONL/Prometheus forms a backend would, from
 /// the coordinator's obs snapshot; the Health form leaves it empty.
 fn local_stats(state: &ClusterState, body: &[u8], resp: &mut Vec<u8>) -> Outcome {
-    let mut r = protocol::Reader::new(body);
-    let format = match r.u8().map(StatsFormat::from_wire) {
-        Ok(Some(f)) => f,
-        Ok(None) => {
-            state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            encode_error(resp, ErrorCode::BadInput, "stats format");
-            return Outcome::Reply;
-        }
+    let format = match protocol::decode_stats_request(body) {
+        Ok(format) => format,
         Err(e) => return decode_failed(state, resp, &e),
     };
-    if let Err(e) = r.finish() {
-        return decode_failed(state, resp, &e);
-    }
     state.stats.local_answers.fetch_add(1, Ordering::Relaxed);
     let entries = state.stats.entries(&state.backends);
     let mut text = Vec::new();
@@ -654,211 +477,33 @@ fn local_stats(state: &ClusterState, body: &[u8], resp: &mut Vec<u8>) -> Outcome
             let _ = pacds_obs::write_prometheus(&pacds_obs::Snapshot::capture(), &mut text);
         }
     }
-    protocol::begin_frame(resp, ResponseKind::StatsResult as u8);
-    resp.put_u32(entries.len() as u32);
-    for (name, value) in &entries {
-        resp.put_u16(name.len() as u16);
-        resp.put(name.as_bytes());
-        resp.put_u64(*value);
-    }
-    resp.put_u32(text.len() as u32);
-    resp.put(&text);
-    protocol::end_frame(resp);
-    Outcome::Reply
+    protocol::encode_stats_result(resp, &entries, &text);
+    Outcome::KeepOpen
 }
 
-/// Derives the canonical compute key: validates and canonicalises the edge
-/// list exactly as a backend would, so coordinator and backend agree on
-/// both the digest and what counts as `BadInput`.
-fn compute_key_of(scratch: &mut ProxyScratch, body: &[u8]) -> Result<u128, protocol::DecodeError> {
+/// Derives the canonical compute key, canonicalising the edge list into
+/// `edges` exactly as a backend would.
+fn compute_key_of(edges: &mut Vec<(u32, u32)>, body: &[u8]) -> Result<u128, DecodeError> {
     let req = ComputeCdsRequest::decode(body)?;
-    let n = req.n;
-    scratch.edges.clear();
-    for (u, v) in req.edges() {
-        if u >= n || v >= n {
-            return Err(protocol::DecodeError::Bad("edge endpoint out of range"));
-        }
-        if u == v {
-            return Err(protocol::DecodeError::Bad("self-loop"));
-        }
-        scratch.edges.push((u, v));
-    }
-    pacds_graph::canonicalize_edges(&mut scratch.edges);
-    Ok(keys::compute_key(&req.cfg, req.energy_raw, n, &scratch.edges))
+    req.canonical_edges(edges)?;
+    Ok(keys::compute_key(&req.cfg, req.energy_raw, req.n, edges))
 }
 
-/// Reads the leading `name_len u16 | name` all stateful request bodies
-/// start with — the only part the coordinator needs; the pinned backend
-/// performs the full decode and answers any deeper malformation itself.
-fn peek_graph_name(body: &[u8]) -> Result<&str, protocol::DecodeError> {
-    let mut r = protocol::Reader::new(body);
-    let len = r.u16()? as usize;
-    if len == 0 || len > protocol::MAX_GRAPH_NAME {
-        return Err(protocol::DecodeError::Bad("graph name length"));
-    }
-    std::str::from_utf8(r.bytes(len)?).map_err(|_| protocol::DecodeError::Bad("graph name utf-8"))
-}
-
-fn protocol_error(
-    state: &ClusterState,
-    resp: &mut Vec<u8>,
-    code: ErrorCode,
-    msg: &str,
-) -> Outcome {
+/// Counts and answers a client protocol failure; connection-fatal codes
+/// close the connection after the reply.
+fn protocol_error(state: &ClusterState, resp: &mut Vec<u8>, code: ErrorCode, msg: &str) -> Outcome {
     state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    resp.clear();
     encode_error(resp, code, msg);
     if code.is_connection_fatal() {
         Outcome::CloseAfterReply
     } else {
-        Outcome::Reply
+        Outcome::KeepOpen
     }
 }
 
-/// Mirrors the backend's decode-failure mapping (`Bad` keeps the
-/// connection, framing-level failures close it).
-fn decode_failed(
-    state: &ClusterState,
-    resp: &mut Vec<u8>,
-    err: &protocol::DecodeError,
-) -> Outcome {
-    match err {
-        protocol::DecodeError::Bad(what) => {
-            state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            resp.clear();
-            encode_error(resp, ErrorCode::BadInput, what);
-            Outcome::Reply
-        }
-        protocol::DecodeError::Truncated => {
-            protocol_error(state, resp, ErrorCode::Malformed, "truncated body")
-        }
-        protocol::DecodeError::Trailing => {
-            protocol_error(state, resp, ErrorCode::Malformed, "trailing bytes after body")
-        }
-    }
-}
-
-enum FrameRead {
-    Frame,
-    Closed,
-    TooLarge,
-}
-
-/// Reads one length-prefixed frame — *prefix retained* in `frame`, ready
-/// to forward verbatim — polling the shutdown flag while idle between
-/// frames (same drain guarantee as the backend server: a frame whose
-/// prefix has arrived completes, and its response is written, before the
-/// worker exits).
-fn read_frame(
-    conn: &mut TcpStream,
-    state: &ClusterState,
-    frame: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> FrameRead {
-    let mut prefix = [0u8; LEN_PREFIX];
-    let mut got = 0usize;
-    while got < LEN_PREFIX {
-        match conn.read(&mut prefix[got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(k) => got += k,
-            Err(e) if is_timeout(&e) => {
-                if got == 0 && stop.load(Ordering::SeqCst) {
-                    return FrameRead::Closed;
-                }
-            }
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > state.max_frame_len as usize {
-        return FrameRead::TooLarge;
-    }
-    frame.clear();
-    frame.extend_from_slice(&prefix);
-    frame.resize(LEN_PREFIX + len, 0);
-    let mut got = 0usize;
-    while got < len {
-        match conn.read(&mut frame[LEN_PREFIX + got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(k) => got += k,
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    FrameRead::Frame
-}
-
-/// Blocking read of one complete frame (prefix retained). Used for the
-/// subscribe ack, where the socket has no poll loop yet.
-fn read_one_frame(conn: &mut TcpStream, max_len: u32, buf: &mut Vec<u8>) -> io::Result<()> {
-    let mut prefix = [0u8; LEN_PREFIX];
-    read_exact_patient(conn, &mut prefix)?;
-    finish_frame(conn, max_len, prefix, buf)
-}
-
-/// Poll-friendly read of one frame: `Ok(false)` when the read timed out
-/// before any prefix byte arrived (idle tick — caller checks `stop`).
-fn read_one_frame_polling(
-    conn: &mut TcpStream,
-    max_len: u32,
-    buf: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> io::Result<bool> {
-    let mut prefix = [0u8; LEN_PREFIX];
-    let mut got = 0usize;
-    while got < LEN_PREFIX {
-        match conn.read(&mut prefix[got..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(k) => got += k,
-            Err(e) if is_timeout(&e) => {
-                if got == 0 {
-                    return Ok(false);
-                }
-                if stop.load(Ordering::SeqCst) {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    finish_frame(conn, max_len, prefix, buf)?;
-    Ok(true)
-}
-
-fn finish_frame(
-    conn: &mut TcpStream,
-    max_len: u32,
-    prefix: [u8; LEN_PREFIX],
-    buf: &mut Vec<u8>,
-) -> io::Result<()> {
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len < 2 || len > max_len as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length out of range",
-        ));
-    }
-    buf.clear();
-    buf.extend_from_slice(&prefix);
-    buf.resize(LEN_PREFIX + len, 0);
-    read_exact_patient(conn, &mut buf[LEN_PREFIX..])
-}
-
-/// `read_exact` that rides out socket-timeout ticks (the sockets here
-/// carry read timeouts for poll loops; mid-frame we keep waiting).
-fn read_exact_patient(conn: &mut TcpStream, out: &mut [u8]) -> io::Result<()> {
-    let mut got = 0usize;
-    while got < out.len() {
-        match conn.read(&mut out[got..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(k) => got += k,
-            Err(e) if is_timeout(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+/// Answers a decode failure with the backend's own mapping
+/// ([`DecodeError::wire_error`]).
+fn decode_failed(state: &ClusterState, resp: &mut Vec<u8>, err: &DecodeError) -> Outcome {
+    let (code, msg) = err.wire_error();
+    protocol_error(state, resp, code, msg)
 }

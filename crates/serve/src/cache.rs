@@ -13,13 +13,21 @@
 //! a fixed per-entry overhead), divided evenly across shards; inserting
 //! into a full shard evicts from the tail until the new entry fits.
 //!
+//! Lookups are **single-flight** per key ([`ShardedCache::get_or_claim`]):
+//! the first miss claims the key and computes it; requests for the same key
+//! arriving meanwhile wait on the shard's condvar, each under its own
+//! deadline, and copy the frame once it is inserted. N concurrent cold
+//! requests for one digest therefore cost one compute, one miss and N − 1
+//! hits.
+//!
 //! Hit/miss/eviction counts are kept in always-on relaxed atomics (they
 //! feed the Stats response) and mirrored into `pacds-obs` counters when the
 //! `obs` feature is enabled.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Number of shards (power of two; key low bits select the shard).
 pub const SHARDS: usize = 16;
@@ -63,6 +71,8 @@ struct Shard {
     head: u32, // most recently used
     tail: u32, // least recently used
     bytes: usize,
+    /// Keys claimed by a computing request and not yet released.
+    inflight: Vec<u128>,
 }
 
 impl Shard {
@@ -122,10 +132,53 @@ impl Shard {
     }
 }
 
+/// What [`ShardedCache::get_or_claim`] found.
+#[derive(Debug)]
+pub enum Lookup<'a> {
+    /// The value was copied into the caller's buffer.
+    Hit,
+    /// The caller computes the value and stores it with
+    /// [`Claim::insert`]; dropping the claim releases any waiters.
+    Miss(Claim<'a>),
+}
+
+/// A miss's duty to compute one key. The first miss for a key owns it:
+/// requests for that key wait until the owner inserts or drops its claim.
+#[derive(Debug)]
+pub struct Claim<'a> {
+    cache: &'a ShardedCache,
+    key: u128,
+    owner: bool,
+}
+
+impl Claim<'_> {
+    /// Stores the computed value, then wakes the waiters to copy it.
+    pub fn insert(self, val: &[u8]) {
+        self.cache.insert(self.key, val);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.owner {
+            let i = shard_index(self.key);
+            self.cache.lock(i).inflight.retain(|&k| k != self.key);
+            self.cache.ready[i].notify_all();
+        }
+    }
+}
+
+#[inline]
+fn shard_index(key: u128) -> usize {
+    (key as usize) & (SHARDS - 1)
+}
+
 /// The sharded LRU. See the module docs for the design.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<Shard>>,
+    /// Signalled when a claim on one of the shard's keys is released.
+    ready: Vec<Condvar>,
     max_bytes_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -140,6 +193,7 @@ impl ShardedCache {
     pub fn new(max_bytes: usize) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            ready: (0..SHARDS).map(|_| Condvar::new()).collect(),
             max_bytes_per_shard: max_bytes / SHARDS,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -148,20 +202,65 @@ impl ShardedCache {
         }
     }
 
-    #[inline]
-    fn shard(&self, key: u128) -> &Mutex<Shard> {
-        &self.shards[(key as usize) & (SHARDS - 1)]
+    fn lock(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks `key` up; on a hit copies the value into `out` (cleared
     /// first), promotes the entry to most-recently-used, and returns
     /// `true`. Allocation-free once `out`'s capacity covers the value.
     pub fn get_into(&self, key: u128, out: &mut Vec<u8>) -> bool {
-        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
+        let hit = Self::copy_hit(&mut self.lock(shard_index(key)), key, out);
+        self.count(hit);
+        hit
+    }
+
+    /// [`get_into`](Self::get_into), single-flight: a miss on a key that
+    /// another request is computing waits (until `deadline`, if any) for
+    /// that request to insert or give up, instead of computing it again.
+    /// A waiter that then finds the value counts as a hit; one that finds
+    /// nothing (the owner gave up, the value was uncacheable, or the
+    /// deadline passed) computes without claiming.
+    pub fn get_or_claim(
+        &self,
+        key: u128,
+        out: &mut Vec<u8>,
+        deadline: Option<Instant>,
+    ) -> Lookup<'_> {
+        let i = shard_index(key);
+        let mut shard = self.lock(i);
+        let waiting = |s: &mut Shard| s.inflight.contains(&key);
+        let owner = !waiting(&mut shard);
+        if !owner {
+            shard = match deadline {
+                None => self.ready[i]
+                    .wait_while(shard, waiting)
+                    .unwrap_or_else(|e| e.into_inner()),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    let woken = self.ready[i].wait_timeout_while(shard, left, waiting);
+                    woken.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
+        }
+        let hit = Self::copy_hit(&mut shard, key, out);
+        if !hit && owner {
+            shard.inflight.push(key);
+        }
+        drop(shard);
+        self.count(hit);
+        if hit {
+            return Lookup::Hit;
+        }
+        Lookup::Miss(Claim {
+            cache: self,
+            key,
+            owner,
+        })
+    }
+
+    fn copy_hit(shard: &mut Shard, key: u128, out: &mut Vec<u8>) -> bool {
         let Some(&i) = shard.map.get(&key) else {
-            drop(shard);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            pacds_obs::inc(pacds_obs::Counter::ServeCacheMisses);
             return false;
         };
         if shard.head != i {
@@ -170,10 +269,17 @@ impl ShardedCache {
         }
         out.clear();
         out.extend_from_slice(&shard.slots[i as usize].val);
-        drop(shard);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        pacds_obs::inc(pacds_obs::Counter::ServeCacheHits);
         true
+    }
+
+    fn count(&self, hit: bool) {
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            pacds_obs::inc(pacds_obs::Counter::ServeCacheHits);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            pacds_obs::inc(pacds_obs::Counter::ServeCacheMisses);
+        }
     }
 
     /// Inserts (or replaces) `key → val`, evicting LRU entries until the
@@ -187,7 +293,7 @@ impl ShardedCache {
         }
         let mut evicted = 0u64;
         {
-            let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
+            let mut shard = self.lock(shard_index(key));
             if let Some(&i) = shard.map.get(&key) {
                 // Replace in place and promote.
                 let old_len = self.replace_slot(&mut shard, i, val);

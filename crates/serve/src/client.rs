@@ -6,17 +6,18 @@
 //! frame and block for one response frame; server-side typed errors come
 //! back as [`ClientError::Wire`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use pacds_core::CdsConfig;
 
+use crate::frame::read_frame;
 use crate::protocol::{
     self, decode_cds_result, decode_error, decode_graph_opened, decode_mutate_result,
     decode_stats_result, decode_tile_result, CdsResult, DecodeError, FlipEvent, GenComputeRequest,
     GraphOpened, MutateResult, ResponseKind, StatsDelta, StatsFormat, StatsResult, SubscribeAck,
-    TileResult, WireError, WireEvent, DEFAULT_MAX_FRAME_LEN, LEN_PREFIX, PROTOCOL_VERSION,
+    TileResult, WireError, WireEvent, LEN_PREFIX, PROTOCOL_VERSION,
 };
 
 /// One frame pushed by the server to a subscribed connection.
@@ -169,25 +170,19 @@ impl Client {
         deadline_ms: u32,
     ) -> Result<CdsResult, ClientError> {
         protocol::encode_compute_cds(&mut self.req, flags, deadline_ms, cfg, n, edges, energy);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::CdsResult)?;
-        Ok(decode_cds_result(&payload[2..])?)
+        self.call(ResponseKind::CdsResult, decode_cds_result)
     }
 
     /// Asks the server to generate a topology and compute on it.
     pub fn gen_compute(&mut self, req: &GenComputeRequest) -> Result<CdsResult, ClientError> {
         req.encode(&mut self.req);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::CdsResult)?;
-        Ok(decode_cds_result(&payload[2..])?)
+        self.call(ResponseKind::CdsResult, decode_cds_result)
     }
 
     /// Fetches server statistics.
     pub fn stats(&mut self, format: StatsFormat) -> Result<StatsResult, ClientError> {
         protocol::encode_stats_request(&mut self.req, format);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::StatsResult)?;
-        Ok(decode_stats_result(&payload[2..])?)
+        self.call(ResponseKind::StatsResult, decode_stats_result)
     }
 
     /// The cheap health probe: counters only ([`StatsFormat::Health`]),
@@ -209,41 +204,31 @@ impl Client {
         energy: &[u64],
     ) -> Result<GraphOpened, ClientError> {
         protocol::encode_open_graph(&mut self.req, name, cfg, shards, radius, bounds, points, energy);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::GraphOpened)?;
-        Ok(decode_graph_opened(&payload[2..])?)
+        self.call(ResponseKind::GraphOpened, decode_graph_opened)
     }
 
     /// Applies a batch of mutation events to an open graph.
     pub fn mutate(&mut self, name: &str, events: &[WireEvent]) -> Result<MutateResult, ClientError> {
         protocol::encode_mutate(&mut self.req, name, events);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::MutateResult)?;
-        Ok(decode_mutate_result(&payload[2..])?)
+        self.call(ResponseKind::MutateResult, decode_mutate_result)
     }
 
     /// Closes (forgets) an open graph.
     pub fn close_graph(&mut self, name: &str) -> Result<(), ClientError> {
         protocol::encode_close_graph(&mut self.req, name);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::GraphClosed)?;
-        Ok(())
+        self.call(ResponseKind::GraphClosed, |_| Ok(()))
     }
 
     /// Fetches one tile's per-node verdicts from an open graph.
     pub fn query_tile(&mut self, name: &str, tile: u32) -> Result<TileResult, ClientError> {
         protocol::encode_query_tile(&mut self.req, name, tile);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::TileResult)?;
-        Ok(decode_tile_result(&payload[2..])?)
+        self.call(ResponseKind::TileResult, decode_tile_result)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         protocol::encode_ping(&mut self.req);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::Pong)?;
-        Ok(())
+        self.call(ResponseKind::Pong, |_| Ok(()))
     }
 
     /// Flips this connection into push mode: subscribes to periodic stats
@@ -257,9 +242,7 @@ impl Client {
         graph: Option<&str>,
     ) -> Result<SubscribeAck, ClientError> {
         protocol::encode_subscribe(&mut self.req, flags, interval_ms, graph);
-        let payload = self.round_trip()?;
-        expect(payload, ResponseKind::SubscribeAck)?;
-        Ok(protocol::decode_subscribe_ack(&payload[2..])?)
+        self.call(ResponseKind::SubscribeAck, protocol::decode_subscribe_ack)
     }
 
     /// Blocks for the next pushed frame on a subscribed connection. A
@@ -276,6 +259,21 @@ impl Client {
                 Ok(Push::Flip(protocol::decode_flip_event(&payload[2..])?))
             }
             Some(ResponseKind::Error) => Err(ClientError::Wire(decode_error(&payload[2..])?)),
+            _ => Err(ClientError::Unexpected(payload[1])),
+        }
+    }
+
+    /// Sends `self.req` and decodes the `want` response with `decode`; an
+    /// Error frame becomes [`ClientError::Wire`].
+    fn call<T>(
+        &mut self,
+        want: ResponseKind,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+    ) -> Result<T, ClientError> {
+        let payload = self.round_trip()?;
+        match ResponseKind::from_wire(payload[1]) {
+            Some(ResponseKind::Error) => Err(ClientError::Wire(decode_error(&payload[2..])?)),
+            Some(kind) if kind == want => Ok(decode(&payload[2..])?),
             _ => Err(ClientError::Unexpected(payload[1])),
         }
     }
@@ -301,27 +299,20 @@ impl Client {
     /// violation leaves it unsynchronised), so all errors mark the client
     /// stale — but only socket deaths are typed `ConnectionLost`.
     fn read_frame(&mut self) -> Result<&[u8], ClientError> {
-        let mut prefix = [0u8; LEN_PREFIX];
-        if let Err(e) = self.conn.read_exact(&mut prefix) {
-            self.stale = true;
-            return Err(ClientError::ConnectionLost(e));
-        }
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len < 2 || len > DEFAULT_MAX_FRAME_LEN as usize {
-            self.stale = true;
-            return Err(ClientError::Decode(DecodeError::Bad("response length")));
-        }
-        self.resp.clear();
-        self.resp.resize(len, 0);
-        if let Err(e) = self.conn.read_exact(&mut self.resp) {
-            self.stale = true;
-            return Err(ClientError::ConnectionLost(e));
-        }
-        if self.resp[0] != PROTOCOL_VERSION {
-            self.stale = true;
-            return Err(ClientError::Decode(DecodeError::Bad("response version")));
-        }
-        Ok(&self.resp)
+        let read = read_frame(&self.conn, &mut self.resp, None);
+        let payload = self.resp.get(LEN_PREFIX..).unwrap_or_default();
+        let bad_length = ClientError::Decode(DecodeError::Bad("response length"));
+        let err = match read {
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => bad_length,
+            Err(e) => ClientError::ConnectionLost(e),
+            Ok(()) if payload.len() < 2 => bad_length,
+            Ok(()) if payload[0] != PROTOCOL_VERSION => {
+                ClientError::Decode(DecodeError::Bad("response version"))
+            }
+            Ok(()) => return Ok(payload),
+        };
+        self.stale = true;
+        Err(err)
     }
 
     /// Sends raw pre-encoded bytes (tests exercising malformed frames) and
@@ -330,15 +321,5 @@ impl Client {
         self.req.clear();
         self.req.extend_from_slice(frame);
         Ok(self.round_trip()?.to_vec())
-    }
-}
-
-/// Maps an Error payload to [`ClientError::Wire`], otherwise checks the
-/// kind byte.
-fn expect(payload: &[u8], want: ResponseKind) -> Result<(), ClientError> {
-    match ResponseKind::from_wire(payload[1]) {
-        Some(ResponseKind::Error) => Err(ClientError::Wire(decode_error(&payload[2..])?)),
-        Some(kind) if kind == want => Ok(()),
-        _ => Err(ClientError::Unexpected(payload[1])),
     }
 }

@@ -37,13 +37,12 @@ use pacds_graph::{algo, gen, Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::cache::ShardedCache;
+use crate::cache::{Claim, Lookup, ShardedCache};
 use crate::hub::SubscriberHub;
 use crate::protocol::{
     self, begin_frame, encode_error, end_frame, ComputeCdsRequest, DecodeError, ErrorCode,
     GenComputeRequest, OpenGraphRequest, RequestKind, ResponseKind, StatsFormat, SubscribeAck,
-    WireEvent, WireWrite, CACHE_FLAG_PAYLOAD_OFFSET, FLAG_NO_CACHE, LEN_PREFIX, PROTOCOL_VERSION,
-    SUB_FLIPS,
+    WireEvent, WireWrite, CACHE_FLAG_PAYLOAD_OFFSET, FLAG_NO_CACHE, LEN_PREFIX, SUB_FLIPS,
 };
 
 /// Tile results are keyed per (graph uid, tile, version) — a serve-local
@@ -238,8 +237,6 @@ pub struct ServeState {
     pub cache: ShardedCache,
     /// Always-on counters.
     pub stats: ServerStats,
-    /// Maximum accepted frame payload length.
-    pub max_frame_len: u32,
     /// Sharded-compute routing.
     pub shard: ShardPolicy,
     /// Named persistent churn graphs.
@@ -263,7 +260,6 @@ impl ServeState {
         Self {
             cache: ShardedCache::new(cache_bytes),
             stats: ServerStats::default(),
-            max_frame_len: protocol::DEFAULT_MAX_FRAME_LEN,
             shard: ShardPolicy::default(),
             graphs: GraphRegistry::default(),
             hub: SubscriberHub::default(),
@@ -351,14 +347,9 @@ pub fn handle_payload(
 ) -> HandleOutcome {
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
     pacds_obs::inc(pacds_obs::Counter::ServeRequests);
-    if payload.len() < 2 {
-        return protocol_error(state, resp, ErrorCode::Malformed, "payload shorter than header");
-    }
-    if payload[0] != PROTOCOL_VERSION {
-        return protocol_error(state, resp, ErrorCode::UnsupportedVersion, "unsupported version");
-    }
-    let Some(kind) = RequestKind::from_wire(payload[1]) else {
-        return protocol_error(state, resp, ErrorCode::UnknownKind, "unknown request kind");
+    let (kind, body) = match protocol::request_header(payload) {
+        Ok(header) => header,
+        Err((code, msg)) => return protocol_error(state, resp, code, msg),
     };
     // One trace id per request (NONE unless sampling hits); every span
     // along the request's path — cache lookup, shard dispatch, per-tile
@@ -366,8 +357,7 @@ pub fn handle_payload(
     // where the request spent its time.
     let trace = pacds_obs::next_trace_id();
     let _req_span = pacds_obs::span(trace, pacds_obs::SpanKind::Request, u32::from(payload[1]));
-    let body = &payload[2..];
-    match kind {
+    let handled = match kind {
         RequestKind::ComputeCds => handle_compute(state, scratch, body, resp, received, trace),
         RequestKind::GenCompute => handle_gen(state, scratch, body, resp, received, trace),
         RequestKind::Stats => handle_stats(state, body, resp),
@@ -380,10 +370,15 @@ pub fn handle_payload(
             state.stats.pings.fetch_add(1, Ordering::Relaxed);
             begin_frame(resp, ResponseKind::Pong as u8);
             end_frame(resp);
-            HandleOutcome::KeepOpen
+            Ok(HandleOutcome::KeepOpen)
         }
-    }
+    };
+    handled.unwrap_or_else(|e| decode_failed(state, resp, &e))
 }
+
+/// A request handler's result: a body that fails to decode is answered by
+/// [`decode_failed`].
+type Handled = Result<HandleOutcome, DecodeError>;
 
 fn protocol_error(
     state: &ServeState,
@@ -401,21 +396,28 @@ fn protocol_error(
     }
 }
 
-fn bad_input(state: &ServeState, resp: &mut Vec<u8>, msg: &str) -> HandleOutcome {
+/// A typed error for a request that parsed but cannot be served (bad
+/// field values, unknown graph, …): the connection stays usable.
+fn input_error(
+    state: &ServeState,
+    resp: &mut Vec<u8>,
+    code: ErrorCode,
+    msg: &str,
+) -> HandleOutcome {
+    debug_assert!(!code.is_connection_fatal());
     state.stats.bad_input.fetch_add(1, Ordering::Relaxed);
-    encode_error(resp, ErrorCode::BadInput, msg);
+    encode_error(resp, code, msg);
     HandleOutcome::KeepOpen
 }
 
+fn bad_input(state: &ServeState, resp: &mut Vec<u8>, msg: &str) -> HandleOutcome {
+    input_error(state, resp, ErrorCode::BadInput, msg)
+}
+
 fn decode_failed(state: &ServeState, resp: &mut Vec<u8>, err: &DecodeError) -> HandleOutcome {
-    match err {
-        // The frame boundary was consistent but a field was out of range:
-        // framing survives, the connection stays usable.
-        DecodeError::Bad(what) => bad_input(state, resp, what),
-        DecodeError::Truncated => protocol_error(state, resp, ErrorCode::Malformed, "truncated body"),
-        DecodeError::Trailing => {
-            protocol_error(state, resp, ErrorCode::Malformed, "trailing bytes after body")
-        }
+    match err.wire_error() {
+        (code, msg) if code.is_connection_fatal() => protocol_error(state, resp, code, msg),
+        (code, msg) => input_error(state, resp, code, msg),
     }
 }
 
@@ -442,46 +444,22 @@ fn handle_compute(
     resp: &mut Vec<u8>,
     received: Instant,
     trace: pacds_obs::TraceId,
-) -> HandleOutcome {
+) -> Handled {
     state.stats.compute.fetch_add(1, Ordering::Relaxed);
     let decode_timer = pacds_obs::phase_timer(pacds_obs::Phase::ServeDecode);
-    let req = match ComputeCdsRequest::decode(body) {
-        Ok(req) => req,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+    let req = ComputeCdsRequest::decode(body)?;
     // Validate + copy edges into the retained buffer in one streaming pass.
+    req.canonical_edges(&mut scratch.edges)?;
     let n = req.n;
-    scratch.edges.clear();
-    for (u, v) in req.edges() {
-        if u >= n || v >= n {
-            return bad_input(state, resp, "edge endpoint out of range");
-        }
-        if u == v {
-            return bad_input(state, resp, "self-loop");
-        }
-        scratch.edges.push((u, v));
-    }
-    pacds_graph::canonicalize_edges(&mut scratch.edges);
     drop(decode_timer);
 
     let deadline = deadline_of(received, req.deadline_ms);
     let key = (req.flags & FLAG_NO_CACHE == 0)
         .then(|| keys::compute_key(&req.cfg, req.energy_raw, n, &scratch.edges));
-    if let Some(key) = key {
-        let lookup = pacds_obs::span(trace, pacds_obs::SpanKind::CacheLookup, 0);
-        let hit = state.cache.get_into(key, resp);
-        drop(lookup);
-        if hit {
-            if deadline_hit(state, resp, deadline) {
-                return HandleOutcome::KeepOpen;
-            }
-            resp[LEN_PREFIX + CACHE_FLAG_PAYLOAD_OFFSET] = 1;
-            return HandleOutcome::KeepOpen;
-        }
-    }
-    if deadline_hit(state, resp, deadline) {
-        return HandleOutcome::KeepOpen;
-    }
+    let claim = match cached(state, key, resp, deadline, trace) {
+        Ok(claim) => claim,
+        Err(answered) => return Ok(answered),
+    };
 
     // Cache miss: rebuild the topology and run the pipeline (cold path,
     // allocation is fine here).
@@ -491,7 +469,7 @@ fn handle_compute(
         scratch.energy.extend(levels);
     }
     let energy = req.energy_raw.is_some().then_some(scratch.energy.as_slice());
-    compute_and_encode(state, scratch, &req.cfg, energy.is_some(), resp, deadline, key, trace)
+    Ok(compute_and_encode(state, scratch, &req.cfg, energy.is_some(), resp, deadline, claim, trace))
 }
 
 fn handle_gen(
@@ -501,29 +479,15 @@ fn handle_gen(
     resp: &mut Vec<u8>,
     received: Instant,
     trace: pacds_obs::TraceId,
-) -> HandleOutcome {
+) -> Handled {
     state.stats.gen_compute.fetch_add(1, Ordering::Relaxed);
-    let req = match GenComputeRequest::decode(body) {
-        Ok(req) => req,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+    let req = GenComputeRequest::decode(body)?;
     let deadline = deadline_of(received, req.deadline_ms);
     let key = (req.flags & FLAG_NO_CACHE == 0).then(|| keys::gen_key(&req));
-    if let Some(key) = key {
-        let lookup = pacds_obs::span(trace, pacds_obs::SpanKind::CacheLookup, 0);
-        let hit = state.cache.get_into(key, resp);
-        drop(lookup);
-        if hit {
-            if deadline_hit(state, resp, deadline) {
-                return HandleOutcome::KeepOpen;
-            }
-            resp[LEN_PREFIX + CACHE_FLAG_PAYLOAD_OFFSET] = 1;
-            return HandleOutcome::KeepOpen;
-        }
-    }
-    if deadline_hit(state, resp, deadline) {
-        return HandleOutcome::KeepOpen;
-    }
+    let claim = match cached(state, key, resp, deadline, trace) {
+        Ok(claim) => claim,
+        Err(answered) => return Ok(answered),
+    };
 
     // Deterministic server-side generation, mirroring the CLI: resample
     // until connected (bounded), then assign energies.
@@ -548,12 +512,40 @@ fn handle_gen(
             scratch.energy.extend((0..n).map(|_| erng.random_range(0..=10u64)));
         }
     }
-    compute_and_encode(state, scratch, &req.cfg, true, resp, deadline, key, trace)
+    Ok(compute_and_encode(state, scratch, &req.cfg, true, resp, deadline, claim, trace))
+}
+
+/// The single-flight cache step of a compute request. `Err` means `resp`
+/// already holds the answer: the cached frame with its hit flag set, or a
+/// deadline error. `Ok` means the caller computes — inserting through the
+/// claim, when it got one, answers every request waiting on the key.
+fn cached<'a>(
+    state: &'a ServeState,
+    key: Option<u128>,
+    resp: &mut Vec<u8>,
+    deadline: Option<Instant>,
+    trace: pacds_obs::TraceId,
+) -> Result<Option<Claim<'a>>, HandleOutcome> {
+    let lookup = key.map(|key| {
+        let _span = pacds_obs::span(trace, pacds_obs::SpanKind::CacheLookup, 0);
+        state.cache.get_or_claim(key, resp, deadline)
+    });
+    if deadline_hit(state, resp, deadline) {
+        return Err(HandleOutcome::KeepOpen);
+    }
+    match lookup {
+        Some(Lookup::Hit) => {
+            resp[LEN_PREFIX + CACHE_FLAG_PAYLOAD_OFFSET] = 1;
+            Err(HandleOutcome::KeepOpen)
+        }
+        Some(Lookup::Miss(claim)) => Ok(Some(claim)),
+        None => Ok(None),
+    }
 }
 
 /// Runs the pipeline on `scratch.graph`, encodes the `CdsResult` frame,
-/// inserts it into the cache (flag zeroed), and patches nothing: a fresh
-/// computation reports `cache_hit = 0`.
+/// inserts it into the cache through `claim` (flag zeroed), and patches
+/// nothing: a fresh computation reports `cache_hit = 0`.
 #[allow(clippy::too_many_arguments)]
 fn compute_and_encode(
     state: &ServeState,
@@ -562,7 +554,7 @@ fn compute_and_encode(
     with_energy: bool,
     resp: &mut Vec<u8>,
     deadline: Option<Instant>,
-    key: Option<u128>,
+    claim: Option<Claim<'_>>,
     trace: pacds_obs::TraceId,
 ) -> HandleOutcome {
     let use_shard = match state.shard.mode {
@@ -620,36 +612,18 @@ fn compute_and_encode(
         resp.put_u8(byte);
     }
     end_frame(resp);
-    if let Some(key) = key {
-        state.cache.insert(key, resp);
+    if let Some(claim) = claim {
+        claim.insert(resp);
     }
     // The computation is already done and cached; if the client's deadline
     // passed while we worked, tell it so (the result stays cached for a
     // retry).
-    if deadline_hit(state, resp, deadline) {
-        return HandleOutcome::KeepOpen;
-    }
+    deadline_hit(state, resp, deadline);
     HandleOutcome::KeepOpen
 }
 
-/// Typed recoverable error for the churn-graph request family.
-fn graph_error(
-    state: &ServeState,
-    resp: &mut Vec<u8>,
-    code: ErrorCode,
-    msg: &str,
-) -> HandleOutcome {
-    debug_assert!(!code.is_connection_fatal());
-    state.stats.bad_input.fetch_add(1, Ordering::Relaxed);
-    encode_error(resp, code, msg);
-    HandleOutcome::KeepOpen
-}
-
-fn handle_open_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> HandleOutcome {
-    let req = match OpenGraphRequest::decode(body) {
-        Ok(req) => req,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+fn handle_open_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Handled {
+    let req = OpenGraphRequest::decode(body)?;
     // Build the engine inputs before taking the registry lock.
     let points: Vec<Point2> = req.points().map(|(x, y)| Point2::new(x, y)).collect();
     let energy: Vec<u64> = req.energies().collect();
@@ -661,18 +635,18 @@ fn handle_open_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     };
     let mut graphs = state.graphs.inner.lock().expect("registry poisoned");
     if graphs.contains_key(req.name) {
-        return graph_error(state, resp, ErrorCode::GraphExists, "graph already open");
+        return Ok(input_error(state, resp, ErrorCode::GraphExists, "graph already open"));
     }
     if graphs.len() >= MAX_OPEN_GRAPHS {
         state.stats.rejected.fetch_add(1, Ordering::Relaxed);
         encode_error(resp, ErrorCode::Rejected, "graph registry full");
-        return HandleOutcome::KeepOpen;
+        return Ok(HandleOutcome::KeepOpen);
     }
     let engine = match ChurnEngine::open(spec, bounds, req.radius, &points, &energy, &req.cfg) {
         Ok(engine) => engine,
         // Unshardable configs / bad halos mirror the batch engine's typed
         // rejection; the frame parsed, so the connection stays usable.
-        Err(e) => return bad_input(state, resp, e.label()),
+        Err(e) => return Ok(bad_input(state, resp, e.label())),
     };
     let uid = state.graphs.next_uid.fetch_add(1, Ordering::Relaxed);
     let tiles = engine.tiles();
@@ -694,7 +668,7 @@ fn handle_open_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     resp.put_u32(n as u32);
     resp.put_u32(gateways as u32);
     end_frame(resp);
-    HandleOutcome::KeepOpen
+    Ok(HandleOutcome::KeepOpen)
 }
 
 fn handle_mutate(
@@ -702,15 +676,12 @@ fn handle_mutate(
     body: &[u8],
     resp: &mut Vec<u8>,
     trace: pacds_obs::TraceId,
-) -> HandleOutcome {
-    let (name, events) = match protocol::decode_mutate(body) {
-        Ok(decoded) => decoded,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+) -> Handled {
+    let (name, events) = protocol::decode_mutate(body)?;
     state.stats.mutations.fetch_add(1, Ordering::Relaxed);
     let mut graphs = state.graphs.inner.lock().expect("registry poisoned");
     let Some(open) = graphs.get_mut(name) else {
-        return graph_error(state, resp, ErrorCode::UnknownGraph, "graph not open");
+        return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
     };
     let mut applied = 0u32;
     let mut rejection = None;
@@ -765,7 +736,7 @@ fn handle_mutate(
     if let Some(msg) = rejection {
         state.stats.mutation_rejected.fetch_add(1, Ordering::Relaxed);
         encode_error(resp, ErrorCode::MutationRejected, &msg);
-        return HandleOutcome::KeepOpen;
+        return Ok(HandleOutcome::KeepOpen);
     }
     begin_frame(resp, ResponseKind::MutateResult as u8);
     resp.put_u32(applied);
@@ -776,14 +747,11 @@ fn handle_mutate(
     resp.put_u32(gateways);
     resp.put_u32(n);
     end_frame(resp);
-    HandleOutcome::KeepOpen
+    Ok(HandleOutcome::KeepOpen)
 }
 
-fn handle_close_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> HandleOutcome {
-    let name = match protocol::decode_close_graph(body) {
-        Ok(name) => name,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+fn handle_close_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Handled {
+    let name = protocol::decode_close_graph(body)?;
     let removed = state
         .graphs
         .inner
@@ -791,26 +759,23 @@ fn handle_close_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Ha
         .expect("registry poisoned")
         .remove(name);
     if removed.is_none() {
-        return graph_error(state, resp, ErrorCode::UnknownGraph, "graph not open");
+        return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
     }
     state.stats.graphs_closed.fetch_add(1, Ordering::Relaxed);
     begin_frame(resp, ResponseKind::GraphClosed as u8);
     end_frame(resp);
-    HandleOutcome::KeepOpen
+    Ok(HandleOutcome::KeepOpen)
 }
 
-fn handle_query_tile(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> HandleOutcome {
-    let (name, tile) = match protocol::decode_query_tile(body) {
-        Ok(decoded) => decoded,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+fn handle_query_tile(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Handled {
+    let (name, tile) = protocol::decode_query_tile(body)?;
     state.stats.tile_queries.fetch_add(1, Ordering::Relaxed);
     let graphs = state.graphs.inner.lock().expect("registry poisoned");
     let Some(open) = graphs.get(name) else {
-        return graph_error(state, resp, ErrorCode::UnknownGraph, "graph not open");
+        return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
     };
     if tile as usize >= open.engine.tiles() {
-        return bad_input(state, resp, "tile out of range");
+        return Ok(bad_input(state, resp, "tile out of range"));
     }
     // Key on (graph uid, tile, tile version): a mutation that re-solved
     // this tile bumped the version, so its old cached frame is simply
@@ -824,7 +789,7 @@ fn handle_query_tile(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     d.write_u64(open.tile_versions[tile as usize]);
     let key = d.finish();
     if state.cache.get_into(key, resp) {
-        return HandleOutcome::KeepOpen;
+        return Ok(HandleOutcome::KeepOpen);
     }
     begin_frame(resp, ResponseKind::TileResult as u8);
     resp.put_u32(tile);
@@ -837,14 +802,11 @@ fn handle_query_tile(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     end_frame(resp);
     drop(graphs);
     state.cache.insert(key, resp);
-    HandleOutcome::KeepOpen
+    Ok(HandleOutcome::KeepOpen)
 }
 
-fn handle_subscribe(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> HandleOutcome {
-    let req = match protocol::decode_subscribe(body) {
-        Ok(req) => req,
-        Err(e) => return decode_failed(state, resp, &e),
-    };
+fn handle_subscribe(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Handled {
+    let req = protocol::decode_subscribe(body)?;
     // A named flip subscription must reference an open graph; stats-only
     // subscriptions are graph-independent. (The graph may still close
     // later — the subscription then simply stops receiving flip events.)
@@ -852,7 +814,7 @@ fn handle_subscribe(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Hand
         if let Some(name) = req.graph {
             let graphs = state.graphs.inner.lock().expect("registry poisoned");
             if !graphs.contains_key(name) {
-                return graph_error(state, resp, ErrorCode::UnknownGraph, "graph not open");
+                return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
             }
         }
     }
@@ -868,81 +830,55 @@ fn handle_subscribe(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Hand
             interval_ms: req.interval_ms,
         },
     );
-    HandleOutcome::Subscribe {
+    Ok(HandleOutcome::Subscribe {
         id,
         flags: req.flags,
         interval_ms: req.interval_ms,
         graph: req.graph.map(str::to_owned),
-    }
+    })
 }
 
-fn handle_stats(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> HandleOutcome {
+fn handle_stats(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Handled {
     state.stats.stats_probes.fetch_add(1, Ordering::Relaxed);
-    let mut r = protocol::Reader::new(body);
-    let format = match r.u8().map(StatsFormat::from_wire) {
-        Ok(Some(f)) => f,
-        Ok(None) => return bad_input(state, resp, "stats format"),
-        Err(e) => return decode_failed(state, resp, &e),
-    };
-    if let Err(e) = r.finish() {
-        return decode_failed(state, resp, &e);
-    }
+    let format = protocol::decode_stats_request(body)?;
     let entries = state.stat_entries();
+    let mut text = Vec::new();
     // The health form answers from the always-on atomics alone — no obs
     // snapshot capture, no text rendering — so a coordinator probing every
     // few hundred milliseconds costs the backend next to nothing.
-    if format == StatsFormat::Health {
-        begin_frame(resp, ResponseKind::StatsResult as u8);
-        resp.put_u32(entries.len() as u32);
-        for (name, value) in entries {
-            resp.put_u16(name.len() as u16);
-            resp.put(name.as_bytes());
-            resp.put_u64(value);
-        }
-        resp.put_u32(0);
-        end_frame(resp);
-        return HandleOutcome::KeepOpen;
-    }
-    let snap = pacds_obs::Snapshot::capture();
-    let mut text = Vec::new();
-    match format {
-        StatsFormat::Health => unreachable!("answered above"),
-        StatsFormat::Table => {
-            for (name, value) in &entries {
-                text.extend_from_slice(format!("{name:<20} {value}\n").as_bytes());
+    if format != StatsFormat::Health {
+        let snap = pacds_obs::Snapshot::capture();
+        match format {
+            StatsFormat::Health => unreachable!("skipped above"),
+            StatsFormat::Table => {
+                for (name, value) in &entries {
+                    text.extend_from_slice(format!("{name:<20} {value}\n").as_bytes());
+                }
+                for c in &snap.counters {
+                    text.extend_from_slice(format!("{:<20} {}\n", c.name, c.value).as_bytes());
+                }
+                for p in &snap.phases {
+                    text.extend_from_slice(
+                        format!("{:<20} {} calls, {} ns\n", p.name, p.count, p.total_ns).as_bytes(),
+                    );
+                }
             }
-            for c in &snap.counters {
-                text.extend_from_slice(format!("{:<20} {}\n", c.name, c.value).as_bytes());
+            StatsFormat::Jsonl => {
+                let _ = pacds_obs::write_jsonl(&snap, &mut text);
             }
-            for p in &snap.phases {
-                text.extend_from_slice(
-                    format!("{:<20} {} calls, {} ns\n", p.name, p.count, p.total_ns).as_bytes(),
-                );
+            StatsFormat::Prometheus => {
+                let _ = pacds_obs::write_prometheus(&snap, &mut text);
             }
         }
-        StatsFormat::Jsonl => {
-            let _ = pacds_obs::write_jsonl(&snap, &mut text);
-        }
-        StatsFormat::Prometheus => {
-            let _ = pacds_obs::write_prometheus(&snap, &mut text);
-        }
     }
-    begin_frame(resp, ResponseKind::StatsResult as u8);
-    resp.put_u32(entries.len() as u32);
-    for (name, value) in entries {
-        resp.put_u16(name.len() as u16);
-        resp.put(name.as_bytes());
-        resp.put_u64(value);
-    }
-    resp.put_u32(text.len() as u32);
-    resp.put(&text);
-    end_frame(resp);
-    HandleOutcome::KeepOpen
+    protocol::encode_stats_result(resp, &entries, &text);
+    Ok(HandleOutcome::KeepOpen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PROTOCOL_VERSION;
     use pacds_core::Policy;
     use pacds_graph::mask_to_vec;
 

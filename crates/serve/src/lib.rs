@@ -15,11 +15,14 @@
 //!
 //! ## Design
 //!
-//! * [`server`] — bounded worker pool; each worker owns a long-lived
-//!   [`handler::WorkerScratch`] (a retained [`CdsWorkspace`]
-//!   (pacds_core::CdsWorkspace) plus buffers), so steady-state cache-warm
-//!   serving performs **zero allocations** — pinned by the workspace-level
-//!   `tests/zero_alloc.rs`.
+//! * [`frame`] — the frame server `pacds-serve` and the `pacds-cluster`
+//!   coordinator share: acceptor, bounded connection queue, worker pool,
+//!   graceful shutdown, and the one length-prefixed frame reader.
+//! * [`server`] — runs [`handle_payload`] on the frame server; each worker
+//!   owns a long-lived [`handler::WorkerScratch`] (a retained
+//!   [`CdsWorkspace`](pacds_core::CdsWorkspace) plus buffers), so
+//!   steady-state cache-warm serving performs **zero allocations** —
+//!   pinned by the workspace-level `tests/zero_alloc.rs`.
 //! * [`cache`] — a sharded LRU keyed by a 128-bit FNV-1a digest of the
 //!   *canonical* (order-independent) edge list + config + energy, built on
 //!   `pacds_graph::digest`. Permuted wire orders share one entry.
@@ -36,6 +39,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod frame;
 pub mod handler;
 pub mod hub;
 pub mod keys;

@@ -302,6 +302,20 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl DecodeError {
+    /// The typed error a server answers this failure with. A `Bad` field
+    /// is `BadInput`: the frame boundary was consistent, so the connection
+    /// stays usable. A truncated or trailing body is `Malformed`, which is
+    /// connection-fatal.
+    pub fn wire_error(&self) -> (ErrorCode, &'static str) {
+        match self {
+            DecodeError::Bad(what) => (ErrorCode::BadInput, what),
+            DecodeError::Truncated => (ErrorCode::Malformed, "truncated body"),
+            DecodeError::Trailing => (ErrorCode::Malformed, "trailing bytes after body"),
+        }
+    }
+}
+
 /// Bounds-checked little-endian reader over one payload.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
@@ -552,6 +566,24 @@ impl<'a> ComputeCdsRequest<'a> {
         self.energy_raw
             .map(|raw| raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())))
     }
+
+    /// Validates the edges (endpoints below `n`, no self-loops) and writes
+    /// them into `out` canonicalised — the form the cache and routing keys
+    /// fold, so server and coordinator agree on key and `BadInput` alike.
+    pub fn canonical_edges(&self, out: &mut Vec<(u32, u32)>) -> Result<(), DecodeError> {
+        out.clear();
+        for (u, v) in self.edges() {
+            if u >= self.n || v >= self.n {
+                return Err(DecodeError::Bad("edge endpoint out of range"));
+            }
+            if u == v {
+                return Err(DecodeError::Bad("self-loop"));
+            }
+            out.push((u, v));
+        }
+        pacds_graph::canonicalize_edges(out);
+        Ok(())
+    }
 }
 
 /// A decoded generate-and-compute request.
@@ -683,6 +715,28 @@ pub fn encode_stats_request(out: &mut Vec<u8>, format: StatsFormat) {
     end_frame(out);
 }
 
+/// Decodes a `Stats` request body.
+pub fn decode_stats_request(body: &[u8]) -> Result<StatsFormat, DecodeError> {
+    let mut r = Reader::new(body);
+    let format = StatsFormat::from_wire(r.u8()?).ok_or(DecodeError::Bad("stats format"))?;
+    r.finish()?;
+    Ok(format)
+}
+
+/// Splits a request payload into its kind and body, or names the typed,
+/// connection-fatal error a server answers a bad header with.
+pub fn request_header(payload: &[u8]) -> Result<(RequestKind, &[u8]), (ErrorCode, &'static str)> {
+    match payload {
+        [] | [_] => Err((ErrorCode::Malformed, "payload shorter than header")),
+        [version, ..] if *version != PROTOCOL_VERSION => {
+            Err((ErrorCode::UnsupportedVersion, "unsupported version"))
+        }
+        [_, kind, body @ ..] => RequestKind::from_wire(*kind)
+            .map(|kind| (kind, body))
+            .ok_or((ErrorCode::UnknownKind, "unknown request kind")),
+    }
+}
+
 /// Encodes a complete `Ping` request frame.
 pub fn encode_ping(out: &mut Vec<u8>) {
     begin_frame(out, RequestKind::Ping as u8);
@@ -777,6 +831,22 @@ impl StatsResult {
     }
 }
 
+/// Encodes a complete `StatsResult` response frame: the named counters,
+/// then the rendered `text` block.
+pub fn encode_stats_result<N: AsRef<str>>(out: &mut Vec<u8>, entries: &[(N, u64)], text: &[u8]) {
+    begin_frame(out, ResponseKind::StatsResult as u8);
+    out.put_u32(entries.len() as u32);
+    for (name, value) in entries {
+        let name = name.as_ref();
+        out.put_u16(name.len() as u16);
+        out.put(name.as_bytes());
+        out.put_u64(*value);
+    }
+    out.put_u32(text.len() as u32);
+    out.put(text);
+    end_frame(out);
+}
+
 /// Decodes a `StatsResult` body.
 pub fn decode_stats_result(body: &[u8]) -> Result<StatsResult, DecodeError> {
     let mut r = Reader::new(body);
@@ -837,8 +907,9 @@ pub const MAX_GRAPH_NAME: usize = 255;
 /// Maximum events per `Mutate` frame.
 pub const MAX_MUTATION_BATCH: u32 = 65_536;
 
-/// Reads a length-prefixed (`u16`) UTF-8 graph name.
-fn read_name<'a>(r: &mut Reader<'a>) -> Result<&'a str, DecodeError> {
+/// Reads a length-prefixed (`u16`) UTF-8 graph name — the field every
+/// graph-scoped request body starts with.
+pub fn read_name<'a>(r: &mut Reader<'a>) -> Result<&'a str, DecodeError> {
     let len = r.u16()? as usize;
     if len == 0 || len > MAX_GRAPH_NAME {
         return Err(DecodeError::Bad("graph name length"));

@@ -1,53 +1,26 @@
-//! The TCP server: bounded accept queue, worker pool, graceful shutdown.
+//! The `pacds-serve` TCP server: the shared [`frame`](crate::frame)
+//! server running [`handle_payload`], plus the Prometheus scrape listener
+//! and the Subscribe push handoff.
 //!
-//! ## Threading model
-//!
-//! One acceptor thread pulls connections off the listener and pushes them
-//! into a **bounded** [`std::sync::mpsc::sync_channel`]. Each of the
-//! `workers` threads owns a long-lived [`WorkerScratch`] (workspace +
-//! retained buffers — the zero-allocation steady state) and pulls whole
-//! connections from the queue, serving every frame on a connection before
-//! taking the next. Connection-per-worker keeps each client's requests
-//! ordered and lets a worker's scratch stay hot across a client's burst.
-//!
-//! ## Backpressure
-//!
-//! When the queue is full, `try_send` fails immediately and the acceptor
-//! answers with a pre-encoded `Rejected` error frame, then drops the
-//! connection — a fast, typed "try later" instead of an unbounded queue
-//! or a silent stall. Queue depth is `queue` (default: `4 × workers`).
-//!
-//! ## Shutdown
-//!
-//! [`ServerHandle::shutdown`] flips an atomic flag and nudges the acceptor
-//! awake with a loopback connection. The acceptor stops accepting and
-//! drops the channel sender; workers then **drain**: every connection
-//! already queued is still served to completion, in-flight frames finish,
-//! and only then do workers observe the closed channel and exit. Worker
-//! connection loops poll the flag between frames (via a read timeout), so
-//! an idle keep-alive connection cannot hold the server open.
+//! Threading, backpressure and shutdown are the frame server's (see
+//! [`crate::frame`]); each pool worker owns a long-lived [`WorkerScratch`]
+//! (workspace + retained buffers — the zero-allocation steady state). A
+//! `Subscribe` frame hands its connection to a dedicated push thread, so
+//! a subscriber never occupies a pool worker.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::frame::{
+    hand_off, FrameServer, Handler, Outcome, Service, POLL_INTERVAL, PUSH_WRITE_TIMEOUT,
+};
 use crate::handler::{handle_payload, HandleOutcome, ServeState, ShardPolicy, WorkerScratch};
 use crate::hub::Subscription;
-use crate::protocol::{
-    self, encode_error, ErrorCode, ErrorCode::Rejected, StatsDelta, LEN_PREFIX, SUB_STATS,
-};
-
-/// How often a blocked worker re-checks the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Socket write timeout on push-mode connections: a stalled subscriber's
-/// TCP buffer fills, the write times out, and the subscriber is retired —
-/// it can never wedge its push thread.
-const PUSH_WRITE_TIMEOUT: Duration = Duration::from_millis(500);
+use crate::protocol::{self, encode_error, ErrorCode, StatsDelta, LEN_PREFIX, SUB_STATS};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -84,19 +57,15 @@ impl Default for ServerConfig {
 /// [`shutdown`]: ServerHandle::shutdown
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     state: Arc<ServeState>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    metrics: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: FrameServer,
 }
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The bound metrics-scrape address, when one was configured.
@@ -113,29 +82,7 @@ impl ServerHandle {
     /// threads. Idempotent. (Detached push threads observe the flag within
     /// one poll interval and exit on their own.)
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Nudge the blocking accept() awake; it will observe the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(addr) = self.metrics_addr {
-            let _ = TcpStream::connect(addr);
-        }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.metrics.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.server.shutdown();
     }
 }
 
@@ -143,85 +90,90 @@ impl Drop for ServerHandle {
 /// accepting. Returns once the listener is live.
 pub fn serve(addr: &str, cfg: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
     let workers = cfg.workers.max(1);
-    let queue = if cfg.queue == 0 { workers * 4 } else { cfg.queue };
     let mut st = ServeState::new(cfg.cache_bytes);
     st.shard = cfg.shard;
     st.workers.store(workers as u64, Ordering::Relaxed);
     let state = Arc::new(st);
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = sync_channel::<TcpStream>(queue);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut worker_handles = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        worker_handles.push(
-            std::thread::Builder::new()
-                .name(format!("pacds-serve-{i}"))
-                .spawn(move || worker_loop(&rx, &state, &stop))?,
-        );
-    }
-
-    // Pre-encode the backpressure reply once; the acceptor only copies it.
-    let mut rejected_frame = Vec::new();
-    encode_error(&mut rejected_frame, Rejected, "server queue full; retry later");
-
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("pacds-serve-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(conn) = conn else { continue };
-                    match tx.try_send(conn) {
-                        Ok(()) => {
-                            state.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TrySendError::Full(mut conn)) => {
-                            state.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            pacds_obs::inc(pacds_obs::Counter::ServeRejected);
-                            let _ = conn.write_all(&rejected_frame);
-                            let _ = conn.flush();
-                            // Dropped: the client got a typed REJECTED.
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
-                }
-                // Sender drops here: workers drain the queue, then exit.
-            })?
-    };
-
-    let (metrics_addr, metrics) = match &cfg.metrics_addr {
+    let mut server = FrameServer::spawn(listener, &state, workers, cfg.queue, |stop| Worker {
+        state: Arc::clone(&state),
+        scratch: WorkerScratch::new(),
+        stop: Arc::clone(stop),
+    })?;
+    let metrics_addr = match &cfg.metrics_addr {
         Some(maddr) => {
             let listener = TcpListener::bind(maddr.as_str())?;
             let bound = listener.local_addr()?;
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name("pacds-serve-metrics".into())
-                .spawn(move || metrics_loop(&listener, &stop))?;
-            (Some(bound), Some(handle))
+            server.spawn_aux("pacds-serve-metrics".into(), Some(bound), move |stop| {
+                metrics_loop(&listener, stop)
+            })?;
+            Some(bound)
         }
-        None => (None, None),
+        None => None,
     };
-
     Ok(ServerHandle {
-        addr,
         metrics_addr,
         state,
-        stop,
-        acceptor: Some(acceptor),
-        metrics,
-        workers: worker_handles,
+        server,
     })
+}
+
+impl Service for ServeState {
+    const NAME: &'static str = "pacds-serve";
+    const BUSY: &'static str = "server queue full; retry later";
+
+    fn rejected(&self) {
+        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        pacds_obs::inc(pacds_obs::Counter::ServeRejected);
+    }
+
+    fn oversized(&self) {
+        self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        pacds_obs::inc(pacds_obs::Counter::ServeProtocolErrors);
+    }
+
+    fn queue_depth(&self) -> Option<&AtomicU64> {
+        Some(&self.queue_depth)
+    }
+}
+
+/// One pool worker: its retained scratch, plus what a Subscribe handoff
+/// needs.
+struct Worker {
+    state: Arc<ServeState>,
+    scratch: WorkerScratch,
+    stop: Arc<AtomicBool>,
+}
+
+impl Handler for Worker {
+    fn handle(&mut self, frame: &[u8], resp: &mut Vec<u8>, conn: &TcpStream) -> Outcome {
+        let (state, received) = (&self.state, Instant::now());
+        let payload = &frame[LEN_PREFIX..];
+        match handle_payload(state, &mut self.scratch, payload, resp, received) {
+            HandleOutcome::KeepOpen => Outcome::KeepOpen,
+            HandleOutcome::Close => Outcome::CloseAfterReply,
+            HandleOutcome::Subscribe {
+                id,
+                flags,
+                interval_ms,
+                graph,
+            } => {
+                // Register with the hub *before* writing the ack: an event
+                // published between the ack and registration would
+                // otherwise be silently missed, breaking the "every flip
+                // after the ack" delivery promise.
+                let sub = state.hub.register(id, flags, graph);
+                let push_state = Arc::clone(state);
+                let stop = Arc::clone(&self.stop);
+                let push =
+                    move |conn| push_loop(conn, &push_state, &sub, flags, interval_ms, &stop);
+                if hand_off(conn, resp, format!("pacds-serve-push-{id}"), push).is_err() {
+                    state.hub.unregister(id, false);
+                }
+                Outcome::HandedOff
+            }
+        }
+    }
 }
 
 /// The Prometheus scrape listener: a deliberately minimal HTTP/1.0
@@ -250,105 +202,6 @@ fn metrics_loop(listener: &TcpListener, stop: &AtomicBool) {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &Arc<ServeState>, stop: &Arc<AtomicBool>) {
-    let mut scratch = WorkerScratch::new();
-    let mut payload = Vec::new();
-    let mut resp = Vec::new();
-    loop {
-        // Hold the receiver lock only long enough to take one connection.
-        let conn = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(POLL_INTERVAL)
-        };
-        match conn {
-            Ok(conn) => {
-                state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                serve_connection(conn, state, &mut scratch, &mut payload, &mut resp, stop)
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                // Idle tick; during shutdown the sender is dropped, so the
-                // next recv on the drained queue returns Disconnected.
-                continue;
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// Serves frames on one connection until the client closes, a fatal
-/// protocol error occurs, shutdown is requested while idle, or the
-/// connection flips into push mode (a `Subscribe` frame hands it off to a
-/// dedicated push thread so it never occupies a pool worker).
-fn serve_connection(
-    mut conn: TcpStream,
-    state: &Arc<ServeState>,
-    scratch: &mut WorkerScratch,
-    payload: &mut Vec<u8>,
-    resp: &mut Vec<u8>,
-    stop: &Arc<AtomicBool>,
-) {
-    let _ = conn.set_nodelay(true);
-    let _ = conn.set_read_timeout(Some(POLL_INTERVAL));
-    loop {
-        match read_frame(&mut conn, state, payload, stop) {
-            FrameRead::Frame => {}
-            FrameRead::Closed => return,
-            FrameRead::TooLarge => {
-                // The declared length is unreadable garbage or an attack;
-                // answer typed, then drop (framing cannot be recovered).
-                state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                pacds_obs::inc(pacds_obs::Counter::ServeProtocolErrors);
-                encode_error(resp, ErrorCode::Oversized, "frame exceeds maximum length");
-                let _ = conn.write_all(resp);
-                return;
-            }
-        }
-        let received = Instant::now();
-        let outcome = handle_payload(state, scratch, payload, resp, received);
-        if let HandleOutcome::Subscribe {
-            id,
-            flags,
-            interval_ms,
-            graph,
-        } = outcome
-        {
-            // Register with the hub *before* writing the ack: an event
-            // published between the ack and registration would otherwise
-            // be silently missed, breaking the "every flip after the ack"
-            // delivery promise.
-            let sub = state.hub.register(id, flags, graph);
-            if conn.write_all(resp).is_err() {
-                state.hub.unregister(id, false);
-                return;
-            }
-            let push_state = Arc::clone(state);
-            let stop = Arc::clone(stop);
-            let spawned = std::thread::Builder::new()
-                .name(format!("pacds-serve-push-{id}"))
-                .spawn(move || push_loop(conn, &push_state, &sub, flags, interval_ms, &stop));
-            if spawned.is_err() {
-                state.hub.unregister(id, false);
-            }
-            return;
-        }
-        if conn.write_all(resp).is_err() {
-            return;
-        }
-        if outcome == HandleOutcome::Close {
-            return;
-        }
-        // Shutdown is observed between frames here too: a peer that
-        // streams continuously (a pooled relay, a health prober) never
-        // leaves the connection idle, so the idle check in `read_frame`
-        // alone would let it pin this worker past `shutdown()`. A
-        // connection drained from the queue still gets its pending frame
-        // answered above before this closes it.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
 /// Drains one subscriber's push queue onto its socket and emits periodic
 /// stats-delta frames. Runs on a dedicated thread (never a pool worker);
 /// exits — always unregistering — when the client hangs up, the server
@@ -362,7 +215,6 @@ fn push_loop(
     interval_ms: u32,
     stop: &AtomicBool,
 ) {
-    let _ = conn.set_write_timeout(Some(PUSH_WRITE_TIMEOUT));
     let mut buf = Vec::new();
     let want_stats = flags & SUB_STATS != 0;
     // Windows are tracked per subscriber, so each receives deltas relative
@@ -377,7 +229,6 @@ fn push_loop(
         if sub.lagged.load(Ordering::Relaxed) {
             // The publisher overflowed our queue: rather than silently
             // delivering a gappy event stream, retire with a typed NACK.
-            buf.clear();
             encode_error(
                 &mut buf,
                 ErrorCode::SubscriberLagged,
@@ -416,7 +267,6 @@ fn push_loop(
                 refreshes: w.refreshes,
                 push_dropped: state.hub.dropped(),
             };
-            buf.clear();
             protocol::encode_stats_delta(&mut buf, &delta);
             if conn.write_all(&buf).is_err() {
                 break false;
@@ -426,61 +276,4 @@ fn push_loop(
         }
     };
     state.hub.unregister(sub.id, was_lagged);
-}
-
-enum FrameRead {
-    /// `payload` holds one complete frame payload.
-    Frame,
-    /// Clean close, client error, or shutdown while idle between frames.
-    Closed,
-    /// Declared length exceeds the configured maximum.
-    TooLarge,
-}
-
-/// Reads one length-prefixed frame, polling the shutdown flag while idle.
-/// A shutdown observed **between** frames closes the connection; once a
-/// prefix byte has arrived the frame (and its response) completes first —
-/// that is the drain guarantee.
-fn read_frame(
-    conn: &mut TcpStream,
-    state: &ServeState,
-    payload: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> FrameRead {
-    let mut prefix = [0u8; LEN_PREFIX];
-    let mut got = 0usize;
-    while got < LEN_PREFIX {
-        match conn.read(&mut prefix[got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(k) => got += k,
-            Err(e) if is_timeout(&e) => {
-                if got == 0 && stop.load(Ordering::SeqCst) {
-                    return FrameRead::Closed; // idle at shutdown
-                }
-            }
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > state.max_frame_len as usize {
-        return FrameRead::TooLarge;
-    }
-    payload.clear();
-    payload.resize(len, 0);
-    let mut got = 0usize;
-    while got < len {
-        match conn.read(&mut payload[got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(k) => got += k,
-            // Mid-frame timeouts keep waiting even during shutdown: the
-            // frame has begun, so it drains.
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    FrameRead::Frame
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }

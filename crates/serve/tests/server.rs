@@ -3,15 +3,23 @@
 //! Covers the failure-handling contract end to end — malformed, truncated
 //! and oversized frames produce typed errors (never a panic, never a
 //! hang), backpressure answers with a fast `REJECTED`, graceful shutdown
-//! drains queued work — plus concurrent clients hammering one cache.
+//! drains queued work and is prompt even under a streaming client — plus
+//! concurrent clients hammering one cache. The frame-server cases run
+//! against both a `pacds-serve` server and a `pacds-cluster` coordinator
+//! fronting one: both binaries share the frame server, so both must keep
+//! the same contract.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
+use pacds_cluster::{cluster, BackendSpec, ClusterConfig, ClusterHandle};
 use pacds_core::{CdsConfig, Policy};
 use pacds_serve::protocol::{
-    self, decode_error, encode_ping, ErrorCode, ResponseKind, LEN_PREFIX, PROTOCOL_VERSION,
+    self, decode_error, encode_ping, ErrorCode, GenComputeRequest, ResponseKind, LEN_PREFIX,
+    PROTOCOL_VERSION,
 };
 use pacds_serve::{serve, Client, ClientError, ServerConfig, StatsFormat};
 
@@ -29,6 +37,77 @@ fn tiny_server(workers: usize, queue: usize) -> pacds_serve::ServerHandle {
     .expect("bind ephemeral port")
 }
 
+/// The frame server under test: a server, or a coordinator fronting one.
+enum Rig {
+    Server(pacds_serve::ServerHandle),
+    // Fields drop in order: the coordinator stops before its backend.
+    Coordinator {
+        coord: ClusterHandle,
+        _backend: pacds_serve::ServerHandle,
+    },
+}
+
+/// Builds each kind of frame server with `workers` and `queue`.
+fn rigs(workers: usize, queue: usize) -> [Rig; 2] {
+    let backend = tiny_server(4, 8);
+    let coord = cluster(
+        "127.0.0.1:0",
+        &[BackendSpec::new("b0", backend.addr().to_string())],
+        ClusterConfig {
+            workers,
+            queue,
+            ..ClusterConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    [
+        Rig::Server(tiny_server(workers, queue)),
+        Rig::Coordinator {
+            coord,
+            _backend: backend,
+        },
+    ]
+}
+
+impl Rig {
+    fn name(&self) -> &'static str {
+        match self {
+            Rig::Server(_) => "server",
+            Rig::Coordinator { .. } => "coordinator",
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Rig::Server(s) => s.addr(),
+            Rig::Coordinator { coord: c, .. } => c.addr(),
+        }
+    }
+
+    fn shutdown(&mut self) {
+        match self {
+            Rig::Server(s) => s.shutdown(),
+            Rig::Coordinator { coord: c, .. } => c.shutdown(),
+        }
+    }
+
+    fn rejected(&self) -> u64 {
+        match self {
+            Rig::Server(s) => s.state().stats.rejected.load(Ordering::Relaxed),
+            Rig::Coordinator { coord: c, .. } => c.state().stats.rejected.load(Ordering::Relaxed),
+        }
+    }
+
+    fn protocol_errors(&self) -> u64 {
+        match self {
+            Rig::Server(s) => s.state().stats.protocol_errors.load(Ordering::Relaxed),
+            Rig::Coordinator { coord: c, .. } => {
+                c.state().stats.protocol_errors.load(Ordering::Relaxed)
+            }
+        }
+    }
+}
+
 /// Reads one `[len][payload]` frame with a timeout already set on `conn`.
 fn read_frame(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut prefix = [0u8; LEN_PREFIX];
@@ -39,7 +118,7 @@ fn read_frame(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-fn raw_conn(addr: std::net::SocketAddr) -> TcpStream {
+fn raw_conn(addr: SocketAddr) -> TcpStream {
     let conn = TcpStream::connect(addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     conn
@@ -65,50 +144,48 @@ fn ping_compute_and_stats_round_trip() {
 
 #[test]
 fn malformed_truncated_and_oversized_frames_get_typed_errors() {
-    let server = tiny_server(2, 4);
+    for rig in rigs(2, 4) {
+        let what = rig.name();
 
-    // Unsupported version: typed error, then the server closes.
-    let mut conn = raw_conn(server.addr());
-    conn.write_all(&[2, 0, 0, 0, 99, 0x01]).unwrap();
-    let payload = read_frame(&mut conn).unwrap();
-    assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Error));
-    let e = decode_error(&payload[2..]).unwrap();
-    assert_eq!(e.code, ErrorCode::UnsupportedVersion);
-    assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "connection closed");
+        // Unsupported version: typed error, then the server closes.
+        let mut conn = raw_conn(rig.addr());
+        conn.write_all(&[2, 0, 0, 0, 99, 0x01]).unwrap();
+        let payload = read_frame(&mut conn).unwrap();
+        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Error), "{what}");
+        let e = decode_error(&payload[2..]).unwrap();
+        assert_eq!(e.code, ErrorCode::UnsupportedVersion, "{what}");
+        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "{what}: connection closed");
 
-    // Unknown request kind.
-    let mut conn = raw_conn(server.addr());
-    conn.write_all(&[2, 0, 0, 0, PROTOCOL_VERSION, 0x6E]).unwrap();
-    let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
-    assert_eq!(e.code, ErrorCode::UnknownKind);
+        // Unknown request kind.
+        let mut conn = raw_conn(rig.addr());
+        conn.write_all(&[2, 0, 0, 0, PROTOCOL_VERSION, 0x6E]).unwrap();
+        let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
+        assert_eq!(e.code, ErrorCode::UnknownKind, "{what}");
 
-    // Truncated body: a ComputeCds header whose body stops mid-field.
-    let mut conn = raw_conn(server.addr());
-    conn.write_all(&[5, 0, 0, 0, PROTOCOL_VERSION, 0x01, 1, 2, 3]).unwrap();
-    let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
-    assert_eq!(e.code, ErrorCode::Malformed);
+        // Truncated body: a ComputeCds header whose body stops mid-field.
+        let mut conn = raw_conn(rig.addr());
+        conn.write_all(&[5, 0, 0, 0, PROTOCOL_VERSION, 0x01, 1, 2, 3]).unwrap();
+        let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
+        assert_eq!(e.code, ErrorCode::Malformed, "{what}");
 
-    // Oversized declared length: typed error before reading the payload.
-    let mut conn = raw_conn(server.addr());
-    let huge = (protocol::DEFAULT_MAX_FRAME_LEN + 1).to_le_bytes();
-    conn.write_all(&huge).unwrap();
-    let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
-    assert_eq!(e.code, ErrorCode::Oversized);
-    assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "connection closed");
+        // Oversized declared length: typed error before reading the payload.
+        let mut conn = raw_conn(rig.addr());
+        let huge = (protocol::DEFAULT_MAX_FRAME_LEN + 1).to_le_bytes();
+        conn.write_all(&huge).unwrap();
+        let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
+        assert_eq!(e.code, ErrorCode::Oversized, "{what}");
+        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "{what}: connection closed");
 
-    // A half-written frame followed by a client hangup must not wedge a
-    // worker: the server stays fully responsive afterwards.
-    let mut conn = raw_conn(server.addr());
-    conn.write_all(&[9, 0]).unwrap();
-    drop(conn);
-    let mut client = Client::connect(server.addr()).unwrap();
-    client.ping().unwrap();
+        // A half-written frame followed by a client hangup must not wedge a
+        // worker: the server stays fully responsive afterwards.
+        let mut conn = raw_conn(rig.addr());
+        conn.write_all(&[9, 0]).unwrap();
+        drop(conn);
+        let mut client = Client::connect(rig.addr()).unwrap();
+        client.ping().unwrap();
 
-    let stats = Client::connect(server.addr())
-        .unwrap()
-        .stats(StatsFormat::Table)
-        .unwrap();
-    assert_eq!(stats.counter("protocol_errors"), Some(4));
+        assert_eq!(rig.protocol_errors(), 4, "{what}");
+    }
 }
 
 #[test]
@@ -132,33 +209,32 @@ fn bad_input_keeps_the_connection_usable() {
 fn backpressure_rejects_with_a_typed_frame() {
     // One worker, queue depth one. The worker is pinned by connection A;
     // B fills the queue; C must be REJECTED immediately.
-    let server = tiny_server(1, 1);
-    let mut a = Client::connect(server.addr()).unwrap();
-    a.ping().unwrap(); // guarantees the worker owns connection A
+    for rig in rigs(1, 1) {
+        let what = rig.name();
+        let mut a = Client::connect(rig.addr()).unwrap();
+        a.ping().unwrap(); // guarantees the worker owns connection A
 
-    let b = raw_conn(server.addr());
-    std::thread::sleep(Duration::from_millis(200)); // let B enter the queue
+        let b = raw_conn(rig.addr());
+        std::thread::sleep(Duration::from_millis(200)); // let B enter the queue
 
-    let mut c = raw_conn(server.addr());
-    let payload = read_frame(&mut c).expect("REJECTED arrives without any request");
-    assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Error));
-    let e = decode_error(&payload[2..]).unwrap();
-    assert_eq!(e.code, ErrorCode::Rejected);
-    assert!(!e.code.is_connection_fatal(), "REJECTED is retryable");
-    assert_eq!(c.read(&mut [0u8; 1]).unwrap(), 0, "rejected conn closed");
+        let mut c = raw_conn(rig.addr());
+        let payload = read_frame(&mut c).expect("REJECTED arrives without any request");
+        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Error), "{what}");
+        let e = decode_error(&payload[2..]).unwrap();
+        assert_eq!(e.code, ErrorCode::Rejected, "{what}");
+        assert!(!e.code.is_connection_fatal(), "REJECTED is retryable");
+        assert_eq!(c.read(&mut [0u8; 1]).unwrap(), 0, "{what}: rejected conn closed");
 
-    // Releasing A lets the worker drain B: the queued connection is
-    // served, not dropped.
-    drop(a);
-    let mut b = b;
-    encode_frame_ping(&mut b);
-    let payload = read_frame(&mut b).unwrap();
-    assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Pong));
+        // Releasing A lets the worker drain B: the queued connection is
+        // served, not dropped.
+        drop(a);
+        let mut b = b;
+        encode_frame_ping(&mut b);
+        let payload = read_frame(&mut b).unwrap();
+        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Pong), "{what}");
 
-    assert_eq!(
-        server.state().stats.rejected.load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+        assert_eq!(rig.rejected(), 1, "{what}");
+    }
 }
 
 fn encode_frame_ping(conn: &mut TcpStream) {
@@ -169,57 +245,89 @@ fn encode_frame_ping(conn: &mut TcpStream) {
 
 #[test]
 fn graceful_shutdown_drains_queued_work() {
-    let mut server = tiny_server(1, 2);
-    let addr = server.addr();
+    for mut rig in rigs(1, 2) {
+        let what = rig.name();
+        let addr = rig.addr();
 
-    // Pin the worker with connection A, queue B with a request already
-    // written, then shut down. B's request must still be answered.
-    let mut a = Client::connect(addr).unwrap();
-    a.ping().unwrap();
-    let mut b = raw_conn(addr);
-    encode_frame_ping(&mut b);
-    std::thread::sleep(Duration::from_millis(200)); // B reaches the queue
+        // Pin the worker with connection A, queue B with a request already
+        // written, then shut down. B's request must still be answered.
+        let mut a = Client::connect(addr).unwrap();
+        a.ping().unwrap();
+        let mut b = raw_conn(addr);
+        encode_frame_ping(&mut b);
+        std::thread::sleep(Duration::from_millis(200)); // B reaches the queue
 
-    let closer = std::thread::spawn(move || {
-        server.shutdown();
-        server
-    });
-    // The idle connection A is released by the shutdown poll; the worker
-    // then drains B.
-    let payload = read_frame(&mut b).expect("queued request served during drain");
-    assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Pong));
-    let server = closer.join().unwrap();
+        let closer = std::thread::spawn(move || {
+            rig.shutdown();
+            rig
+        });
+        // The idle connection A is released by the shutdown poll; the worker
+        // then drains B.
+        let payload = read_frame(&mut b).expect("queued request served during drain");
+        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Pong), "{what}");
+        let rig = closer.join().unwrap();
 
-    // Fully stopped: new connections are refused (or reset immediately).
-    assert!(
-        TcpStream::connect(addr).is_err()
-            || TcpStream::connect(addr)
-                .and_then(|mut c| {
-                    c.set_read_timeout(Some(Duration::from_secs(2)))?;
-                    let mut frame = Vec::new();
-                    encode_ping(&mut frame);
-                    c.write_all(&frame)?;
-                    match c.read(&mut [0u8; 8])? {
-                        0 => Ok(()),
-                        _ => Err(std::io::Error::other("served after shutdown")),
-                    }
-                })
-                .is_ok(),
-        "no service after shutdown"
-    );
-    drop(server);
+        // Fully stopped: new connections are refused (or reset immediately).
+        assert!(
+            TcpStream::connect(addr).is_err()
+                || TcpStream::connect(addr)
+                    .and_then(|mut c| {
+                        c.set_read_timeout(Some(Duration::from_secs(2)))?;
+                        let mut frame = Vec::new();
+                        encode_ping(&mut frame);
+                        c.write_all(&frame)?;
+                        match c.read(&mut [0u8; 8])? {
+                            0 => Ok(()),
+                            _ => Err(std::io::Error::other("served after shutdown")),
+                        }
+                    })
+                    .is_ok(),
+            "{what}: no service after shutdown"
+        );
+        drop(rig);
+    }
 }
 
 #[test]
 fn shutdown_with_idle_workers_is_prompt_and_idempotent() {
-    let mut server = tiny_server(4, 8);
-    let t0 = std::time::Instant::now();
-    server.shutdown();
-    server.shutdown(); // second call is a no-op
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "idle shutdown must not hang"
-    );
+    for mut rig in rigs(4, 8) {
+        let t0 = Instant::now();
+        rig.shutdown();
+        rig.shutdown(); // second call is a no-op
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "{}: idle shutdown must not hang",
+            rig.name()
+        );
+    }
+}
+
+#[test]
+fn shutdown_under_a_streaming_client_is_prompt_and_idempotent() {
+    // A client that never leaves its connection idle must not pin its
+    // worker past shutdown: the loop checks the flag between frames.
+    for mut rig in rigs(1, 2) {
+        let what = rig.name();
+        let mut client = Client::connect(rig.addr()).unwrap();
+        client.ping().unwrap();
+        let streamer = std::thread::spawn(move || {
+            let mut pings = 1u64;
+            while client.ping().is_ok() {
+                pings += 1;
+            }
+            pings
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        rig.shutdown();
+        rig.shutdown(); // second call is a no-op
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "{what}: shutdown must not wait for a streaming client"
+        );
+        let pings = streamer.join().unwrap();
+        assert!(pings > 1, "{what}: the client streamed before shutdown");
+    }
 }
 
 #[test]
@@ -258,6 +366,47 @@ fn concurrent_clients_share_the_cache_consistently() {
     assert_eq!(cache.hits + cache.misses, 400, "every request hit the cache path");
     assert!(cache.hits >= 398, "at most one miss per distinct topology");
     assert_eq!(cache.entries, 2);
+}
+
+#[test]
+fn concurrent_cold_requests_for_one_topology_compute_once() {
+    // N clients send the same slow cold request at the same moment. The
+    // first miss claims the digest; the rest wait for its insert and copy
+    // the cached frame, so the server computes exactly once.
+    const N: usize = 4;
+    let server = tiny_server(N, 2 * N);
+    let addr = server.addr();
+    let req = GenComputeRequest {
+        flags: 0,
+        deadline_ms: 0,
+        cfg: CdsConfig::policy(Policy::Degree),
+        n: 20_000,
+        seed: 5,
+        radius: 10.0,
+        side: 1000.0,
+        connected: false,
+        energy_seed: Some(9),
+    };
+    let start = Arc::new(Barrier::new(N));
+    let handles: Vec<_> = (0..N)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client.ping().unwrap(); // each client owns a worker
+                start.wait();
+                client.gen_compute(&req).unwrap()
+            })
+        })
+        .collect();
+    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(results.iter().filter(|r| !r.cache_hit).count(), 1, "one computed answer");
+    for r in &results {
+        assert_eq!(r.mask, results[0].mask, "every answer is the same frame");
+    }
+    let cache = server.state().cache.stats();
+    assert_eq!((cache.misses, cache.hits), (1, N as u64 - 1), "one miss, the waiters hit");
+    assert_eq!(cache.entries, 1);
 }
 
 #[test]
