@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pacds_serve::frame::read_frame;
-use pacds_serve::protocol::{ErrorCode, ResponseKind, LEN_PREFIX};
+use pacds_serve::protocol::{response_is_fatal_error, LEN_PREFIX};
 
 /// A bounded pool of connections to one backend.
 #[derive(Debug)]
@@ -128,20 +128,11 @@ impl ConnPool {
         Ok(())
     }
 
+    /// A backend closes its end after a connection-fatal error, so such a
+    /// socket is not pooled.
     fn maybe_reuse(&self, conn: TcpStream, resp: &[u8]) {
         if !response_is_fatal_error(resp) {
             self.put_idle(conn);
         }
     }
-}
-
-/// Whether a relayed response frame (prefix included) is a typed error
-/// the backend considers connection-fatal — it will close its end, so the
-/// socket must not be pooled and the client side should be closed too.
-pub fn response_is_fatal_error(resp: &[u8]) -> bool {
-    resp.get(LEN_PREFIX + 1) == Some(&(ResponseKind::Error as u8))
-        && resp
-            .get(LEN_PREFIX + 2)
-            .and_then(|&b| ErrorCode::from_wire(b))
-            .is_some_and(ErrorCode::is_connection_fatal)
 }

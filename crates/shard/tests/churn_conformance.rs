@@ -6,8 +6,9 @@
 //! The unshardable matrix half is mirrored: `ChurnEngine::open` rejects
 //! it with the same typed errors as the batch engine.
 //!
-//! Corpus depth scales with `PROPTEST_CASES` (the same knob CI uses for
-//! the proptest suites): each 256 cases adds another seeded corpus round.
+//! Corpus depth scales with `PROPTEST_CASES`: each 256 adds another
+//! seeded corpus round (CI sets 512). The proptest stub itself ignores
+//! the variable.
 
 use pacds_core::CdsConfig;
 use pacds_geom::Rect;
