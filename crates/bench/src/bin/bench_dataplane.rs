@@ -22,6 +22,9 @@
 //!   time): the dataplane's adjacency upkeep. The engine's times are
 //!   summed over its pool workers, so the engine runs one pool thread
 //!   (as in perfbench's churn-reroute) to keep that difference exact.
+//!   The reroute must repair at least one destination tree and rebuild
+//!   none (`trees_repaired`, `trees_rebuilt`): a deterministic count,
+//!   so the check holds at every size.
 //!
 //! The `misroutes` counter — packets forwarded into a dead node — is
 //! asserted **zero** at exit; this is the structural NACK guarantee, not
@@ -248,6 +251,8 @@ fn main() -> ExitCode {
         dp.pump(net.graph(), net.alive());
         let reroute_ns = t.elapsed().as_nanos() as f64;
         let rerouted = dp.stats();
+        let (trees_rebuilt, trees_repaired) =
+            (dp.routes().trees_built(), dp.routes().trees_repaired());
         assert_eq!(dp.nacked_pending(), 0, "every NACKed packet redelivered");
         assert_eq!(
             rerouted.delivered - before_kill.delivered,
@@ -258,12 +263,24 @@ fn main() -> ExitCode {
 
         // The structural guarantee this subsystem exists for.
         assert_eq!(rerouted.misroutes, 0, "packets were forwarded into a dead node");
+        // Deterministic for a given instance: the kill leaves every
+        // destination gateway in place, so the reroute repairs the trees
+        // it touches and builds none.
+        assert!(
+            trees_repaired >= 1,
+            "the reroute repaired no destination tree"
+        );
+        assert_eq!(
+            trees_rebuilt, 0,
+            "the reroute rebuilt a destination tree in full"
+        );
 
         println!(
             "n={n:>8}  gateways={gateways:>7}  {hops_per_s:>12.0} hops/s  \
              {delivered_per_s:>9.0} pkts/s  {mean_hops:>6.1} hops/pkt  \
              stretch +{mean_extra:.2} ({mean_ratio:.3}x)  \
-             flood -{:.1}%  reroute {:.1} ms (adjacency {:.2} ms, {requeued} retransmits)",
+             flood -{:.1}%  reroute {:.1} ms (adjacency {:.2} ms, {requeued} retransmits, \
+             {trees_repaired} trees repaired, {trees_rebuilt} rebuilt)",
             100.0 * reduction,
             reroute_ns / 1e6,
             adjacency_ns / 1e6,
@@ -283,7 +300,7 @@ fn main() -> ExitCode {
                 "\"flood_reached\": {}, \"flood_reduction\": {:.4},\n",
                 "      \"kill_nacked\": {}, \"kill_retransmits\": {}, ",
                 "\"refresh_ns\": {:.0}, \"adjacency_ns\": {:.0}, \"reroute_ns\": {:.0}, ",
-                "\"misroutes\": {}\n",
+                "\"trees_rebuilt\": {}, \"trees_repaired\": {}, \"misroutes\": {}\n",
                 "    }}"
             ),
             n,
@@ -311,6 +328,8 @@ fn main() -> ExitCode {
             refresh_ns,
             adjacency_ns,
             reroute_ns,
+            trees_rebuilt,
+            trees_repaired,
             rerouted.misroutes,
         ));
 
@@ -345,7 +364,9 @@ fn main() -> ExitCode {
             "refresh -> table reinstall -> retransmit -> redelivery sequence end to end ",
             "(reroute_ns includes refresh_ns; adjacency_ns is refresh_ns minus the churn ",
             "engine's halo + solve + scatter time, i.e. the adjacency upkeep, exact because ",
-            "the engine runs one pool thread); misroutes counts packets forwarded into a ",
+            "the engine runs one pool thread; trees_rebuilt / trees_repaired count the ",
+            "destination trees the reroute built in full / repaired in place); misroutes ",
+            "counts packets forwarded into a ",
             "dead node and is asserted zero — the structural liveness-check guarantee. ",
             "Wall times depend on machine_threads\",\n",
             "  \"unit\": \"hops/s\",\n",

@@ -114,7 +114,8 @@ COMMANDS:
               --broadcast <none|blind|gateway|both =both>
               --trace-jsonl <file> (one trace per wave; --trace-sample
               <N=1>; needs --features trace)
-              --json <file> (write totals as one JSON object)
+              --json <file> (write totals as one JSON object, with the
+              destination trees built in full and repaired in place)
               --fail-on-errors (exit non-zero on misroutes, drops, or
               packets left undelivered)
   serve     Run the CDS query service (length-prefixed binary protocol
@@ -1202,6 +1203,13 @@ pub fn dataplane(args: &Args) -> CliResult {
     let mut kills = 0u64;
     let mut refreshes = 0u64;
     let mut reroute_s_sum = 0.0f64;
+    // Destination trees (built in full, repaired in place), summed over
+    // every install: the counters restart at each one.
+    let mut trees = (0usize, 0usize);
+    let count_trees = |dp: &pacds_dataplane::Dataplane, trees: &mut (usize, usize)| {
+        trees.0 += dp.routes().trees_built();
+        trees.1 += dp.routes().trees_repaired();
+    };
     let mut blind_tx = 0u64;
     let mut gateway_tx = 0u64;
     let t0 = std::time::Instant::now();
@@ -1244,6 +1252,7 @@ pub fn dataplane(args: &Args) -> CliResult {
         if dp.nacked_pending() > 0 {
             let tr = std::time::Instant::now();
             net.refresh();
+            count_trees(&dp, &mut trees);
             dp.install_tables(net.gateway(), net.alive());
             let requeued = dp.requeue_nacked();
             dp.pump(net.graph(), net.alive());
@@ -1270,6 +1279,8 @@ pub fn dataplane(args: &Args) -> CliResult {
         );
     }
     let wall_s = t0.elapsed().as_secs_f64();
+    count_trees(&dp, &mut trees);
+    let (trees_rebuilt, trees_repaired) = trees;
     let stats = dp.stats();
     let hops_per_s = stats.forwarded_hops as f64 / wall_s.max(1e-9);
     let flood_reduction = if blind_tx > 0 && gateway_tx > 0 {
@@ -1291,7 +1302,8 @@ pub fn dataplane(args: &Args) -> CliResult {
     if kills > 0 {
         println!(
             "churn: {kills} gateway kills, {refreshes} refreshes, mean reroute \
-             {:.1} ms",
+             {:.1} ms; destination trees: {trees_rebuilt} built in full, \
+             {trees_repaired} repaired",
             1e3 * reroute_s_sum / refreshes.max(1) as f64,
         );
     }
@@ -1318,6 +1330,7 @@ pub fn dataplane(args: &Args) -> CliResult {
              \"retransmits\":{},\"forwarded_hops\":{},\"misroutes\":{},\
              \"hops_per_s\":{hops_per_s},\"wall_s\":{wall_s},\
              \"kills\":{kills},\"refreshes\":{refreshes},\
+             \"trees_rebuilt\":{trees_rebuilt},\"trees_repaired\":{trees_repaired},\
              \"blind_transmissions\":{blind_tx},\
              \"gateway_transmissions\":{gateway_tx},\
              \"flood_reduction\":{}}}",

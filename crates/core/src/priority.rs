@@ -12,7 +12,7 @@
 //! order; this is what makes simultaneous rule application safe (exactly
 //! one node of a coverage-equivalent pair removes itself).
 
-use pacds_graph::{Neighbors, NodeId};
+use pacds_graph::{Neighbors, NodeId, ReserveLike};
 use serde::{Deserialize, Serialize};
 
 /// Discrete energy level, as the rules compare it.
@@ -82,6 +82,12 @@ impl std::fmt::Display for Policy {
 #[derive(Debug, Clone, Default)]
 pub struct PriorityKey {
     keys: Vec<[u64; 3]>,
+}
+
+impl ReserveLike for PriorityKey {
+    fn reserve_like(&mut self, other: &Self) {
+        self.keys.reserve_like(&other.keys);
+    }
 }
 
 impl PriorityKey {

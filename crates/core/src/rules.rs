@@ -9,7 +9,7 @@
 //! determined).
 
 use crate::priority::PriorityKey;
-use pacds_graph::{NeighborBitmap, Neighbors, NodeId, VertexMask};
+use pacds_graph::{NeighborBitmap, Neighbors, NodeId, ReserveLike, VertexMask};
 use pacds_obs::{Counter, Phase, Tally};
 
 /// How Rule 2 combines the coverage tests with the priority order.
@@ -103,6 +103,13 @@ impl Rule2Tally {
         self.witness_rejects.flush(Counter::Rule2WitnessRejects);
         self.coverage_scans.flush(Counter::Rule2CoverageScans);
         self.unmarked.flush(Counter::Rule2Unmarked);
+    }
+}
+
+impl ReserveLike for RuleScratch {
+    fn reserve_like(&mut self, other: &Self) {
+        self.nbrs.reserve_like(&other.nbrs);
+        self.support.reserve_like(&other.support);
     }
 }
 

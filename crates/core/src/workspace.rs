@@ -22,7 +22,7 @@ use crate::rules::{
     RuleScratch,
 };
 use crate::verify::{verify_cds_scratch, CdsViolation};
-use pacds_graph::{NeighborBitmap, Neighbors, NodeId, VertexMask};
+use pacds_graph::{NeighborBitmap, Neighbors, NodeId, ReserveLike, VertexMask};
 use std::collections::VecDeque;
 
 /// Owned scratch for repeated CDS computations (and verifications).
@@ -46,6 +46,23 @@ pub struct CdsWorkspace {
     rounds: usize,
     seen: Vec<bool>,
     queue: VecDeque<NodeId>,
+}
+
+impl ReserveLike for CdsWorkspace {
+    fn reserve_like(&mut self, other: &Self) {
+        self.bm.reserve_like(&other.bm);
+        self.key.reserve_like(&other.key);
+        self.marked.reserve_like(&other.marked);
+        self.after1.reserve_like(&other.after1);
+        self.after2.reserve_like(&other.after2);
+        self.tmp1.reserve_like(&other.tmp1);
+        self.tmp2.reserve_like(&other.tmp2);
+        self.scratch.reserve_like(&other.scratch);
+        self.removed1.reserve_like(&other.removed1);
+        self.removed2.reserve_like(&other.removed2);
+        self.seen.reserve_like(&other.seen);
+        self.queue.reserve_like(&other.queue);
+    }
 }
 
 impl CdsWorkspace {

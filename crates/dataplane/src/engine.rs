@@ -15,7 +15,7 @@
 //! [`Dataplane::pump`] runs sweeps until every queue is empty. Because a
 //! pump always runs to quiescence, every packet ends a pump in a terminal
 //! state (`Delivered`/`Dropped`) or parked in the NACK retransmit list —
-//! which is what lets a table rebuild clear the route arena wholesale
+//! which is what lets a table install clear the route arena wholesale
 //! without chasing in-flight route handles.
 //!
 //! The NACK path guarantees (pinned by the benches, not just measured):
@@ -102,7 +102,7 @@ pub struct DpStats {
     pub dropped: u64,
     /// Packets NACKed on a stale route.
     pub nacked: u64,
-    /// NACKed packets re-injected after a table rebuild.
+    /// NACKed packets re-injected after a table install.
     pub retransmits: u64,
     /// Per-hop forward operations (aggregate transmissions).
     pub forwarded_hops: u64,
@@ -148,6 +148,11 @@ impl Dataplane {
     /// Installs a new epoch of backbone tables from the control plane's
     /// gateway and liveness masks, invalidating every cached route (the
     /// arena is cleared wholesale; flow caches miss on the epoch bump).
+    /// Destination trees survive: each is repaired from the hosts that
+    /// joined or left the backbone on its next use (see
+    /// [`BackboneRoutes::install`]). Between installs, adjacency among
+    /// the hosts alive at both must not change — hosts may die or
+    /// appear, not move.
     ///
     /// # Panics
     /// Panics if packets are still queued inside the node graph — pump to

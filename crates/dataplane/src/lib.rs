@@ -22,7 +22,8 @@
 //!
 //! * [`packet`] — SoA packet storage, dispositions, the route arena.
 //! * [`routes`] — [`BackboneRoutes`]: per-destination-gateway BFS trees
-//!   over the live backbone, lazily built, epoch-invalidated; assembles
+//!   over the live backbone, lazily built, repaired in place on each
+//!   table install from the hosts that joined or left; assembles
 //!   the same member→gateway→gateway→member walks as
 //!   [`pacds_routing::route`] without the O(gateways × n) dense tables.
 //! * [`flood`] — [`FloodEngine`]: retained duplicate-suppression flooding,

@@ -24,7 +24,7 @@ pub enum Disposition {
     /// Terminally unroutable (undominated endpoint, out of range).
     Dropped,
     /// NACKed on a stale route; parked for retransmission after the next
-    /// table rebuild.
+    /// table install.
     Nacked,
 }
 
@@ -116,7 +116,7 @@ impl PacketBatch {
 
 /// Retained arena of source routes: hop sequences packed end-to-end in one
 /// `Vec`, addressed by `(offset, len)` spans. A route handle is a span
-/// index. [`RouteArena::clear`] (called on every table rebuild) drops all
+/// index. [`RouteArena::clear`] (called on every table install) drops all
 /// routes at once while keeping capacity, so assembling the next epoch's
 /// routes allocates nothing once warm.
 #[derive(Debug, Default)]

@@ -11,12 +11,25 @@
 //! * **Broadcast**: the flood node's blind and gateway floods reproduce
 //!   [`pacds_routing::flood_cost`] exactly, and gateway flooding never
 //!   transmits more than blind flooding.
+//!
+//! And one differential pin for the route tables under churn: the
+//! geometric corpus cases and the testkit churn traces are replayed as
+//! kills through [`ChurnNet`]. After every refresh and install, each
+//! cached destination tree — repaired in place or rebuilt — holds the
+//! distances a fresh BFS over the live backbone gives, and every sampled
+//! route has `route()`'s hop count (or its error). Named cases pin the
+//! destination leaving the backbone, a joining gateway that shortens
+//! distances outside the cut subtree, a kill that splits the backbone,
+//! and back-to-back installs.
 
 use pacds_core::{compute_cds, CdsConfig, CdsInput, Policy};
-use pacds_dataplane::Dataplane;
-use pacds_graph::NodeId;
-use pacds_routing::{flood_cost, hop_count, route, RoutingState};
-use pacds_testkit::corpus;
+use pacds_dataplane::{BackboneRoutes, ChurnNet, Dataplane};
+use pacds_geom::{Point2, Rect};
+use pacds_graph::{CsrGraph, Graph, Neighbors, NodeId};
+use pacds_routing::{flood_cost, hop_count, route, RouteError, RoutingState};
+use pacds_shard::ShardSpec;
+use pacds_testkit::{churn, corpus};
+use std::collections::VecDeque;
 
 /// Sampled ordered pairs: everything for small graphs, a deterministic
 /// stride otherwise.
@@ -128,4 +141,367 @@ fn broadcasts_match_flood_cost_on_the_corpus() {
         checked += 1;
     }
     assert!(checked >= 30, "corpus shrank? only {checked} cases checked");
+}
+
+/// Hop distances to `dg` over the hosts `live` marks, by a plain BFS.
+fn fresh_bfs<G: Neighbors>(g: &G, live: &[bool], dg: NodeId) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; live.len()];
+    let mut queue = VecDeque::from([dg]);
+    dist[dg as usize] = 0;
+    while let Some(v) = queue.pop_front() {
+        for &u in g.neighbors(v) {
+            if live[u as usize] && dist[u as usize] == u32::MAX {
+                dist[u as usize] = dist[v as usize] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    dist
+}
+
+fn to_graph(g: &CsrGraph) -> Graph {
+    let mut edges = Vec::new();
+    for v in 0..g.n() as NodeId {
+        edges.extend(g.neighbors(v).iter().filter(|&&u| u > v).map(|&u| (v, u)));
+    }
+    Graph::from_edges(g.n(), &edges)
+}
+
+/// Checks the installed tables against the oracles: every sampled pair of
+/// live hosts routes with `route()`'s hop count or fails with its error,
+/// then every cached tree (repaired or rebuilt on the way) holds fresh-BFS
+/// distances. Returns the (built, repaired) tree counts of this install.
+fn check_tables(
+    routes: &mut BackboneRoutes,
+    g: &CsrGraph,
+    gateway: &[bool],
+    alive: &[bool],
+    label: &str,
+) -> (usize, usize) {
+    let graph = to_graph(g);
+    let state = RoutingState::build(&graph, gateway);
+    let mut out = Vec::new();
+    for (s, t) in pairs(g.n()) {
+        if !alive[s as usize] || !alive[t as usize] {
+            continue;
+        }
+        let want = route(&graph, &state, s, t).map(|p| hop_count(&p));
+        let got = routes.assemble(g, s, t, &mut out).map(|()| hop_count(&out));
+        assert_eq!(got, want, "{label}: route {s}->{t}: {out:?}");
+    }
+    let counts = (routes.trees_built(), routes.trees_repaired());
+    let live: Vec<bool> = gateway.iter().zip(alive).map(|(&g, &a)| g && a).collect();
+    let dests: Vec<NodeId> = routes.cached_destinations().collect();
+    for dg in dests {
+        match routes.distances(g, dg) {
+            Some(dist) => assert_eq!(dist, fresh_bfs(g, &live, dg), "{label}: tree {dg}"),
+            None => assert!(!live[dg as usize], "{label}: live {dg} has no distances"),
+        }
+    }
+    counts
+}
+
+/// Kills `victims` one refresh at a time, checking the tables after each
+/// install. Returns the trees (built, repaired) across the replay.
+fn replay_kills(net: &mut ChurnNet, victims: &[NodeId], label: &str) -> (usize, usize) {
+    let mut dp = Dataplane::new();
+    dp.install_tables(net.gateway(), net.alive());
+    check_tables(
+        dp.routes_mut(),
+        net.graph(),
+        net.gateway(),
+        net.alive(),
+        label,
+    );
+    let (mut built, mut repaired) = (0, 0);
+    for (k, &v) in victims.iter().enumerate() {
+        if !net.alive()[v as usize] || net.kill(v).is_err() {
+            continue;
+        }
+        net.refresh();
+        dp.install_tables(net.gateway(), net.alive());
+        let label = format!("{label} kill #{k} ({v})");
+        let (b, r) = check_tables(
+            dp.routes_mut(),
+            net.graph(),
+            net.gateway(),
+            net.alive(),
+            &label,
+        );
+        built += b;
+        repaired += r;
+    }
+    (built, repaired)
+}
+
+/// Interior hops of the current routes first — the hosts whose death
+/// strands traffic — then a stride over all hosts.
+fn victims(net: &ChurnNet, count: usize) -> Vec<NodeId> {
+    let n = net.n();
+    let mut routes = BackboneRoutes::new();
+    routes.install(net.gateway(), net.alive());
+    let mut out = Vec::new();
+    let mut picked = Vec::new();
+    for (s, t) in pairs(n) {
+        if routes.assemble(net.graph(), s, t, &mut out).is_ok() && out.len() > 2 {
+            let v = out[out.len() / 2];
+            if !picked.contains(&v) {
+                picked.push(v);
+            }
+        }
+    }
+    picked.truncate(count / 2);
+    picked.extend((0..count).map(|k| ((k * 37 + 11) % n) as NodeId));
+    picked
+}
+
+#[test]
+fn repaired_trees_match_fresh_bfs_and_route_on_corpus_kills() {
+    let mut cases = corpus::named_families();
+    cases.extend(corpus::random_unit_disk_cases(0xDA7A, 12));
+    let (mut checked, mut built, mut repaired) = (0, 0, 0);
+    for case in &cases {
+        let Some((bounds, radius, points)) = &case.positions else {
+            continue;
+        };
+        let cfg = CdsConfig::policy(Policy::Degree);
+        let Ok(mut net) = ChurnNet::open(
+            ShardSpec::new(0),
+            *bounds,
+            *radius,
+            points,
+            &case.energy,
+            &cfg,
+        ) else {
+            continue;
+        };
+        let victims = victims(&net, 10);
+        let (b, r) = replay_kills(&mut net, &victims, &case.name);
+        built += b;
+        repaired += r;
+        checked += 1;
+    }
+    assert!(
+        checked >= 10,
+        "geometric corpus shrank? only {checked} cases checked"
+    );
+    assert!(
+        repaired > built,
+        "repairs ran: {repaired} repaired vs {built} built"
+    );
+}
+
+#[test]
+fn repaired_trees_match_fresh_bfs_and_route_on_churn_trace_kills() {
+    let mut traces = churn::corpus_traces(0x5EED);
+    traces.extend(churn::derived_grid_traces(0x5EED));
+    let (mut kills, mut built, mut repaired) = (0, 0, 0);
+    for trace in &traces {
+        let cfg = CdsConfig::policy(Policy::Degree);
+        let mut net = ChurnNet::open(
+            ShardSpec::new(trace.shards),
+            trace.bounds,
+            trace.radius,
+            &trace.points,
+            &trace.energy,
+            &cfg,
+        )
+        .expect("trace instances are shardable");
+        // ChurnNet only kills: replay the trace's kills of initial hosts,
+        // then a stride of route interior hops.
+        let mut victims: Vec<NodeId> = trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                churn::TraceEvent::Kill { node } if (node as usize) < trace.points.len() => {
+                    Some(node)
+                }
+                _ => None,
+            })
+            .collect();
+        victims.extend(self::victims(&net, 8));
+        kills += victims.len();
+        let (b, r) = replay_kills(&mut net, &victims, &trace.name);
+        built += b;
+        repaired += r;
+    }
+    assert!(kills >= 50, "only {kills} kills replayed");
+    assert!(
+        repaired > built,
+        "repairs ran: {repaired} repaired vs {built} built"
+    );
+}
+
+/// Ladder 2×6: top row 0..=5, bottom row 6..=11, rungs i–(i+6).
+fn ladder() -> Graph {
+    let mut edges = Vec::new();
+    for i in 0..5 {
+        edges.push((i, i + 1));
+        edges.push((i + 6, i + 7));
+    }
+    for i in 0..6 {
+        edges.push((i, i + 6));
+    }
+    Graph::from_edges(12, &edges)
+}
+
+fn isolate(g: &Graph, dead: &[NodeId]) -> CsrGraph {
+    let mut edges = Vec::new();
+    for v in 0..g.n() as NodeId {
+        for &u in g.neighbors(v) {
+            if u > v && !dead.contains(&u) && !dead.contains(&v) {
+                edges.push((v, u));
+            }
+        }
+    }
+    CsrGraph::from(&Graph::from_edges(g.n(), &edges))
+}
+
+#[test]
+fn destination_gateway_demoted_or_killed() {
+    for kill in [false, true] {
+        let g = CsrGraph::from(&ladder());
+        // The top row carries the backbone; 11's gateway is 5.
+        let mut gw = vec![false; 12];
+        gw[..6].fill(true);
+        let mut alive = vec![true; 12];
+        let mut routes = BackboneRoutes::new();
+        routes.install(&gw, &alive);
+        check_tables(&mut routes, &g, &gw, &alive, "before");
+        let mut out = Vec::new();
+        routes.assemble(&g, 6, 11, &mut out).unwrap();
+        assert_eq!(out, [6, 0, 1, 2, 3, 4, 5, 11]);
+
+        // 5 leaves the backbone; 10 joins it and takes over 11.
+        gw[5] = false;
+        gw[10] = true;
+        let g = if kill {
+            alive[5] = false;
+            isolate(&ladder(), &[5])
+        } else {
+            g
+        };
+        routes.install(&gw, &alive);
+        let label = if kill { "killed" } else { "demoted" };
+        check_tables(&mut routes, &g, &gw, &alive, label);
+        routes.assemble(&g, 6, 11, &mut out).unwrap();
+        assert_eq!(hop_count(&out), 7, "{label}: {out:?}");
+        assert_eq!(out[out.len() - 2], 10, "{label}: 11 is reached through 10");
+        assert!(
+            routes.distances(&g, 5).is_none(),
+            "{label}: 5 is off the backbone"
+        );
+    }
+}
+
+#[test]
+fn joining_gateway_shortens_distances_outside_the_cut_subtree() {
+    // Path 0..=9 plus host 10 adjacent to 0 and 7.
+    let mut edges: Vec<(NodeId, NodeId)> = (0..9).map(|i| (i, i + 1)).collect();
+    edges.extend([(0, 10), (7, 10)]);
+    let g = CsrGraph::from(&Graph::from_edges(11, &edges));
+    let mut gw = vec![true; 11];
+    gw[10] = false;
+    let alive = vec![true; 11];
+    let mut routes = BackboneRoutes::new();
+    routes.install(&gw, &alive);
+    assert_eq!(
+        routes.distances(&g, 0).unwrap()[..10],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+    );
+
+    // 9 leaves (its subtree is itself) while 10 joins: 5..=8 sit outside
+    // the cut and get shorter through 10.
+    gw[9] = false;
+    gw[10] = true;
+    routes.install(&gw, &alive);
+    let dist = routes.distances(&g, 0).unwrap().to_vec();
+    assert_eq!(dist, [0, 1, 2, 3, 4, 4, 3, 2, 3, u32::MAX, 1]);
+    assert_eq!((routes.trees_built(), routes.trees_repaired()), (0, 1));
+    check_tables(&mut routes, &g, &gw, &alive, "shortcut");
+}
+
+/// Hosts on a line, 20 apart at radius 25: a path whose interior hosts
+/// are the backbone.
+fn line_net(hosts: usize) -> ChurnNet {
+    let points: Vec<Point2> = (0..hosts)
+        .map(|i| Point2::new(20.0 * i as f64, 5.0))
+        .collect();
+    let bounds = Rect::new(0.0, 0.0, 20.0 * hosts as f64, 10.0);
+    let energy = vec![50; hosts];
+    ChurnNet::open(
+        ShardSpec::new(1),
+        bounds,
+        25.0,
+        &points,
+        &energy,
+        &CdsConfig::policy(Policy::Degree),
+    )
+    .expect("a line is shardable")
+}
+
+#[test]
+fn a_kill_that_splits_the_backbone_reports_gateway_path_missing() {
+    let mut net = line_net(21);
+    let mut dp = Dataplane::new();
+    dp.install_tables(net.gateway(), net.alive());
+    let mut out = Vec::new();
+    dp.routes_mut()
+        .assemble(net.graph(), 0, 20, &mut out)
+        .unwrap();
+    assert_eq!(hop_count(&out), 20);
+
+    net.kill(3).unwrap();
+    net.refresh();
+    dp.install_tables(net.gateway(), net.alive());
+    assert_eq!(
+        dp.routes_mut().assemble(net.graph(), 0, 20, &mut out),
+        Err(RouteError::GatewayPathMissing)
+    );
+    let routes = dp.routes();
+    assert_eq!(
+        (routes.trees_built(), routes.trees_repaired()),
+        (0, 1),
+        "the split is repaired"
+    );
+    check_tables(
+        dp.routes_mut(),
+        net.graph(),
+        net.gateway(),
+        net.alive(),
+        "split",
+    );
+}
+
+#[test]
+fn back_to_back_installs_rebuild_the_tree() {
+    let mut net = line_net(21);
+    let mut dp = Dataplane::new();
+    dp.install_tables(net.gateway(), net.alive());
+    let mut out = Vec::new();
+    dp.routes_mut()
+        .assemble(net.graph(), 10, 20, &mut out)
+        .unwrap();
+    for v in [3, 5] {
+        net.kill(v).unwrap();
+        net.refresh();
+        dp.install_tables(net.gateway(), net.alive());
+    }
+    dp.routes_mut()
+        .assemble(net.graph(), 10, 20, &mut out)
+        .unwrap();
+    assert_eq!(hop_count(&out), 10);
+    let routes = dp.routes();
+    assert_eq!(
+        (routes.trees_built(), routes.trees_repaired()),
+        (1, 0),
+        "two installs old"
+    );
+    check_tables(
+        dp.routes_mut(),
+        net.graph(),
+        net.gateway(),
+        net.alive(),
+        "back to back",
+    );
 }

@@ -7,7 +7,7 @@
 //! — executed 4 words at a time by the [`crate::kernels`] module, with an
 //! early exit per 256-bit chunk.
 
-use crate::{kernels, Neighbors, NodeId};
+use crate::{kernels, Neighbors, NodeId, ReserveLike};
 
 const WORD_BITS: usize = 64;
 
@@ -22,6 +22,12 @@ pub struct NeighborBitmap {
     n: usize,
     words: usize,
     rows: Vec<u64>,
+}
+
+impl ReserveLike for NeighborBitmap {
+    fn reserve_like(&mut self, other: &Self) {
+        self.rows.reserve_like(&other.rows);
+    }
 }
 
 impl NeighborBitmap {

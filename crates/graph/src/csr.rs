@@ -5,7 +5,7 @@
 //! all adjacency in two flat arrays, eliminating per-node Vec headers and
 //! improving locality, and is trivially shareable across threads.
 
-use crate::{Graph, Neighbors, NodeId};
+use crate::{Graph, Neighbors, NodeId, ReserveLike};
 
 /// An undirected graph in CSR form.
 ///
@@ -27,6 +27,13 @@ impl Default for CsrGraph {
             offsets: vec![0],
             targets: Vec::new(),
         }
+    }
+}
+
+impl ReserveLike for CsrGraph {
+    fn reserve_like(&mut self, other: &Self) {
+        self.offsets.reserve_like(&other.offsets);
+        self.targets.reserve_like(&other.targets);
     }
 }
 

@@ -4,7 +4,7 @@
 //! transmission range are connected. The deterministic families exist for
 //! tests, and [`gnp`] provides a non-geometric random baseline.
 
-use crate::{CsrGraph, Graph, NodeId};
+use crate::{CsrGraph, Graph, NodeId, ReserveLike};
 use pacds_geom::{Point2, Rect, SpatialGrid, EPS};
 use rand::Rng;
 
@@ -42,6 +42,14 @@ pub struct UnitDiskScratch {
     starts: Vec<u32>,
     cursor: Vec<u32>,
     items: Vec<u32>,
+}
+
+impl ReserveLike for UnitDiskScratch {
+    fn reserve_like(&mut self, other: &Self) {
+        self.starts.reserve_like(&other.starts);
+        self.cursor.reserve_like(&other.cursor);
+        self.items.reserve_like(&other.items);
+    }
 }
 
 impl UnitDiskScratch {

@@ -41,6 +41,29 @@ pub use neighbors::Neighbors;
 /// representation at these scales.
 pub type VertexMask = Vec<bool>;
 
+/// Retained scratch that can be grown to fit whatever another instance
+/// of the same type has held: after `a.reserve_like(&b)`, `a` takes any
+/// problem `b` has taken without allocating. A pool of per-worker scratch
+/// stays evenly warm this way, whichever worker ran which job.
+pub trait ReserveLike {
+    /// Grows every retained buffer to at least `other`'s capacity.
+    fn reserve_like(&mut self, other: &Self);
+}
+
+// `reserve_exact`: plain `reserve` may double past `other`, and slots
+// matching each other would then ratchet their capacities up without end.
+impl<T> ReserveLike for Vec<T> {
+    fn reserve_like(&mut self, other: &Self) {
+        self.reserve_exact(other.capacity().saturating_sub(self.len()));
+    }
+}
+
+impl<T> ReserveLike for std::collections::VecDeque<T> {
+    fn reserve_like(&mut self, other: &Self) {
+        self.reserve_exact(other.capacity().saturating_sub(self.len()));
+    }
+}
+
 /// Collects the indices set in a [`VertexMask`].
 pub fn mask_to_vec(mask: &[bool]) -> Vec<NodeId> {
     mask.iter()

@@ -217,6 +217,7 @@ const ALL_COUNTERS: [Counter; NUM_COUNTERS] = {
         DpNacks,
         DpRetransmits,
         DpRouteBuilds,
+        DpRouteRepairs,
         DpFloodTransmissions,
         DpFloodDuplicates,
         DpMisroutes,

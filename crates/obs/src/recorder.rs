@@ -164,8 +164,12 @@ metric_enum! {
         DpNacks => "dp.nacks",
         /// Dataplane: NACKed packets re-injected after a table rebuild.
         DpRetransmits => "dp.retransmits",
-        /// Dataplane: source routes assembled (backbone lookups).
+        /// Dataplane: destination trees built in full (BFS over the whole
+        /// live backbone).
         DpRouteBuilds => "dp.route_builds",
+        /// Dataplane: destination trees repaired in place after an install
+        /// (cost follows the hosts that joined or left the backbone).
+        DpRouteRepairs => "dp.route_repairs",
         /// Dataplane: flood transmissions (blind + gateway relays).
         DpFloodTransmissions => "dp.flood_transmissions",
         /// Dataplane: duplicate flood receptions suppressed.
@@ -229,9 +233,10 @@ metric_enum! {
         ChurnRefresh => "churn.refresh",
         /// Dataplane: one pump sweep over the node graph.
         DpPump => "dp.pump",
-        /// Dataplane: backbone route-table (re)build + source-route
-        /// assembly.
+        /// Dataplane: one full destination-tree build.
         DpRouteBuild => "dp.route_build",
+        /// Dataplane: one in-place destination-tree repair.
+        DpRouteRepair => "dp.route_repair",
         /// Dataplane: one broadcast flood.
         DpFlood => "dp.flood",
         /// Cluster: request classification + ring lookup.

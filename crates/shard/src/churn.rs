@@ -627,7 +627,8 @@ impl ChurnEngine {
         let results_ptr = TileResultsPtr(self.tile_results.as_mut_ptr());
         run_tiles(
             &mut self.pool,
-            &mut self.slots[..nthreads],
+            &mut self.slots,
+            nthreads,
             &self.order,
             &self.cursors[..nthreads],
             |slot, t| {

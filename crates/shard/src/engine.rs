@@ -6,7 +6,7 @@ use crate::pool::WorkerPool;
 use crate::REQUIRED_HALO;
 use pacds_core::{CdsConfig, CdsWorkspace};
 use pacds_graph::gen::{unit_disk_csr_subset, TilePartition, UnitDiskScratch};
-use pacds_graph::{CsrGraph, Neighbors, NodeId, VertexMask};
+use pacds_graph::{CsrGraph, Neighbors, NodeId, ReserveLike, VertexMask};
 use pacds_geom::{Point2, Rect, EPS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -120,7 +120,8 @@ pub struct ThreadWork {
 }
 
 /// One worker's retained state; a slot solves many tiles sequentially, so
-/// memory scales with threads x largest tile, not with shard count.
+/// memory scales with threads x largest tile, not with shard count (plus,
+/// in [`ShardedCds`], room for every verdict of a run in `results`).
 /// `pub(crate)` so the churn engine reuses the exact same tile machinery.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerSlot {
@@ -141,6 +142,21 @@ pub(crate) struct WorkerSlot {
     pub(crate) tiles_solved: u64,
     pub(crate) tiles_stolen: u64,
     pub(crate) busy_ns: u64,
+}
+
+impl ReserveLike for WorkerSlot {
+    fn reserve_like(&mut self, other: &Self) {
+        self.ws.reserve_like(&other.ws);
+        self.csr.reserve_like(&other.csr);
+        self.locals.reserve_like(&other.locals);
+        self.owned_flags.reserve_like(&other.owned_flags);
+        self.energy.reserve_like(&other.energy);
+        self.uds.reserve_like(&other.uds);
+        self.g2l.reserve_like(&other.g2l);
+        self.seen.reserve_like(&other.seen);
+        self.queue.reserve_like(&other.queue);
+        self.results.reserve_like(&other.results);
+    }
 }
 
 impl WorkerSlot {
@@ -306,7 +322,7 @@ impl ShardedCds {
         let ntiles = self.partition.tiles();
         let margin = self.spec.halo as f64 * (radius * radius + EPS).sqrt();
         let nthreads = self.spec.resolved_threads().clamp(1, ntiles.max(1));
-        self.ensure_slots(nthreads);
+        self.ensure_slots(nthreads, n);
 
         // LPT schedule: owned population is the cheap, accurate-enough
         // proxy for a tile's halo-build + solve cost.
@@ -321,7 +337,8 @@ impl ShardedCds {
         let _dispatch = pacds_obs::span(trace, pacds_obs::SpanKind::ShardDispatch, ntiles as u32);
         run_tiles(
             &mut self.pool,
-            &mut self.slots[..nthreads],
+            &mut self.slots,
+            nthreads,
             &self.order,
             &self.cursors[..nthreads],
             |slot, t| {
@@ -397,7 +414,7 @@ impl ShardedCds {
         let nblocks = self.spec.resolved_shards(n).min(n.max(1));
         let halo = self.spec.halo;
         let nthreads = self.spec.resolved_threads().clamp(1, nblocks);
-        self.ensure_slots(nthreads);
+        self.ensure_slots(nthreads, n);
 
         // LPT schedule: block populations are near-uniform by
         // construction, so weigh blocks by degree mass (one `degree` read
@@ -415,7 +432,8 @@ impl ShardedCds {
         let _dispatch = pacds_obs::span(trace, pacds_obs::SpanKind::ShardDispatch, nblocks as u32);
         run_tiles(
             &mut self.pool,
-            &mut self.slots[..nthreads],
+            &mut self.slots,
+            nthreads,
             &self.order,
             &self.cursors[..nthreads],
             |slot, b| {
@@ -446,7 +464,10 @@ impl ShardedCds {
         self.finish(n, nblocks, 0, usize::from(cfg.policy.prunes()))
     }
 
-    fn ensure_slots(&mut self, nthreads: usize) {
+    /// Readies `nthreads` executors' slots for a run over `n` nodes. Each
+    /// slot's `results` can hold all `n` verdicts, so no split of the
+    /// tiles between executors can grow it.
+    fn ensure_slots(&mut self, nthreads: usize, n: usize) {
         if self.slots.len() < nthreads {
             self.slots.resize_with(nthreads, WorkerSlot::default);
         }
@@ -461,6 +482,7 @@ impl ShardedCds {
         // results or tallies into this one.
         for slot in &mut self.slots {
             slot.begin();
+            slot.results.reserve(n);
         }
     }
 
@@ -704,7 +726,8 @@ impl SlotsPtr {
     }
 }
 
-/// Runs `f` over every tile in `order`, one executor per slot.
+/// Runs `f` over every tile in `order`, one executor per slot of
+/// `slots[..nworkers]`.
 ///
 /// A single slot runs inline with no thread traffic at all. With more,
 /// the persistent pool runs a strided-stripe schedule over the
@@ -715,16 +738,22 @@ impl SlotsPtr {
 /// tile runs exactly once no matter who takes it. Per-slot
 /// solved/stolen/busy tallies feed [`ShardStats`], [`ThreadWork`] and the
 /// obs per-thread table.
+///
+/// Which executor takes which tile follows thread wake-up times, so
+/// afterwards every slot in `slots`, idle ones included, is grown to fit
+/// every tile of the run ([`warm_evenly`]). Otherwise a slot that only
+/// got small tiles while warming up could allocate in a later run that
+/// hands it a big one.
 pub(crate) fn run_tiles<F>(
     pool: &mut WorkerPool,
     slots: &mut [WorkerSlot],
+    nworkers: usize,
     order: &[u32],
     cursors: &[AtomicUsize],
     f: F,
 ) where
     F: Fn(&mut WorkerSlot, usize) + Sync,
 {
-    let nworkers = slots.len();
     if nworkers <= 1 {
         let slot = &mut slots[0];
         let start = Instant::now();
@@ -734,15 +763,18 @@ pub(crate) fn run_tiles<F>(
         slot.tiles_solved += order.len() as u64;
         slot.busy_ns += start.elapsed().as_nanos() as u64;
         pacds_obs::shard_thread_tiles_tick(order.len() as u64);
+        warm_evenly(slots);
         return;
     }
+    // The executors index `slots` through a raw pointer below.
+    assert!(nworkers <= slots.len(), "one slot per executor");
     debug_assert!(cursors.len() >= nworkers);
     let base = SlotsPtr(slots.as_mut_ptr());
     pool.run(nworkers, &|id| {
         // SAFETY: executor ids within one generation are distinct and
-        // `id < nworkers == slots.len()`, so each executor holds the only
+        // `id < nworkers <= slots.len()`, so each executor holds the only
         // reference to its slot; the pool's completion barrier orders all
-        // slot writes before `run_tiles` returns.
+        // slot writes before `run_tiles` goes on.
         let slot = unsafe { base.slot(id) };
         let start = Instant::now();
         let (mut solved, mut stolen) = (0u64, 0u64);
@@ -766,6 +798,21 @@ pub(crate) fn run_tiles<F>(
         slot.busy_ns += start.elapsed().as_nanos() as u64;
         pacds_obs::shard_thread_tiles_tick(solved);
     });
+    warm_evenly(slots);
+}
+
+/// Grows every slot to the largest capacity any slot holds, buffer by
+/// buffer: any later split of the same tiles then fits without
+/// allocating.
+fn warm_evenly(slots: &mut [WorkerSlot]) {
+    for i in 1..slots.len() {
+        let (head, tail) = slots.split_at_mut(i);
+        head[0].reserve_like(&tail[0]);
+    }
+    for i in 1..slots.len() {
+        let (head, tail) = slots.split_at_mut(i);
+        tail[0].reserve_like(&head[0]);
+    }
 }
 
 /// Picks a tile grid of about `shards` tiles matching the domain's aspect
@@ -789,6 +836,63 @@ mod tests {
     use pacds_geom::placement;
     use pacds_graph::gen;
     use rand::SeedableRng;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts the heap allocations of the current thread, so the
+    /// parallel test runner cannot charge one test's to another.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static A: CountingAlloc = CountingAlloc;
+
+    fn allocs() -> usize {
+        ALLOCS.with(Cell::get)
+    }
+
+    #[test]
+    fn slot_warmth_does_not_depend_on_the_steal_schedule() {
+        // A two-executor engine whose second executor never claims a tile
+        // — what happens when the pool thread wakes after the caller has
+        // claimed the whole schedule. `threads: 1` replays that split on
+        // the calling thread, deterministically: slot 0 solves every
+        // tile, slot 1 none. If slot 1 then gets the whole schedule (the
+        // caller late instead), it must already fit every tile.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(96);
+        let bounds = Rect::square(300.0);
+        let pts = placement::uniform_points(&mut rng, bounds, 1000);
+        let energy: Vec<u64> = (0..1000u64).map(|i| (i * 6271) % 100).collect();
+        let cfg = CdsConfig::policy(Policy::EnergyDegree);
+        let mut eng = ShardedCds::new(ShardSpec::new(8)).unwrap();
+        eng.ensure_slots(2, 1000);
+        for round in 0..4 {
+            let before = allocs();
+            eng.compute_unit_disk(bounds, 25.0, &pts, Some(&energy), &cfg)
+                .unwrap();
+            if round > 0 {
+                assert_eq!(allocs() - before, 0, "round {round}: a slot grew");
+            }
+            eng.slots.swap(0, 1);
+        }
+    }
 
     #[test]
     fn grid_for_matches_the_issue_shard_counts() {

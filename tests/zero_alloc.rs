@@ -377,6 +377,137 @@ fn dataplane_warm_forwarding_loop_is_allocation_free() {
     assert!(stats.forwarded_hops > stats.injected, "multi-hop traffic");
 }
 
+fn dataplane_kill_repair_reroute_is_allocation_free_after_warmup() {
+    // The whole reroute after a gateway death, with the route tables
+    // repaired in place: kill an interior hop of a live route, pump a
+    // stale wave (NACKs), refresh the churn control plane, install the
+    // new tables (mask diff), requeue the NACKed packets and pump them
+    // over repaired trees. Kills are permanent, so no two cycles are
+    // alike; the warm-up kills one host in each of the engine's tiles
+    // first, so every tile has been re-solved once — kills only shrink
+    // tiles and routes change little, so later cycles fit the buffers.
+    use pacds::dataplane::{ChurnNet, Dataplane};
+    use pacds::geom::{Point2, Rect};
+    use pacds::shard::ShardSpec;
+
+    let side = 316.0;
+    let bounds = Rect::square(side);
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let pts = pacds::geom::placement::uniform_points(&mut rng, bounds, N);
+    let energy: Vec<u64> = (0..N as u64).map(|i| (i * 4099) % 100 + 1).collect();
+    let cds_cfg = CdsConfig::policy(Policy::EnergyDegree);
+    let mut net = ChurnNet::open(ShardSpec::auto(), bounds, 25.0, &pts, &energy, &cds_cfg)
+        .expect("shardable config");
+    assert_eq!(
+        net.engine().tiles(),
+        9,
+        "the derived grid of a 316-wide arena is 3×3"
+    );
+    let mut dp = Dataplane::new();
+    dp.install_tables(net.gateway(), net.alive());
+
+    // 32 flows into four sinks; endpoints never die.
+    let nearest = |x: f64, y: f64| -> u32 {
+        let at = Point2::new(x, y);
+        (0..N)
+            .min_by(|&a, &b| pts[a].distance2(at).total_cmp(&pts[b].distance2(at)))
+            .unwrap() as u32
+    };
+    let sinks = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
+        .map(|(fx, fy)| nearest(fx * side, fy * side));
+    let mut protected = vec![false; N];
+    let mut flows = Vec::new();
+    let mut probe = Vec::with_capacity(N);
+    for i in 0..N {
+        if flows.len() == 32 {
+            break;
+        }
+        let (s, t) = (((i * 131 + 17) % N) as u32, sinks[i % 4]);
+        if s != t
+            && dp
+                .routes_mut()
+                .assemble(net.graph(), s, t, &mut probe)
+                .is_ok()
+        {
+            protected[s as usize] = true;
+            protected[t as usize] = true;
+            flows.push((dp.add_flow(s, t), s, t));
+        }
+    }
+    assert_eq!(flows.len(), 32);
+
+    let cycle = |net: &mut ChurnNet, dp: &mut Dataplane, victim: u32| {
+        net.kill(victim).expect("victim is alive");
+        for &(f, _, _) in &flows {
+            dp.inject(f, 4);
+        }
+        dp.pump(net.graph(), net.alive());
+        net.refresh();
+        dp.install_tables(net.gateway(), net.alive());
+        dp.requeue_nacked();
+        let stats = dp.pump(net.graph(), net.alive());
+        assert_eq!(stats.misroutes, 0);
+        assert_eq!(dp.nacked_pending(), 0, "every NACKed packet redelivered");
+        assert_eq!(
+            stats.delivered + stats.dropped,
+            stats.injected,
+            "every packet settled"
+        );
+        dp.reset_packets();
+    };
+    // An interior hop of some flow's current route.
+    let route_victim = |net: &ChurnNet, dp: &mut Dataplane, probe: &mut Vec<u32>, k: usize| {
+        (0..flows.len())
+            .find_map(|i| {
+                let (_, s, t) = flows[(k * 7 + i) % flows.len()];
+                dp.routes_mut().assemble(net.graph(), s, t, probe).ok()?;
+                let interior = probe.get(1..probe.len().saturating_sub(1))?;
+                interior
+                    .iter()
+                    .copied()
+                    .find(|&v| !protected[v as usize] && net.alive()[v as usize])
+            })
+            .expect("some route has an unprotected interior hop")
+    };
+
+    for k in 0..9 {
+        let (tx, ty) = ((k % 3) as f64 + 0.5, (k / 3) as f64 + 0.5);
+        let v = (0..N as u32)
+            .filter(|&v| !protected[v as usize] && net.alive()[v as usize])
+            .min_by(|&a, &b| {
+                let at = Point2::new(tx * side / 3.0, ty * side / 3.0);
+                pts[a as usize]
+                    .distance2(at)
+                    .total_cmp(&pts[b as usize].distance2(at))
+            })
+            .unwrap();
+        cycle(&mut net, &mut dp, v);
+    }
+    for k in 0..WARMUP {
+        let v = route_victim(&net, &mut dp, &mut probe, k);
+        cycle(&mut net, &mut dp, v);
+    }
+
+    let (mut repaired, mut built) = (0, 0);
+    for round in 0..MEASURED {
+        let v = route_victim(&net, &mut dp, &mut probe, WARMUP + round);
+        let before = allocs();
+        cycle(&mut net, &mut dp, v);
+        let grew = allocs() - before;
+        assert_eq!(
+            grew, 0,
+            "round {round}: warm kill-and-reroute cycle performed {grew} heap allocations"
+        );
+        repaired += dp.routes().trees_repaired();
+        built += dp.routes().trees_built();
+    }
+    // A full build is due only when a sink's gateway changed.
+    assert!(
+        repaired > built,
+        "reroutes ran over repaired trees: {repaired} vs {built} built"
+    );
+}
+
 fn csr_kill_patch_is_allocation_free_after_warmup() {
     // The dataplane's refresh path after a kill: `CsrGraph::isolate_in_place`
     // empties the dead hosts' rows, drops them from their neighbours' rows
@@ -541,6 +672,10 @@ const CASES: &[(&str, fn())] = &[
     (
         "dataplane_warm_forwarding_loop_is_allocation_free",
         dataplane_warm_forwarding_loop_is_allocation_free,
+    ),
+    (
+        "dataplane_kill_repair_reroute_is_allocation_free_after_warmup",
+        dataplane_kill_repair_reroute_is_allocation_free_after_warmup,
     ),
     (
         "csr_kill_patch_is_allocation_free_after_warmup",
