@@ -5,7 +5,7 @@ use pacds_core::{compute_cds_trace, verify_cds, CdsConfig, CdsInput, Policy};
 use pacds_energy::DrainModel;
 use pacds_geom::Rect;
 use pacds_graph::{algo, gen, io, mask_to_vec, Graph};
-use pacds_routing::RoutingState;
+use pacds_routing::BackboneRoutes;
 use pacds_sim::{SimConfig, Simulation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -313,8 +313,10 @@ pub fn route(args: &Args) -> CliResult {
     let from: u32 = args.require("from")?;
     let to: u32 = args.require("to")?;
     let gateways = pacds_core::compute_cds(&CdsInput::with_energy(&g, &energy), &cfg);
-    let state = RoutingState::build(&g, &gateways);
-    let path = pacds_routing::route(&g, &state, from, to)?;
+    let mut routes = BackboneRoutes::new();
+    routes.install(&gateways, &vec![true; g.n()]);
+    let mut path = Vec::new();
+    routes.assemble(&g, from, to, &mut path)?;
     let shortest = algo::shortest_path(&g, from, to)?;
     println!("route ({} hops): {:?}", path.len() - 1, path);
     println!(
@@ -1786,6 +1788,44 @@ mod tests {
     fn connected_flag_yields_connected_graph() {
         let g = topology(&args("gen --n 30 --seed 2 --connected")).unwrap();
         assert!(algo::is_connected(&g));
+    }
+
+    /// The [`RouteError`](pacds_routing::RouteError) a failed `route`
+    /// command returned.
+    fn route_error(line: &str) -> pacds_routing::RouteError {
+        let err = route(&args(line)).expect_err(line);
+        *err.downcast_ref::<pacds_routing::RouteError>()
+            .unwrap_or_else(|| panic!("{line}: untyped error {err}"))
+    }
+
+    #[test]
+    fn route_crosses_a_connected_topology() {
+        route(&args("route --n 30 --seed 2 --connected --from 0 --to 29")).unwrap();
+    }
+
+    #[test]
+    fn route_to_an_out_of_range_host_is_a_typed_error() {
+        assert_eq!(
+            route_error("route --n 30 --seed 2 --connected --from 0 --to 30"),
+            pacds_routing::RouteError::OutOfRange
+        );
+    }
+
+    #[test]
+    fn route_from_an_undominated_host_is_a_typed_error() {
+        // Path 0-1-2 plus isolated 3: no gateway is adjacent to 3.
+        let path = std::env::temp_dir().join("pacds_cli_route_isolated.txt");
+        std::fs::write(&path, "4 2\n0 1\n1 2\n").unwrap();
+        let input = path.display();
+        assert_eq!(
+            route_error(&format!("route --input {input} --from 3 --to 0")),
+            pacds_routing::RouteError::SourceNotDominated
+        );
+        assert_eq!(
+            route_error(&format!("route --input {input} --from 0 --to 3")),
+            pacds_routing::RouteError::DestinationNotDominated
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -29,11 +29,10 @@
 //! layer once per pump, so the per-packet path never touches an atomic.
 
 use crate::packet::{Disposition, PacketBatch, PacketKind, RouteArena, ROUTE_NONE};
-use crate::routes::BackboneRoutes;
 use crate::FloodEngine;
 use pacds_graph::{Neighbors, NodeId};
 use pacds_obs::{obs_count, obs_time, Counter, Phase, SpanKind, TraceId};
-use pacds_routing::{FloodCost, RouteError};
+use pacds_routing::{BackboneRoutes, FloodCost, RouteError};
 
 /// Processing nodes of the forwarding graph, in dispatch order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -518,7 +517,8 @@ mod tests {
     use super::*;
     use pacds_core::{compute_cds, CdsConfig, CdsInput, Policy};
     use pacds_graph::{gen, Graph};
-    use pacds_routing::{flood_cost, hop_count, route, RoutingState};
+    use pacds_routing::{flood_cost, hop_count};
+    use pacds_testkit::oracle::DenseTables;
     use rand::SeedableRng;
 
     fn fig1() -> (Graph, Vec<bool>) {
@@ -530,7 +530,6 @@ mod tests {
     #[test]
     fn unicast_delivery_matches_route_hop_counts() {
         let (g, cds) = fig1();
-        let state = RoutingState::build(&g, &cds);
         let alive = vec![true; 5];
         let mut dp = Dataplane::new();
         dp.install_tables(&cds, &alive);
@@ -540,7 +539,9 @@ mod tests {
         assert_eq!(stats.injected, 10);
         assert_eq!(stats.delivered, 10);
         assert_eq!(stats.misroutes, 0);
-        let reference = route(&g, &state, 4, 3).unwrap();
+        let reference = DenseTables::build(&g, &cds, &alive)
+            .route(&g, 4, 3)
+            .unwrap();
         assert_eq!(stats.forwarded_hops, 10 * hop_count(&reference) as u64);
         // The flow cache resolved the route once for all ten packets.
         assert_eq!(dp.routes().trees_built(), 1);

@@ -14,18 +14,16 @@
 //! NACK and drop legs), with batches of packet indices pushed between
 //! them and each node draining its whole input queue per sweep. Packets
 //! live in a structure-of-arrays [`PacketBatch`]; source routes live in a
-//! retained [`RouteArena`]; all buffers survive across waves, so the warm
-//! forwarding loop performs zero steady-state allocations (pinned by
-//! `tests/zero_alloc.rs` at the workspace root).
+//! retained [`RouteArena`], assembled by
+//! [`pacds_routing::BackboneRoutes`] (per-destination distance arrays over
+//! the live backbone, repaired in place on each table install); all
+//! buffers survive across waves, so the warm forwarding loop performs
+//! zero steady-state allocations (pinned by `tests/zero_alloc.rs` at the
+//! workspace root).
 //!
 //! Module map:
 //!
 //! * [`packet`] — SoA packet storage, dispositions, the route arena.
-//! * [`routes`] — [`BackboneRoutes`]: per-destination-gateway BFS trees
-//!   over the live backbone, lazily built, repaired in place on each
-//!   table install from the hosts that joined or left; assembles
-//!   the same member→gateway→gateway→member walks as
-//!   [`pacds_routing::route`] without the O(gateways × n) dense tables.
 //! * [`flood`] — [`FloodEngine`]: retained duplicate-suppression flooding,
 //!   semantics pinned to [`pacds_routing::flood_cost`].
 //! * [`engine`] — [`Dataplane`]: the node graph, the pump loop, the
@@ -44,10 +42,8 @@ pub mod engine;
 pub mod flood;
 pub mod net;
 pub mod packet;
-pub mod routes;
 
 pub use engine::{Dataplane, DpNode, DpStats, NodeCounters, DP_NODE_NAMES, NUM_DP_NODES};
 pub use flood::FloodEngine;
 pub use net::ChurnNet;
 pub use packet::{Disposition, PacketBatch, PacketKind, RouteArena, ROUTE_NONE};
-pub use routes::BackboneRoutes;

@@ -5,9 +5,8 @@
 //!
 //! * **Unicast**: pumping one packet per sampled (src, dst) pair through
 //!   the full node graph delivers every packet with an aggregate hop
-//!   count exactly equal to the sum of [`pacds_routing::route`] oracle
-//!   hop counts (the dense-table implementation the dataplane's BFS-tree
-//!   tables must match), with zero misroutes.
+//!   count exactly equal to the sum of the dense Figure-2 oracle's
+//!   ([`DenseTables`]) hop counts, with zero misroutes.
 //! * **Broadcast**: the flood node's blind and gateway floods reproduce
 //!   [`pacds_routing::flood_cost`] exactly, and gateway flooding never
 //!   transmits more than blind flooding.
@@ -16,20 +15,20 @@
 //! geometric corpus cases and the testkit churn traces are replayed as
 //! kills through [`ChurnNet`]. After every refresh and install, each
 //! cached destination tree — repaired in place or rebuilt — holds the
-//! distances a fresh BFS over the live backbone gives, and every sampled
-//! route has `route()`'s hop count (or its error). Named cases pin the
+//! distances the oracle's BFS over the live backbone gives, and every
+//! sampled route is the oracle's path (or its error). Named cases pin the
 //! destination leaving the backbone, a joining gateway that shortens
 //! distances outside the cut subtree, a kill that splits the backbone,
 //! and back-to-back installs.
 
 use pacds_core::{compute_cds, CdsConfig, CdsInput, Policy};
-use pacds_dataplane::{BackboneRoutes, ChurnNet, Dataplane};
+use pacds_dataplane::{ChurnNet, Dataplane};
 use pacds_geom::{Point2, Rect};
-use pacds_graph::{CsrGraph, Graph, Neighbors, NodeId};
-use pacds_routing::{flood_cost, hop_count, route, RouteError, RoutingState};
+use pacds_graph::{CsrGraph, Graph, NodeId};
+use pacds_routing::{flood_cost, hop_count, BackboneRoutes, RouteError};
 use pacds_shard::ShardSpec;
+use pacds_testkit::oracle::DenseTables;
 use pacds_testkit::{churn, corpus};
-use std::collections::VecDeque;
 
 /// Sampled ordered pairs: everything for small graphs, a deterministic
 /// stride otherwise.
@@ -62,15 +61,15 @@ fn unicast_hop_counts_match_the_route_oracle_on_the_corpus() {
         }
         let g = &case.graph;
         let cds = compute_cds(&CdsInput::new(g), &CdsConfig::policy(Policy::Degree));
-        let state = RoutingState::build(g, &cds);
         let alive = vec![true; g.n()];
+        let oracle = DenseTables::build(g, &cds, &alive);
         let mut dp = Dataplane::new();
         dp.install_tables(&cds, &alive);
 
         let mut expected_hops = 0u64;
         let mut injected = 0u64;
         for (s, t) in pairs(g.n()) {
-            let reference = match route(g, &state, s, t) {
+            let reference = match oracle.route(g, s, t) {
                 Ok(p) => p,
                 // The corpus has no undominated vertices in connected
                 // graphs; any error here is a real regression.
@@ -143,33 +142,9 @@ fn broadcasts_match_flood_cost_on_the_corpus() {
     assert!(checked >= 30, "corpus shrank? only {checked} cases checked");
 }
 
-/// Hop distances to `dg` over the hosts `live` marks, by a plain BFS.
-fn fresh_bfs<G: Neighbors>(g: &G, live: &[bool], dg: NodeId) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; live.len()];
-    let mut queue = VecDeque::from([dg]);
-    dist[dg as usize] = 0;
-    while let Some(v) = queue.pop_front() {
-        for &u in g.neighbors(v) {
-            if live[u as usize] && dist[u as usize] == u32::MAX {
-                dist[u as usize] = dist[v as usize] + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
-fn to_graph(g: &CsrGraph) -> Graph {
-    let mut edges = Vec::new();
-    for v in 0..g.n() as NodeId {
-        edges.extend(g.neighbors(v).iter().filter(|&&u| u > v).map(|&u| (v, u)));
-    }
-    Graph::from_edges(g.n(), &edges)
-}
-
-/// Checks the installed tables against the oracles: every sampled pair of
-/// live hosts routes with `route()`'s hop count or fails with its error,
-/// then every cached tree (repaired or rebuilt on the way) holds fresh-BFS
+/// Checks the installed tables against the dense oracle: every sampled
+/// pair routes to the oracle's path or fails with its error, then every
+/// cached tree (repaired or rebuilt on the way) holds the oracle's BFS
 /// distances. Returns the (built, repaired) tree counts of this install.
 fn check_tables(
     routes: &mut BackboneRoutes,
@@ -178,25 +153,20 @@ fn check_tables(
     alive: &[bool],
     label: &str,
 ) -> (usize, usize) {
-    let graph = to_graph(g);
-    let state = RoutingState::build(&graph, gateway);
+    let oracle = DenseTables::build(g, gateway, alive);
     let mut out = Vec::new();
     for (s, t) in pairs(g.n()) {
-        if !alive[s as usize] || !alive[t as usize] {
-            continue;
-        }
-        let want = route(&graph, &state, s, t).map(|p| hop_count(&p));
-        let got = routes.assemble(g, s, t, &mut out).map(|()| hop_count(&out));
-        assert_eq!(got, want, "{label}: route {s}->{t}: {out:?}");
+        let got = routes.assemble(g, s, t, &mut out).map(|()| out.clone());
+        assert_eq!(got, oracle.route(g, s, t), "{label}: route {s}->{t}");
     }
     let counts = (routes.trees_built(), routes.trees_repaired());
-    let live: Vec<bool> = gateway.iter().zip(alive).map(|(&g, &a)| g && a).collect();
     let dests: Vec<NodeId> = routes.cached_destinations().collect();
     for dg in dests {
-        match routes.distances(g, dg) {
-            Some(dist) => assert_eq!(dist, fresh_bfs(g, &live, dg), "{label}: tree {dg}"),
-            None => assert!(!live[dg as usize], "{label}: live {dg} has no distances"),
-        }
+        assert_eq!(
+            routes.distances(g, dg),
+            oracle.distances_to(dg),
+            "{label}: tree {dg}"
+        );
     }
     counts
 }
@@ -256,7 +226,7 @@ fn victims(net: &ChurnNet, count: usize) -> Vec<NodeId> {
 }
 
 #[test]
-fn repaired_trees_match_fresh_bfs_and_route_on_corpus_kills() {
+fn repaired_trees_match_the_oracle_on_corpus_kills() {
     let mut cases = corpus::named_families();
     cases.extend(corpus::random_unit_disk_cases(0xDA7A, 12));
     let (mut checked, mut built, mut repaired) = (0, 0, 0);
@@ -292,7 +262,7 @@ fn repaired_trees_match_fresh_bfs_and_route_on_corpus_kills() {
 }
 
 #[test]
-fn repaired_trees_match_fresh_bfs_and_route_on_churn_trace_kills() {
+fn repaired_trees_match_the_oracle_on_churn_trace_kills() {
     let mut traces = churn::corpus_traces(0x5EED);
     traces.extend(churn::derived_grid_traces(0x5EED));
     let (mut kills, mut built, mut repaired) = (0, 0, 0);

@@ -8,12 +8,14 @@
 //! 3. the *destination gateway* (the destination itself, or one of its
 //!    gateway neighbours) delivers the packet.
 //!
-//! Each gateway maintains a **domain membership list** (its adjacent
-//! non-gateway hosts) and a **gateway routing table** with one entry per
-//! gateway carrying that gateway's membership list — exactly the tables of
-//! Figure 2. [`RoutingState`] materialises those tables; [`route`] executes
-//! the three-step procedure; [`stretch`] compares the resulting hop counts
-//! against true shortest paths.
+//! The paper keeps these as Figure 2's dense per-gateway tables.
+//! [`BackboneRoutes`] is the one production table: the same routes from
+//! one distance array per destination gateway in use, repaired in place
+//! when the backbone changes, so it scales to n = 10⁶ (the dense tables
+//! are the reference in `pacds_testkit::oracle`).
+//! [`BackboneRoutes::assemble`] executes the three-step procedure;
+//! [`stretch`] compares the resulting hop counts against true shortest
+//! paths.
 
 pub mod flood;
 pub mod robustness;
@@ -23,7 +25,4 @@ pub mod tables;
 pub use flood::{flood_cost, FloodCost};
 pub use robustness::{backbone_robustness, RobustnessReport};
 pub use stretch::{stretch, stretch_summary, StretchSummary};
-pub use tables::{
-    hop_count, is_valid_walk, route, route_alive_into, route_into, GatewayEntry,
-    GatewayEntryRef, RouteError, RoutingState,
-};
+pub use tables::{hop_count, is_valid_walk, BackboneRoutes, RouteError};

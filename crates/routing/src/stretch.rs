@@ -4,14 +4,15 @@
 //! paths exactly; after pruning, a route through the gateway overlay may be
 //! longer than the true shortest path. These helpers quantify that cost.
 
-use crate::tables::{route, RoutingState};
+use crate::tables::BackboneRoutes;
 use pacds_graph::{algo, Graph, NodeId};
 use serde::Serialize;
 
-/// Stretch of one pair: routed hops minus shortest hops (`None` when either
-/// path does not exist).
-pub fn stretch(g: &Graph, state: &RoutingState, src: NodeId, dst: NodeId) -> Option<u32> {
-    let routed = route(g, state, src, dst).ok()?;
+/// Stretch of one pair under the installed `routes`: routed hops minus
+/// shortest hops (`None` when either path does not exist).
+pub fn stretch(g: &Graph, routes: &mut BackboneRoutes, src: NodeId, dst: NodeId) -> Option<u32> {
+    let mut routed = Vec::new();
+    routes.assemble(g, src, dst, &mut routed).ok()?;
     let shortest = algo::shortest_path(g, src, dst).ok()?;
     Some((routed.len() - shortest.len()) as u32)
 }
@@ -31,9 +32,10 @@ pub struct StretchSummary {
     pub optimal_fraction: f64,
 }
 
-/// Computes the [`StretchSummary`] over every ordered pair of distinct
-/// vertices connected in `g`.
-pub fn stretch_summary(g: &Graph, state: &RoutingState) -> StretchSummary {
+/// Computes the [`StretchSummary`] of the installed `routes` over every
+/// ordered pair of distinct vertices connected in `g`.
+pub fn stretch_summary(g: &Graph, routes: &mut BackboneRoutes) -> StretchSummary {
+    let mut path = Vec::new();
     let mut pairs = 0usize;
     let mut failures = 0usize;
     let mut total_extra = 0u64;
@@ -45,8 +47,8 @@ pub fn stretch_summary(g: &Graph, state: &RoutingState) -> StretchSummary {
             if s == t || dist[t as usize] == u32::MAX {
                 continue;
             }
-            match route(g, state, s, t) {
-                Ok(path) => {
+            match routes.assemble(g, s, t, &mut path) {
+                Ok(()) => {
                     let extra = (path.len() as u32 - 1) - dist[t as usize];
                     pairs += 1;
                     total_extra += u64::from(extra);
@@ -83,12 +85,17 @@ mod tests {
     use pacds_graph::gen;
     use rand::SeedableRng;
 
+    fn installed(gateway: &[bool]) -> BackboneRoutes {
+        let mut routes = BackboneRoutes::new();
+        routes.install(gateway, &vec![true; gateway.len()]);
+        routes
+    }
+
     #[test]
     fn marking_output_has_low_stretch_on_paths() {
         let g = gen::path(8);
         let m = marking(&g);
-        let state = RoutingState::build(&g, &m);
-        let s = stretch_summary(&g, &state);
+        let s = stretch_summary(&g, &mut installed(&m));
         assert_eq!(s.failures, 0);
         assert_eq!(s.max_extra_hops, 0, "path marking keeps all interior vertices");
         assert_eq!(s.optimal_fraction, 1.0);
@@ -99,8 +106,8 @@ mod tests {
         // Cycle C6 with gateways forced to one arc: pairs across the gap
         // must detour the long way round.
         let g = gen::cycle(6);
-        let state = RoutingState::build(&g, &[true, true, true, true, false, false]);
-        let s = stretch_summary(&g, &state);
+        let mut routes = installed(&[true, true, true, true, false, false]);
+        let s = stretch_summary(&g, &mut routes);
         assert_eq!(s.failures, 0);
         assert!(s.max_extra_hops >= 2, "detour must cost extra hops: {s:?}");
         assert!(s.mean_extra_hops > 0.0);
@@ -110,11 +117,11 @@ mod tests {
     #[test]
     fn single_pair_stretch() {
         let g = gen::cycle(6);
-        let state = RoutingState::build(&g, &[true, true, true, true, false, false]);
+        let mut routes = installed(&[true, true, true, true, false, false]);
         // 4 -> 5 is a direct edge: stretch 0.
-        assert_eq!(stretch(&g, &state, 4, 5), Some(0));
+        assert_eq!(stretch(&g, &mut routes, 4, 5), Some(0));
         // 3 -> 5: shortest 3-4-5 (2 hops); routed 3-2-1-0-5 (4 hops): +2.
-        assert_eq!(stretch(&g, &state, 3, 5), Some(2));
+        assert_eq!(stretch(&g, &mut routes, 3, 5), Some(2));
     }
 
     #[test]
@@ -126,8 +133,7 @@ mod tests {
                 continue;
             }
             let cds = compute_cds(&CdsInput::new(&g), &CdsConfig::policy(Policy::Id));
-            let state = RoutingState::build(&g, &cds);
-            let s = stretch_summary(&g, &state);
+            let s = stretch_summary(&g, &mut installed(&cds));
             assert_eq!(s.failures, 0, "CDS routing must reach every pair");
             // Entering and leaving the overlay costs at most 2 extra hops
             // beyond the overlay's own detour; sanity-bound the mean.

@@ -2,9 +2,16 @@
 
 use pacds_core::{compute_cds, CdsConfig, CdsInput, Policy};
 use pacds_graph::{algo, gen, Graph, NodeId};
-use pacds_routing::{backbone_robustness, flood_cost, route, stretch_summary, RoutingState};
+use pacds_routing::{backbone_robustness, flood_cost, stretch_summary, BackboneRoutes};
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+/// Tables installed for `gateway` with every host alive.
+fn installed(gateway: &[bool]) -> BackboneRoutes {
+    let mut routes = BackboneRoutes::new();
+    routes.install(gateway, &vec![true; gateway.len()]);
+    routes
+}
 
 /// A connected unit-disk graph at paper parameters.
 fn connected_udg() -> impl Strategy<Value = Graph> {
@@ -24,13 +31,13 @@ proptest! {
     #[test]
     fn every_pair_routes_and_walks_are_valid(g in connected_udg()) {
         let cds = compute_cds(&CdsInput::new(&g), &CdsConfig::policy(Policy::Degree));
-        let state = RoutingState::build(&g, &cds);
+        let mut routes = installed(&cds);
         let n = g.n() as NodeId;
+        let mut path = Vec::new();
         for s in 0..n {
             for t in 0..n {
-                let path = route(&g, &state, s, t);
-                prop_assert!(path.is_ok(), "{s}->{t}: {path:?}");
-                let path = path.unwrap();
+                let r = routes.assemble(&g, s, t, &mut path);
+                prop_assert!(r.is_ok(), "{s}->{t}: {r:?}");
                 prop_assert_eq!(path.first(), Some(&s));
                 prop_assert_eq!(path.last(), Some(&t));
                 prop_assert!(path.windows(2).all(|w| g.has_edge(w[0], w[1])));
@@ -45,8 +52,7 @@ proptest! {
     fn stretch_is_never_negative_and_failures_zero(g in connected_udg()) {
         for policy in [Policy::NoPruning, Policy::Id, Policy::Degree] {
             let cds = compute_cds(&CdsInput::new(&g), &CdsConfig::policy(policy));
-            let state = RoutingState::build(&g, &cds);
-            let s = stretch_summary(&g, &state);
+            let s = stretch_summary(&g, &mut installed(&cds));
             prop_assert_eq!(s.failures, 0, "{:?}", policy);
             prop_assert!(s.mean_extra_hops >= 0.0);
             prop_assert!(s.optimal_fraction >= 0.0 && s.optimal_fraction <= 1.0);
@@ -76,14 +82,5 @@ proptest! {
         prop_assert!(r.sole_dominators.iter().all(|&v| cds[v as usize]));
         prop_assert!(r.backbone_cut_vertices.len() + r.sole_dominators.len()
             >= (r.spof_fraction * r.gateways as f64).round() as usize);
-    }
-
-    #[test]
-    fn tables_agree_with_restricted_bfs(g in connected_udg()) {
-        if g.n() <= 35 {
-            let cds = compute_cds(&CdsInput::new(&g), &CdsConfig::policy(Policy::Id));
-            let state = RoutingState::build(&g, &cds);
-            prop_assert!(pacds_routing::tables::tables_consistent(&g, &state));
-        }
     }
 }

@@ -15,7 +15,7 @@
 use pacds::core::{compute_cds, CdsConfig, CdsInput, Policy};
 use pacds::graph::gen;
 use pacds::mobility::{MobilityModel, RandomWaypoint};
-use pacds::routing::{flood_cost, route, RoutingState};
+use pacds::routing::{flood_cost, BackboneRoutes};
 use rand::{Rng, SeedableRng};
 
 const N: usize = 150;
@@ -34,6 +34,8 @@ fn main() {
     let mut delivered = 0u64;
     let mut undeliverable = 0u64;
     let mut backbone_sizes = Vec::new();
+    let alive = [true; N];
+    let mut path = Vec::new();
 
     println!("deploying {N} responders over {SIDE}x{SIDE} m, radio range {RADIUS} m\n");
 
@@ -45,7 +47,9 @@ fn main() {
             &CdsConfig::policy(Policy::EnergyDegree),
         );
         backbone_sizes.push(gateways.iter().filter(|&&b| b).count());
-        let tables = RoutingState::build(&graph, &gateways);
+        // Responders move between intervals: route over fresh tables.
+        let mut tables = BackboneRoutes::new();
+        tables.install(&gateways, &alive);
 
         if interval == 0 {
             // Show the initial field and the cost of a coordination flood.
@@ -68,8 +72,8 @@ fn main() {
         for _ in 0..FLOWS_PER_INTERVAL {
             let s = rng.random_range(0..N) as u32;
             let t = rng.random_range(0..N) as u32;
-            match route(&graph, &tables, s, t) {
-                Ok(path) => {
+            match tables.assemble(&graph, s, t, &mut path) {
+                Ok(()) => {
                     delivered += 1;
                     if path.len() > 2 {
                         for &hop in &path[1..path.len() - 1] {

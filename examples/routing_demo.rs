@@ -8,7 +8,7 @@
 
 use pacds::core::{compute_cds, CdsConfig, CdsInput, Policy};
 use pacds::graph::gen;
-use pacds::routing::{route, stretch_summary, RoutingState};
+use pacds::routing::{stretch_summary, BackboneRoutes};
 use rand::SeedableRng;
 
 fn main() {
@@ -23,8 +23,9 @@ fn main() {
     };
 
     let cds = compute_cds(&CdsInput::new(&graph), &CdsConfig::policy(Policy::Degree));
-    let state = RoutingState::build(&graph, &cds);
-    let gateways = state.gateways();
+    let mut routes = BackboneRoutes::new();
+    routes.install(&cds, &vec![true; graph.n()]);
+    let gateways = pacds::graph::mask_to_vec(&cds);
     println!(
         "{} hosts, {} links; gateway overlay: {:?}\n",
         graph.n(),
@@ -32,29 +33,38 @@ fn main() {
         gateways
     );
 
-    // A Figure 2(c)-style routing table at the first gateway.
+    // A Figure 2(c)-style routing table at the first gateway: each row's
+    // distance and next hop come from the route to that gateway.
     let at = gateways[0];
+    let mut path = Vec::new();
     println!("gateway routing table at host {at}:");
     println!("{:>8} {:>9} {:>9}  domain members", "gateway", "distance", "next hop");
-    for row in state.routing_table(at) {
-        println!(
-            "{:>8} {:>9} {:>9}  {:?}",
-            row.gateway, row.distance, row.next_hop, row.members
-        );
+    for &h in &gateways {
+        if routes.assemble(&graph, at, h, &mut path).is_err() {
+            continue;
+        }
+        let members: Vec<u32> = graph
+            .neighbors(h)
+            .iter()
+            .copied()
+            .filter(|&u| !cds[u as usize])
+            .collect();
+        let next_hop = path.get(1).copied().unwrap_or(at);
+        println!("{h:>8} {:>9} {next_hop:>9}  {members:?}", path.len() - 1);
     }
 
     // Route a few packets with the three-step procedure.
     println!("\nsample routes (3-step procedure):");
     let n = graph.n() as u32;
     for (s, t) in [(0u32, n - 1), (1, n / 2), (n / 3, n - 2)] {
-        match route(&graph, &state, s, t) {
-            Ok(path) => println!("  {s:>3} -> {t:<3}  {path:?}"),
+        match routes.assemble(&graph, s, t, &mut path) {
+            Ok(()) => println!("  {s:>3} -> {t:<3}  {path:?}"),
             Err(e) => println!("  {s:>3} -> {t:<3}  failed: {e}"),
         }
     }
 
     // How much longer are overlay routes than true shortest paths?
-    let s = stretch_summary(&graph, &state);
+    let s = stretch_summary(&graph, &mut routes);
     println!(
         "\nstretch over {} pairs: mean +{:.3} hops, max +{}, {:.1}% optimal, {} failures",
         s.pairs,

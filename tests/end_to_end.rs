@@ -5,9 +5,16 @@
 use pacds::core::{compute_cds, CdsConfig, CdsInput, Policy};
 use pacds::distributed::{run_distributed, run_distributed_sequential};
 use pacds::graph::{algo, gen, NodeId};
-use pacds::routing::{route, stretch_summary, RoutingState};
+use pacds::routing::{stretch_summary, BackboneRoutes};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Route tables installed for `gateway` with every host alive.
+fn installed(gateway: &[bool]) -> BackboneRoutes {
+    let mut routes = BackboneRoutes::new();
+    routes.install(gateway, &vec![true; gateway.len()]);
+    routes
+}
 
 fn connected_network(n: usize, seed: u64) -> pacds::graph::Graph {
     let bounds = pacds::geom::Rect::paper_arena();
@@ -31,10 +38,12 @@ fn every_policy_supports_full_packet_delivery() {
                 &CdsInput::with_energy(&g, &energy),
                 &CdsConfig::policy(policy),
             );
-            let state = RoutingState::build(&g, &cds);
+            let mut routes = installed(&cds);
+            let mut path = Vec::new();
             for s in (0..g.n() as NodeId).step_by(5) {
                 for t in (0..g.n() as NodeId).step_by(7) {
-                    let path = route(&g, &state, s, t)
+                    routes
+                        .assemble(&g, s, t, &mut path)
                         .unwrap_or_else(|e| panic!("{policy:?} {s}->{t}: {e}"));
                     assert_eq!(path.first(), Some(&s));
                     assert_eq!(path.last(), Some(&t));
@@ -53,8 +62,8 @@ fn pruning_trades_set_size_for_stretch() {
     let count = |m: &[bool]| m.iter().filter(|&&b| b).count();
     assert!(count(&nd) <= count(&nr));
 
-    let s_nr = stretch_summary(&g, &RoutingState::build(&g, &nr));
-    let s_nd = stretch_summary(&g, &RoutingState::build(&g, &nd));
+    let s_nr = stretch_summary(&g, &mut installed(&nr));
+    let s_nd = stretch_summary(&g, &mut installed(&nd));
     assert_eq!(s_nr.failures, 0);
     // NR satisfies Property 3: every pair routes along a true shortest path
     // except for the enter/leave hops.
