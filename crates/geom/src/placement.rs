@@ -161,7 +161,11 @@ mod tests {
             }
             let roots: std::collections::HashSet<usize> =
                 (0..n).map(|v| find(&mut parent, v)).collect();
-            assert!(roots.len() <= 1, "n={n} split into {} components", roots.len());
+            assert!(
+                roots.len() <= 1,
+                "n={n} split into {} components",
+                roots.len()
+            );
         }
     }
 

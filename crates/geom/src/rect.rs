@@ -146,14 +146,22 @@ mod tests {
     #[test]
     fn clamp_stops_at_walls() {
         let r = Rect::square(100.0);
-        let p = r.step(Point2::new(99.0, 50.0), Vec2::new(6.0, 0.0), Boundary::Clamp);
+        let p = r.step(
+            Point2::new(99.0, 50.0),
+            Vec2::new(6.0, 0.0),
+            Boundary::Clamp,
+        );
         assert_eq!(p, Point2::new(100.0, 50.0));
     }
 
     #[test]
     fn reflect_bounces_back() {
         let r = Rect::square(100.0);
-        let p = r.step(Point2::new(99.0, 50.0), Vec2::new(6.0, 0.0), Boundary::Reflect);
+        let p = r.step(
+            Point2::new(99.0, 50.0),
+            Vec2::new(6.0, 0.0),
+            Boundary::Reflect,
+        );
         assert!((p.x - 95.0).abs() < 1e-12);
         assert_eq!(p.y, 50.0);
     }
@@ -169,7 +177,11 @@ mod tests {
     #[test]
     fn torus_wraps_around() {
         let r = Rect::square(100.0);
-        let p = r.step(Point2::new(99.0, 50.0), Vec2::new(6.0, 0.0), Boundary::Torus);
+        let p = r.step(
+            Point2::new(99.0, 50.0),
+            Vec2::new(6.0, 0.0),
+            Boundary::Torus,
+        );
         assert!((p.x - 5.0).abs() < 1e-12);
     }
 

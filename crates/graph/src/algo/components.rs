@@ -90,7 +90,9 @@ pub fn largest_component(g: &Graph) -> Vec<bool> {
     for &l in &labels {
         sizes[l as usize] += 1;
     }
-    let best = (0..k).max_by_key(|&i| (sizes[i], std::cmp::Reverse(i))).unwrap_or(0);
+    let best = (0..k)
+        .max_by_key(|&i| (sizes[i], std::cmp::Reverse(i)))
+        .unwrap_or(0);
     labels.iter().map(|&l| l as usize == best).collect()
 }
 

@@ -158,10 +158,7 @@ mod tests {
     fn barbell_bridge() {
         // Two triangles joined by one edge: that edge is the only bridge,
         // its endpoints the only cuts.
-        let g = Graph::from_edges(
-            6,
-            &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
-        );
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
         let cuts = articulation_points(&g);
         assert_eq!(cuts, vec![false, false, true, true, false, false]);
         assert_eq!(bridges(&g), vec![(2, 3)]);

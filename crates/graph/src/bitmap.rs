@@ -314,12 +314,11 @@ mod tests {
             let g = gen::gnp(&mut rng, 40, 0.15);
             let bm = NeighborBitmap::build(&g);
             let target = rng.random_range(0..40) as NodeId;
-            let members: Vec<NodeId> = (0..40u32)
-                .filter(|_| rng.random_range(0..4) == 0)
-                .collect();
-            let naive = g.neighbors(target).iter().all(|&x| {
-                members.contains(&x) || members.iter().any(|&m| g.has_edge(m, x))
-            });
+            let members: Vec<NodeId> = (0..40u32).filter(|_| rng.random_range(0..4) == 0).collect();
+            let naive = g
+                .neighbors(target)
+                .iter()
+                .all(|&x| members.contains(&x) || members.iter().any(|&m| g.has_edge(m, x)));
             assert_eq!(bm.union_covers(target, &members), naive);
         }
     }

@@ -127,7 +127,10 @@ pub fn fold_edges<D: DigestSink>(d: &mut D, n: usize, sorted_edges: &[(NodeId, N
     let mut prev: Option<(NodeId, NodeId)> = None;
     for &(u, v) in sorted_edges {
         debug_assert!(u < v, "edge ({u}, {v}) not canonicalised");
-        debug_assert!(prev.is_none_or(|p| p < (u, v)), "edge list not sorted/deduped");
+        debug_assert!(
+            prev.is_none_or(|p| p < (u, v)),
+            "edge list not sorted/deduped"
+        );
         prev = Some((u, v));
         d.write_u32(u);
         d.write_u32(v);
@@ -168,7 +171,12 @@ pub fn graph_digest<G: Neighbors + ?Sized>(g: &G) -> u64 {
 /// rejects them before keying.
 pub fn canonicalize_edges(edges: &mut Vec<(NodeId, NodeId)>) {
     for e in edges.iter_mut() {
-        assert!(e.0 != e.1, "self-loop ({}, {}) cannot be canonicalised", e.0, e.1);
+        assert!(
+            e.0 != e.1,
+            "self-loop ({}, {}) cannot be canonicalised",
+            e.0,
+            e.1
+        );
         if e.0 > e.1 {
             *e = (e.1, e.0);
         }
@@ -204,13 +212,22 @@ mod tests {
         let base = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
         let a = graph_digest(&base);
         // Extra edge.
-        assert_ne!(a, graph_digest(&Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)])));
+        assert_ne!(
+            a,
+            graph_digest(&Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]))
+        );
         // Missing edge.
         assert_ne!(a, graph_digest(&Graph::from_edges(5, &[(0, 1), (1, 2)])));
         // Rewired edge.
-        assert_ne!(a, graph_digest(&Graph::from_edges(5, &[(0, 1), (1, 2), (2, 4)])));
+        assert_ne!(
+            a,
+            graph_digest(&Graph::from_edges(5, &[(0, 1), (1, 2), (2, 4)]))
+        );
         // Same edges, different vertex count (trailing isolate).
-        assert_ne!(a, graph_digest(&Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3)])));
+        assert_ne!(
+            a,
+            graph_digest(&Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3)]))
+        );
         // Edgeless graphs of different sizes differ too.
         assert_ne!(graph_digest(&Graph::new(3)), graph_digest(&Graph::new(4)));
     }

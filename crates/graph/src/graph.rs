@@ -108,9 +108,7 @@ impl Graph {
     /// Whether edge `{u, v}` exists.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u != v
-            && (u as usize) < self.n()
-            && self.adj[u as usize].binary_search(&v).is_ok()
+        u != v && (u as usize) < self.n() && self.adj[u as usize].binary_search(&v).is_ok()
     }
 
     /// The open neighbour set `N(v)`, sorted ascending.
@@ -152,7 +150,10 @@ impl Graph {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
             let u = u as NodeId;
-            nbrs.iter().copied().filter(move |&v| u < v).map(move |v| (u, v))
+            nbrs.iter()
+                .copied()
+                .filter(move |&v| u < v)
+                .map(move |v| (u, v))
         })
     }
 
@@ -444,7 +445,12 @@ mod tests {
     fn rebuild_from_copies_structure_across_sizes() {
         let mut dst = Graph::new(0);
         // Grow, shrink, grow again — stale rows must not leak through.
-        for src in [figure1(), Graph::from_edges(2, &[(0, 1)]), figure1(), Graph::new(0)] {
+        for src in [
+            figure1(),
+            Graph::from_edges(2, &[(0, 1)]),
+            figure1(),
+            Graph::new(0),
+        ] {
             dst.rebuild_from(&src);
             assert_eq!(dst, src);
         }

@@ -29,8 +29,8 @@ pub mod kernels;
 pub mod neighbors;
 
 pub use bitmap::NeighborBitmap;
-pub use digest::{canonicalize_edges, graph_digest};
 pub use csr::CsrGraph;
+pub use digest::{canonicalize_edges, graph_digest};
 pub use graph::{Graph, NodeId};
 pub use neighbors::Neighbors;
 

@@ -42,10 +42,16 @@ impl fmt::Display for UnshardableReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::SequentialApplication => {
-                write!(f, "sequential application: global visit order is not shardable")
+                write!(
+                    f,
+                    "sequential application: global visit order is not shardable"
+                )
             }
             Self::FixpointSchedule => {
-                write!(f, "fixpoint schedule: unbounded rounds exceed any fixed halo")
+                write!(
+                    f,
+                    "fixpoint schedule: unbounded rounds exceed any fixed halo"
+                )
             }
             Self::CaseAnalysisRule2 => {
                 write!(f, "case-analysis Rule 2: not stable under halo truncation")
@@ -172,7 +178,9 @@ pub fn check_shardable(cfg: &CdsConfig) -> Result<(), ShardError> {
         return Err(ShardError::Unshardable(UnshardableReason::FixpointSchedule));
     }
     if cfg.policy.prunes() && cfg.rule2_semantics() == Rule2Semantics::CaseAnalysis {
-        return Err(ShardError::Unshardable(UnshardableReason::CaseAnalysisRule2));
+        return Err(ShardError::Unshardable(
+            UnshardableReason::CaseAnalysisRule2,
+        ));
     }
     Ok(())
 }
@@ -225,7 +233,9 @@ mod tests {
         let paper = CdsConfig::paper(Policy::Degree);
         assert_eq!(
             check_shardable(&paper),
-            Err(ShardError::Unshardable(UnshardableReason::CaseAnalysisRule2))
+            Err(ShardError::Unshardable(
+                UnshardableReason::CaseAnalysisRule2
+            ))
         );
         // Id forces min-of-three, so the paper config of Id shards.
         assert_eq!(check_shardable(&CdsConfig::paper(Policy::Id)), Ok(()));

@@ -14,8 +14,7 @@ use pacds_core::CdsConfig;
 use pacds_geom::Rect;
 use pacds_shard::{check_shardable, ChurnEngine, ChurnError, ShardSpec};
 use pacds_testkit::churn::{
-    corpus_traces, derived_grid_traces, first_divergence, shardable_matrix, ChurnTrace,
-    TraceArena,
+    corpus_traces, derived_grid_traces, first_divergence, shardable_matrix, ChurnTrace, TraceArena,
 };
 use pacds_testkit::harness::full_config_matrix;
 use pacds_testkit::ChurnReport;
@@ -72,7 +71,11 @@ fn derived_grid_churn_replays_every_trace_family() {
             report.check_trace(&trace, &cfg);
         }
     }
-    assert_eq!(report.replays, 4 * 7, "every family under every shardable config");
+    assert_eq!(
+        report.replays,
+        4 * 7,
+        "every family under every shardable config"
+    );
     report.finish();
 }
 

@@ -20,7 +20,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// From-scratch masked recompute of the engine's current live topology.
-fn scratch_masks(eng: &ChurnEngine, bounds: Rect, radius: f64) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
+fn scratch_masks(
+    eng: &ChurnEngine,
+    bounds: Rect,
+    radius: f64,
+) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
     let mut scratch = ShardedCds::new(ShardSpec::new(eng.tiles())).unwrap();
     let off = eng.off_mask();
     scratch
