@@ -1,9 +1,10 @@
-//! Micro-benchmarks of the substrates: unit-disk construction (grid vs
-//! naive), neighbourhood bitmaps, and BFS floods.
+//! Micro-benchmarks of the substrates: unit-disk construction (cell
+//! binning vs naive, and the warm-scratch CSR builds), neighbourhood
+//! bitmaps, and BFS floods.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pacds_geom::{placement, Rect, SpatialGrid};
-use pacds_graph::{algo, gen, NeighborBitmap};
+use pacds_geom::{placement, Rect};
+use pacds_graph::{algo, gen, CsrGraph, NeighborBitmap};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -31,21 +32,25 @@ fn bench_unit_disk(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_spatial_grid(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spatial_grid");
+fn bench_unit_disk_csr(c: &mut Criterion) {
+    // The interval-loop build: CSR straight from the points on warm
+    // scratch, whole graph and one induced subset.
+    let mut group = c.benchmark_group("unit_disk_csr");
     let pts = points(2000, 450.0, 8);
     let bounds = Rect::square(450.0);
-    group.bench_function("build/2000", |b| {
-        b.iter(|| black_box(SpatialGrid::build(bounds, 25.0, &pts)))
-    });
-    let grid = SpatialGrid::build(bounds, 25.0, &pts);
-    group.bench_function("query_all/2000", |b| {
+    let (mut out, mut scratch) = (CsrGraph::new(), gen::UnitDiskScratch::new());
+    gen::unit_disk_csr(bounds, 25.0, &pts, None, &mut out, &mut scratch);
+    group.bench_function("warm/2000", |b| {
         b.iter(|| {
-            let mut acc = 0usize;
-            for (i, &p) in pts.iter().enumerate() {
-                grid.for_each_within(p, 25.0, i, |_| acc += 1);
-            }
-            black_box(acc)
+            gen::unit_disk_csr(bounds, 25.0, &pts, None, &mut out, &mut scratch);
+            black_box(out.m())
+        })
+    });
+    let subset: Vec<u32> = (0..2000).step_by(2).collect();
+    group.bench_function("subset_warm/1000", |b| {
+        b.iter(|| {
+            gen::unit_disk_csr_subset(25.0, &pts, &subset, &mut out, &mut scratch);
+            black_box(out.m())
         })
     });
     group.finish();
@@ -68,5 +73,5 @@ fn bench_graph_algos(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_unit_disk, bench_spatial_grid, bench_graph_algos);
+criterion_group!(benches, bench_unit_disk, bench_unit_disk_csr, bench_graph_algos);
 criterion_main!(benches);

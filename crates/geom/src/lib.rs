@@ -10,19 +10,14 @@
 //!   by the mobility models (clamp, reflect, torus).
 //! * [`Compass`] — the paper's eight movement directions (E, S, W, N, SE,
 //!   NE, SW, NW).
-//! * [`SpatialGrid`] — a uniform hash grid that answers "all points within
-//!   radius r" queries in expected O(1) per neighbour, used to build
-//!   unit-disk graphs in O(n) instead of O(n^2).
 //! * [`placement`] — random uniform host placement.
 
 pub mod direction;
-pub mod grid;
 pub mod placement;
 pub mod point;
 pub mod rect;
 
 pub use direction::Compass;
-pub use grid::SpatialGrid;
 pub use point::{Point2, Vec2};
 pub use rect::{Boundary, Rect};
 

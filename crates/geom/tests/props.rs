@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use pacds_geom::{placement, Boundary, Compass, Point2, Rect, SpatialGrid, Vec2};
+use pacds_geom::{placement, Boundary, Compass, Point2, Rect, Vec2};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -54,26 +54,6 @@ proptest! {
         );
         let q = bounds.reflect(p);
         prop_assert!((p.x - q.x).abs() < 1e-9 && (p.y - q.y).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grid_queries_match_brute_force(
-        seed in any::<u64>(),
-        n in 0usize..150,
-        radius in 1.0f64..60.0,
-    ) {
-        let bounds = Rect::square(100.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pts = placement::uniform_points(&mut rng, bounds, n);
-        let grid = SpatialGrid::build(bounds, radius, &pts);
-        for i in 0..n {
-            let mut fast = grid.neighbors_of(i, radius);
-            fast.sort_unstable();
-            let slow: Vec<usize> = (0..n)
-                .filter(|&j| j != i && pts[i].within(pts[j], radius))
-                .collect();
-            prop_assert_eq!(&fast, &slow, "i={} r={}", i, radius);
-        }
     }
 
     #[test]

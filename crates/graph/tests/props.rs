@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
-use pacds_graph::{algo, gen, Graph, NeighborBitmap, NodeId};
+use pacds_geom::{placement, Point2, Rect};
+use pacds_graph::{algo, gen, CsrGraph, Graph, NeighborBitmap, NodeId};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -11,11 +12,35 @@ fn random_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-fn random_points() -> impl Strategy<Value = Vec<pacds_geom::Point2>> {
-    (0usize..80, any::<u64>()).prop_map(|(n, seed)| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        pacds_geom::placement::uniform_points(&mut rng, pacds_geom::Rect::paper_arena(), n)
-    })
+/// A random arena anywhere in the plane, a radius from a tiny fraction of
+/// it to more than its size, and points that may fall outside it (binning
+/// clamps them into the arena; distances use their true positions).
+fn random_arena_points() -> impl Strategy<Value = (Rect, f64, Vec<Point2>)> {
+    (
+        (
+            -100.0f64..100.0,
+            -100.0f64..100.0,
+            1.0f64..300.0,
+            1.0f64..300.0,
+        ),
+        0.5f64..80.0,
+        (0usize..150, 0.0f64..0.5, any::<u64>()),
+    )
+        .prop_map(|((x0, y0, w, h), radius, (n, spill, seed))| {
+            let bounds = Rect::new(x0, y0, x0 + w, y0 + h);
+            let around = Rect::new(
+                x0 - spill * w,
+                y0 - spill * h,
+                x0 + w + spill * w,
+                y0 + h + spill * h,
+            );
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            (
+                bounds,
+                radius,
+                placement::uniform_points(&mut rng, around, n),
+            )
+        })
 }
 
 proptest! {
@@ -38,12 +63,23 @@ proptest! {
     }
 
     #[test]
-    fn unit_disk_grid_equals_naive(pts in random_points()) {
-        let bounds = pacds_geom::Rect::paper_arena();
-        prop_assert_eq!(
-            gen::unit_disk(bounds, 25.0, &pts),
-            gen::unit_disk_naive(25.0, &pts)
-        );
+    fn unit_disk_grid_equals_naive(
+        (bounds, radius, pts) in random_arena_points(),
+        stride in 1usize..4,
+    ) {
+        let whole = gen::unit_disk(bounds, radius, &pts);
+        prop_assert_eq!(&whole, &gen::unit_disk_naive(radius, &pts));
+        // The induced-subgraph build bins over the subset's own bounding
+        // box; it must agree with the whole graph restricted to the subset.
+        let subset: Vec<u32> = (0..pts.len() as u32).step_by(stride).collect();
+        let mut sub = CsrGraph::new();
+        gen::unit_disk_csr_subset(radius, &pts, &subset, &mut sub, &mut gen::UnitDiskScratch::new());
+        for (li, &g) in subset.iter().enumerate() {
+            let row: Vec<u32> = sub.neighbors(li as NodeId).iter().map(|&lj| subset[lj as usize]).collect();
+            let expected: Vec<u32> =
+                whole.neighbors(g).iter().copied().filter(|&v| (v as usize).is_multiple_of(stride)).collect();
+            prop_assert_eq!(row, expected, "local {}", li);
+        }
     }
 
     #[test]

@@ -57,6 +57,7 @@ mod churn;
 mod engine;
 mod error;
 mod pool;
+mod tiles;
 
 pub use churn::{ChurnEngine, ChurnEvent, ChurnStats, ChurnTotals};
 pub use engine::{ShardSpec, ShardStats, ShardedCds, ThreadWork};
