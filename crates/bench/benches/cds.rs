@@ -40,7 +40,12 @@ fn bench_rule_passes(c: &mut Criterion) {
     let (g, energy) = udg(100, 43);
     let bm = NeighborBitmap::build(&g);
     let marked = marking(&g);
-    for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+    for policy in [
+        Policy::Id,
+        Policy::Degree,
+        Policy::Energy,
+        Policy::EnergyDegree,
+    ] {
         let key = PriorityKey::build(policy, &g, Some(&energy));
         group.bench_function(format!("rule1/{}", policy.label()), |b| {
             b.iter(|| black_box(rule1_pass(&g, &bm, &marked, &key, None)))
@@ -81,12 +86,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         for policy in Policy::ALL {
             let cfg = CdsConfig::paper(policy);
             group.bench_function(format!("{}/{}", policy.label(), n), |b| {
-                b.iter(|| {
-                    black_box(compute_cds(
-                        &CdsInput::with_energy(&g, &energy),
-                        &cfg,
-                    ))
-                })
+                b.iter(|| black_box(compute_cds(&CdsInput::with_energy(&g, &energy), &cfg)))
             });
         }
     }

@@ -14,16 +14,13 @@ fn bench_lifetime_runs(c: &mut Criterion) {
     for model in [DrainModel::LinearInN, DrainModel::QuadraticInN] {
         for policy in [Policy::Id, Policy::Energy] {
             let cfg = SimConfig::paper(50, policy, model);
-            group.bench_function(
-                format!("{}/{}", policy.label(), model.label()),
-                |b| {
-                    b.iter(|| {
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-                        let sim = Simulation::new(cfg, &mut rng).without_verification();
-                        black_box(sim.run_lifetime(&mut rng))
-                    })
-                },
-            );
+            group.bench_function(format!("{}/{}", policy.label(), model.label()), |b| {
+                b.iter(|| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+                    let sim = Simulation::new(cfg, &mut rng).without_verification();
+                    black_box(sim.run_lifetime(&mut rng))
+                })
+            });
         }
     }
     group.finish();

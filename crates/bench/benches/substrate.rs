@@ -73,5 +73,10 @@ fn bench_graph_algos(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_unit_disk, bench_unit_disk_csr, bench_graph_algos);
+criterion_group!(
+    benches,
+    bench_unit_disk,
+    bench_unit_disk_csr,
+    bench_graph_algos
+);
 criterion_main!(benches);

@@ -43,11 +43,18 @@ impl Interval {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let positions = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
         let energy = (0..n).map(|i| (i as u64 * 7919) % 100).collect();
-        Self { bounds, positions, walk: PaperWalk::paper(), energy, rng }
+        Self {
+            bounds,
+            positions,
+            walk: PaperWalk::paper(),
+            energy,
+            rng,
+        }
     }
 
     fn step(&mut self) {
-        self.walk.step(&mut self.rng, self.bounds, &mut self.positions);
+        self.walk
+            .step(&mut self.rng, self.bounds, &mut self.positions);
     }
 }
 
@@ -56,20 +63,16 @@ fn bench_workspace(c: &mut Criterion) {
     let mut group = c.benchmark_group("workspace");
     group.sample_size(10);
     for n in [100usize, 1000, 10000] {
-        group.bench_with_input(
-            BenchmarkId::new("alloc_per_interval", n),
-            &n,
-            |b, &n| {
-                let mut iv = Interval::new(n, 42);
-                b.iter(|| {
-                    iv.step();
-                    let g = gen::unit_disk(iv.bounds, RADIUS, &iv.positions);
-                    let cds = compute_cds_seed(&g, Some(&iv.energy), &cfg);
-                    let _ = black_box(verify_cds(&g, &cds));
-                    black_box(cds)
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("alloc_per_interval", n), &n, |b, &n| {
+            let mut iv = Interval::new(n, 42);
+            b.iter(|| {
+                iv.step();
+                let g = gen::unit_disk(iv.bounds, RADIUS, &iv.positions);
+                let cds = compute_cds_seed(&g, Some(&iv.energy), &cfg);
+                let _ = black_box(verify_cds(&g, &cds));
+                black_box(cds)
+            })
+        });
         group.bench_with_input(BenchmarkId::new("reuse", n), &n, |b, &n| {
             let mut iv = Interval::new(n, 42);
             let mut csr = CsrGraph::new();

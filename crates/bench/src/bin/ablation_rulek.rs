@@ -11,9 +11,15 @@ use pacds_sim::{NetworkState, SimConfig, Summary};
 
 fn main() {
     let sweep = sweep_from_env();
-    eprintln!("ablation_rulek: sizes={:?} trials={}", sweep.sizes, sweep.trials);
+    eprintln!(
+        "ablation_rulek: sizes={:?} trials={}",
+        sweep.sizes, sweep.trials
+    );
     println!("# Pair rules (Rules 1+2, safe) vs Dai-Wu Rule k: gateway count");
-    println!("{:>6} {:>8} {:>12} {:>12}", "n", "policy", "pair rules", "rule k");
+    println!(
+        "{:>6} {:>8} {:>12} {:>12}",
+        "n", "policy", "pair rules", "rule k"
+    );
     for &n in &sweep.sizes {
         for policy in [Policy::Id, Policy::Degree, Policy::EnergyDegree] {
             let cfg = SimConfig::paper(n, policy, DrainModel::LinearInN);

@@ -20,7 +20,12 @@ fn main() {
         "n", "policy", "semantics", "lifetime", "|G'|"
     );
     for &n in &sweep.sizes {
-        for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+        for policy in [
+            Policy::Id,
+            Policy::Degree,
+            Policy::Energy,
+            Policy::EnergyDegree,
+        ] {
             for (name, cds) in [
                 ("safe", CdsConfig::policy(policy)),
                 ("literal", CdsConfig::paper(policy)),

@@ -60,7 +60,12 @@ fn sizes() -> Vec<usize> {
 /// One step's worth of mixed events: mostly small mobility hops, some
 /// drains, rare deaths and arrivals. Live-only events never target a
 /// host killed earlier in the same batch, so every batch applies fully.
-fn step_events(rng: &mut StdRng, engine: &ChurnEngine, bounds: Rect, count: usize) -> Vec<ChurnEvent> {
+fn step_events(
+    rng: &mut StdRng,
+    engine: &ChurnEngine,
+    bounds: Rect,
+    count: usize,
+) -> Vec<ChurnEvent> {
     let mut events = Vec::with_capacity(count);
     let mut killed = vec![false; engine.n()];
     while events.len() < count {

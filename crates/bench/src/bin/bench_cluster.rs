@@ -124,12 +124,9 @@ fn run_point(backends: usize, duration: Duration, concurrency: usize) -> Point {
     let hosted: Vec<ServerHandle> = (0..backends).map(|_| backend()).collect();
     let refs: Vec<&ServerHandle> = hosted.iter().collect();
     let mut coord = coordinator(&refs);
-    let report = pacds_serve::loadgen::run(&load_cfg(
-        coord.addr().to_string(),
-        duration,
-        concurrency,
-    ))
-    .expect("loadgen through coordinator");
+    let report =
+        pacds_serve::loadgen::run(&load_cfg(coord.addr().to_string(), duration, concurrency))
+            .expect("loadgen through coordinator");
     let state = coord.state();
     let routed: Vec<u64> = state
         .backends
@@ -157,12 +154,9 @@ fn run_kill_drill(backends: usize, duration: Duration, concurrency: usize) -> Po
         std::thread::sleep(duration / 2);
         victim.shutdown();
     });
-    let report = pacds_serve::loadgen::run(&load_cfg(
-        coord.addr().to_string(),
-        duration,
-        concurrency,
-    ))
-    .expect("loadgen through coordinator during the kill");
+    let report =
+        pacds_serve::loadgen::run(&load_cfg(coord.addr().to_string(), duration, concurrency))
+            .expect("loadgen through coordinator during the kill");
     killer.join().expect("killer thread");
     let state = coord.state();
     let routed: Vec<u64> = state
@@ -272,7 +266,11 @@ fn main() -> ExitCode {
     if let Some(s) = scaling_1_to_2 {
         println!(
             "scaling 1 -> 2 backends: {s:.2}x (machine_threads={machine_threads}, gate: {})",
-            if wall_clock_trusted { "wall-clock" } else { "counters" },
+            if wall_clock_trusted {
+                "wall-clock"
+            } else {
+                "counters"
+            },
         );
         if wall_clock_trusted && s < min_scaling {
             eprintln!("error: 1 -> 2 backend scaling {s:.2}x < required {min_scaling}x");
@@ -326,7 +324,11 @@ fn main() -> ExitCode {
         concurrency,
         env_or("PACDS_CLUSTER_N", 200usize),
         env_or("PACDS_CLUSTER_SEEDS", 64usize),
-        if wall_clock_trusted { "wall_clock" } else { "counters" },
+        if wall_clock_trusted {
+            "wall_clock"
+        } else {
+            "counters"
+        },
         min_scaling,
         scaling_1_to_2.map_or("null".into(), |s| format!("{s:.2}")),
         rows.join(",\n"),

@@ -142,7 +142,12 @@ fn main() -> ExitCode {
         while flow_ids.len() < flows {
             let s = rng.random_range(0..n as u32);
             let t = rng.random_range(0..n as u32);
-            if s == t || dp.routes_mut().assemble(net.graph(), s, t, &mut probe).is_err() {
+            if s == t
+                || dp
+                    .routes_mut()
+                    .assemble(net.graph(), s, t, &mut probe)
+                    .is_err()
+            {
                 continue; // self-flow, disconnected, or undominated pick: redraw
             }
             protected[s as usize] = true;
@@ -214,7 +219,8 @@ fn main() -> ExitCode {
             blind.reached, gateway_flood.reached,
             "gateway flood must keep full coverage"
         );
-        let reduction = 1.0 - gateway_flood.transmissions as f64 / blind.transmissions.max(1) as f64;
+        let reduction =
+            1.0 - gateway_flood.transmissions as f64 / blind.transmissions.max(1) as f64;
 
         // Kill → reroute: take one interior hop of an active route (a
         // gateway by construction), kill it, and drive the NACK →
@@ -262,7 +268,10 @@ fn main() -> ExitCode {
         dp.reset_packets();
 
         // The structural guarantee this subsystem exists for.
-        assert_eq!(rerouted.misroutes, 0, "packets were forwarded into a dead node");
+        assert_eq!(
+            rerouted.misroutes, 0,
+            "packets were forwarded into a dead node"
+        );
         // Deterministic for a given instance: the kill leaves every
         // destination gateway in place, so the reroute repairs the trees
         // it touches and builds none.

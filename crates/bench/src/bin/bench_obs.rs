@@ -74,7 +74,13 @@ impl Interval {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let positions = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
         let energy = (0..n).map(|i| (i as u64 * 7919) % 100).collect();
-        Self { bounds, positions, walk: PaperWalk::paper(), energy, rng }
+        Self {
+            bounds,
+            positions,
+            walk: PaperWalk::paper(),
+            energy,
+            rng,
+        }
     }
 }
 
@@ -102,7 +108,14 @@ fn measure(n: usize) -> f64 {
         let mut ws = CdsWorkspace::with_capacity(n);
         let ns = time_ns(2, iters, || {
             iv.walk.step(&mut iv.rng, iv.bounds, &mut iv.positions);
-            gen::unit_disk_csr(iv.bounds, RADIUS, &iv.positions, None, &mut csr, &mut scratch);
+            gen::unit_disk_csr(
+                iv.bounds,
+                RADIUS,
+                &iv.positions,
+                None,
+                &mut csr,
+                &mut scratch,
+            );
             ws.compute(&csr, Some(&iv.energy), &cfg);
             let _ = black_box(ws.verify_last(&csr));
             black_box(ws.gateway_count());
@@ -152,7 +165,10 @@ fn measure_churn(n: usize) -> f64 {
         // The churn engine treats energy 0 as exhausted; keep every host up.
         let energy: Vec<u64> = iv.energy.iter().map(|&e| e.max(1)).collect();
         let mut engine = pacds_shard::ChurnEngine::open(
-            pacds_shard::ShardSpec { threads: 1, ..pacds_shard::ShardSpec::auto() },
+            pacds_shard::ShardSpec {
+                threads: 1,
+                ..pacds_shard::ShardSpec::auto()
+            },
             iv.bounds,
             RADIUS,
             &iv.positions,
@@ -202,7 +218,14 @@ fn measure_dataplane(n: usize) -> f64 {
         let iv = Interval::new(n, 42 + rep as u64);
         let mut csr = CsrGraph::new();
         let mut scratch = gen::UnitDiskScratch::new();
-        gen::unit_disk_csr(iv.bounds, RADIUS, &iv.positions, None, &mut csr, &mut scratch);
+        gen::unit_disk_csr(
+            iv.bounds,
+            RADIUS,
+            &iv.positions,
+            None,
+            &mut csr,
+            &mut scratch,
+        );
         let mut ws = CdsWorkspace::with_capacity(n);
         ws.compute(&csr, Some(&iv.energy), &cfg);
         let alive = vec![true; n];
@@ -292,8 +315,8 @@ fn run_baseline() -> ExitCode {
         churn_rows.join(",\n"),
         dp_rows.join(",\n")
     );
-    let out = std::env::var("PACDS_OBS_BASELINE")
-        .unwrap_or_else(|_| "BENCH_obs_baseline.json".into());
+    let out =
+        std::env::var("PACDS_OBS_BASELINE").unwrap_or_else(|_| "BENCH_obs_baseline.json".into());
     match std::fs::write(&out, &json) {
         Ok(()) => {
             eprintln!("wrote {out}; now run with --features obs to compare");
@@ -307,8 +330,8 @@ fn run_baseline() -> ExitCode {
 }
 
 fn run_instrumented() -> ExitCode {
-    let baseline_path = std::env::var("PACDS_OBS_BASELINE")
-        .unwrap_or_else(|_| "BENCH_obs_baseline.json".into());
+    let baseline_path =
+        std::env::var("PACDS_OBS_BASELINE").unwrap_or_else(|_| "BENCH_obs_baseline.json".into());
     let text = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
         Err(e) => {
@@ -324,8 +347,7 @@ fn run_instrumented() -> ExitCode {
     // "ns_per_interval" / "n" are prefixes of the shard keys only in the
     // other direction, so plain extraction stays exact; the shard rows use
     // distinct "shard_n" / "shard_ns_per_interval" keys.
-    if base_ns.len() != SIZES.len()
-        || base_n.iter().map(|&v| v as usize).ne(SIZES.iter().copied())
+    if base_ns.len() != SIZES.len() || base_n.iter().map(|&v| v as usize).ne(SIZES.iter().copied())
     {
         eprintln!("error: baseline {baseline_path} does not cover sizes {SIZES:?}");
         return ExitCode::FAILURE;
@@ -333,7 +355,10 @@ fn run_instrumented() -> ExitCode {
     let shard_base_ns = extract_numbers(&text, "shard_ns_per_interval");
     let shard_base_n: Vec<f64> = extract_numbers(&text, "shard_n");
     if shard_base_ns.len() != SHARD_SIZES.len()
-        || shard_base_n.iter().map(|&v| v as usize).ne(SHARD_SIZES.iter().copied())
+        || shard_base_n
+            .iter()
+            .map(|&v| v as usize)
+            .ne(SHARD_SIZES.iter().copied())
     {
         eprintln!(
             "error: baseline {baseline_path} does not cover shard sizes {SHARD_SIZES:?}; \
@@ -344,7 +369,10 @@ fn run_instrumented() -> ExitCode {
     let churn_base_ns = extract_numbers(&text, "churn_ns_per_step");
     let churn_base_n: Vec<f64> = extract_numbers(&text, "churn_n");
     if churn_base_ns.len() != CHURN_SIZES.len()
-        || churn_base_n.iter().map(|&v| v as usize).ne(CHURN_SIZES.iter().copied())
+        || churn_base_n
+            .iter()
+            .map(|&v| v as usize)
+            .ne(CHURN_SIZES.iter().copied())
     {
         eprintln!(
             "error: baseline {baseline_path} does not cover churn sizes {CHURN_SIZES:?}; \
@@ -356,7 +384,10 @@ fn run_instrumented() -> ExitCode {
     let dp_base_ns = extract_numbers(&text, "dp_ns_per_wave");
     let dp_base_n: Vec<f64> = extract_numbers(&text, "dp_n");
     if dp_base_ns.len() != DP_SIZES.len()
-        || dp_base_n.iter().map(|&v| v as usize).ne(DP_SIZES.iter().copied())
+        || dp_base_n
+            .iter()
+            .map(|&v| v as usize)
+            .ne(DP_SIZES.iter().copied())
     {
         eprintln!(
             "error: baseline {baseline_path} does not cover dataplane sizes {DP_SIZES:?}; \
@@ -421,9 +452,27 @@ fn run_instrumented() -> ExitCode {
         rows
     };
     let rows = gate(&SIZES, &base_ns, "n", "", &measure);
-    let shard_rows = gate(&SHARD_SIZES, &shard_base_ns, "shard_n", " (sharded)", &measure_shard);
-    let churn_rows = gate(&CHURN_SIZES, &churn_base_ns, "churn_n", " (churn)", &measure_churn);
-    let dp_rows = gate(&DP_SIZES, &dp_base_ns, "dp_n", " (dataplane)", &measure_dataplane);
+    let shard_rows = gate(
+        &SHARD_SIZES,
+        &shard_base_ns,
+        "shard_n",
+        " (sharded)",
+        &measure_shard,
+    );
+    let churn_rows = gate(
+        &CHURN_SIZES,
+        &churn_base_ns,
+        "churn_n",
+        " (churn)",
+        &measure_churn,
+    );
+    let dp_rows = gate(
+        &DP_SIZES,
+        &dp_base_ns,
+        "dp_n",
+        " (dataplane)",
+        &measure_dataplane,
+    );
 
     // Prove the instrumented run actually recorded something: a ≤ 3%
     // number for a build where the counters silently compiled out would
@@ -484,7 +533,11 @@ fn run_instrumented() -> ExitCode {
         REPS,
         max_pct,
         pacds_obs::trace_enabled(),
-        if pacds_obs::trace_enabled() { TRACE_SAMPLE } else { 0 },
+        if pacds_obs::trace_enabled() {
+            TRACE_SAMPLE
+        } else {
+            0
+        },
         trace_spans,
         computes,
         shard_computes,

@@ -81,10 +81,7 @@ fn thread_counts() -> Vec<usize> {
         .split(',')
         .map(|t| t.trim().parse().expect("thread list: integers"))
         .collect();
-    assert!(
-        counts.iter().all(|&t| t >= 1),
-        "thread counts must be >= 1"
-    );
+    assert!(counts.iter().all(|&t| t >= 1), "thread counts must be >= 1");
     if !counts.contains(&1) {
         counts.insert(0, 1);
     }
@@ -134,7 +131,11 @@ fn run_sharded(
             work = engine.thread_work();
         }
     }
-    ShardRun { ns: best, stats, work }
+    ShardRun {
+        ns: best,
+        stats,
+        work,
+    }
 }
 
 fn join_u64<I: Iterator<Item = u64>>(it: I) -> String {

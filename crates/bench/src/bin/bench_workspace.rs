@@ -40,11 +40,18 @@ impl Interval {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let positions = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
         let energy = (0..n).map(|i| (i as u64 * 7919) % 100).collect();
-        Self { bounds, positions, walk: PaperWalk::paper(), energy, rng }
+        Self {
+            bounds,
+            positions,
+            walk: PaperWalk::paper(),
+            energy,
+            rng,
+        }
     }
 
     fn step(&mut self) {
-        self.walk.step(&mut self.rng, self.bounds, &mut self.positions);
+        self.walk
+            .step(&mut self.rng, self.bounds, &mut self.positions);
     }
 }
 
@@ -84,7 +91,14 @@ fn main() {
         let mut ws = CdsWorkspace::with_capacity(n);
         let reuse_ns = time_ns(5, iters, || {
             iv.step();
-            gen::unit_disk_csr(iv.bounds, RADIUS, &iv.positions, None, &mut csr, &mut scratch);
+            gen::unit_disk_csr(
+                iv.bounds,
+                RADIUS,
+                &iv.positions,
+                None,
+                &mut csr,
+                &mut scratch,
+            );
             ws.compute(&csr, Some(&iv.energy), &cfg);
             let _ = black_box(ws.verify_last(&csr));
             black_box(ws.gateway_count());

@@ -11,10 +11,18 @@ use pacds_sim::{NetworkState, SimConfig, Summary};
 
 fn main() {
     let sweep = sweep_from_env();
-    eprintln!("flood_savings: sizes={:?} trials={}", sweep.sizes, sweep.trials);
+    eprintln!(
+        "flood_savings: sizes={:?} trials={}",
+        sweep.sizes, sweep.trials
+    );
     println!("# Flood transmissions: blind vs gateway-only relays");
     print!("{:>6} {:>10}", "n", "blind");
-    for p in [Policy::NoPruning, Policy::Id, Policy::Degree, Policy::EnergyDegree] {
+    for p in [
+        Policy::NoPruning,
+        Policy::Id,
+        Policy::Degree,
+        Policy::EnergyDegree,
+    ] {
         print!("{:>10}", p.label());
     }
     println!("{:>12}", "best saving");
@@ -26,7 +34,12 @@ fn main() {
             let blind = flood_cost(&g, 0, None).transmissions as f64;
             let levels = st.fleet().levels();
             let mut per_policy = Vec::new();
-            for policy in [Policy::NoPruning, Policy::Id, Policy::Degree, Policy::EnergyDegree] {
+            for policy in [
+                Policy::NoPruning,
+                Policy::Id,
+                Policy::Degree,
+                Policy::EnergyDegree,
+            ] {
                 let cds = pacds_core::compute_cds(
                     &pacds_core::CdsInput::with_energy(&g, &levels),
                     &pacds_core::CdsConfig::policy(policy),

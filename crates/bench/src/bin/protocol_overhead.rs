@@ -12,7 +12,10 @@ use pacds_sim::Summary;
 
 fn main() {
     let sweep = sweep_from_env();
-    eprintln!("protocol_overhead: sizes={:?} trials={}", sweep.sizes, sweep.trials);
+    eprintln!(
+        "protocol_overhead: sizes={:?} trials={}",
+        sweep.sizes, sweep.trials
+    );
     println!("# Marking-protocol overhead per update interval (paper arena)");
     println!(
         "{:>6} {:>12} {:>12} {:>16} {:>14}",

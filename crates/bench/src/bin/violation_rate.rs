@@ -17,9 +17,16 @@ fn main() {
         sweep.sizes, sweep.trials, sweep.seed
     );
     println!("# Paper-literal Rule 2: CDS violation rate per policy");
-    println!("{:>8} {:>14} {:>12} {:>12}", "policy", "intervals", "violations", "rate");
+    println!(
+        "{:>8} {:>14} {:>12} {:>12}",
+        "policy", "intervals", "violations", "rate"
+    );
     for (policy, total, bad) in violation_rate_experiment(&sweep, DrainModel::LinearInN) {
-        let rate = if total == 0 { 0.0 } else { bad as f64 / total as f64 };
+        let rate = if total == 0 {
+            0.0
+        } else {
+            bad as f64 / total as f64
+        };
         println!(
             "{:>8} {:>14} {:>12} {:>12.6}",
             policy.label(),

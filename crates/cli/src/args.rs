@@ -114,7 +114,12 @@ impl Args {
                 self.positionals[max_positionals]
             )));
         }
-        for k in self.options.keys().map(String::as_str).chain(self.flags.iter().map(String::as_str)) {
+        for k in self
+            .options
+            .keys()
+            .map(String::as_str)
+            .chain(self.flags.iter().map(String::as_str))
+        {
             if !allowed.contains(&k) && !GLOBAL_OPTS.contains(&k) {
                 return Err(ArgError(format!(
                     "unknown option --{k} (expected one of: {})",

@@ -245,9 +245,7 @@ fn energy_levels(args: &Args, n: usize) -> Result<Vec<u64>, Box<dyn std::error::
     }
 }
 
-const TOPOLOGY_OPTS: &[&str] = &[
-    "input", "n", "radius", "side", "seed", "connected",
-];
+const TOPOLOGY_OPTS: &[&str] = &["input", "n", "radius", "side", "seed", "connected"];
 
 /// `pacds gen`
 pub fn gen(args: &Args) -> CliResult {
@@ -373,7 +371,10 @@ pub fn compare(args: &Args) -> CliResult {
         g.avg_degree(),
         algo::is_connected(&g)
     );
-    println!("{:>6} {:>8} {:>8} {:>9}  verification", "policy", "marked", "final", "reduction");
+    println!(
+        "{:>6} {:>8} {:>8} {:>9}  verification",
+        "policy", "marked", "final", "reduction"
+    );
     for policy in Policy::ALL {
         let cfg = cds_config_of(policy, &semantics)?;
         let trace = compute_cds_trace(&CdsInput::with_energy(&g, &energy), &cfg);
@@ -469,7 +470,10 @@ pub fn robustness(args: &Args) -> CliResult {
     let g = topology(args)?;
     let energy = energy_levels(args, g.n())?;
     let semantics = args.get("semantics").unwrap_or("safe").to_string();
-    println!("{:>6} {:>9} {:>6} {:>8} {:>6} {:>8}", "policy", "gateways", "cuts", "bridges", "sole", "spof");
+    println!(
+        "{:>6} {:>9} {:>6} {:>8} {:>6} {:>8}",
+        "policy", "gateways", "cuts", "bridges", "sole", "spof"
+    );
     for policy in Policy::ALL {
         let cfg = cds_config_of(policy, &semantics)?;
         let gw = pacds_core::compute_cds(&CdsInput::with_energy(&g, &energy), &cfg);
@@ -515,8 +519,8 @@ pub fn run_scenario(args: &Args) -> CliResult {
     args.check_known(&["scenario"])?;
     let path: String = args.require("scenario")?;
     let text = std::fs::read_to_string(&path)?;
-    let scenario: pacds_sim::Scenario = serde_json::from_str(&text)
-        .map_err(|e| format!("{path}: {e}"))?;
+    let scenario: pacds_sim::Scenario =
+        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     let result = scenario.run();
     println!("{}", serde_json::to_string_pretty(&result)?);
     Ok(())
@@ -528,8 +532,21 @@ pub fn obs_report(args: &Args) -> CliResult {
     // positional (the new path); everything else takes no positionals.
     args.check_known_with_positionals(
         &[
-            "n", "policy", "model", "seed", "intervals", "semantics", "format", "workload",
-            "shards", "threads", "diff", "live", "interval-ms", "windows", "trace-jsonl",
+            "n",
+            "policy",
+            "model",
+            "seed",
+            "intervals",
+            "semantics",
+            "format",
+            "workload",
+            "shards",
+            "threads",
+            "diff",
+            "live",
+            "interval-ms",
+            "windows",
+            "trace-jsonl",
             "trace-sample",
         ],
         1,
@@ -656,11 +673,7 @@ pub fn obs_report(args: &Args) -> CliResult {
             pacds_obs::write_prometheus(&snap, &mut out)?;
             print!("{}", String::from_utf8(out)?);
         }
-        other => {
-            return Err(
-                format!("unknown format '{other}' (table|jsonl|prometheus)").into(),
-            )
-        }
+        other => return Err(format!("unknown format '{other}' (table|jsonl|prometheus)").into()),
     }
     Ok(())
 }
@@ -695,14 +708,23 @@ fn obs_diff(args: &Args) -> CliResult {
     }
     let mut changed = 0usize;
     println!();
-    println!("{:>28} {:>14} {:>14} {:>15}", "counter", "old", "new", "delta");
+    println!(
+        "{:>28} {:>14} {:>14} {:>15}",
+        "counter", "old", "new", "delta"
+    );
     for name in names {
         let (o, n) = (old.counter(name), new.counter(name));
         if o == n {
             continue;
         }
         changed += 1;
-        println!("{:>28} {:>14} {:>14} {:>+15}", name, o, n, n as i128 - o as i128);
+        println!(
+            "{:>28} {:>14} {:>14} {:>+15}",
+            name,
+            o,
+            n,
+            n as i128 - o as i128
+        );
     }
     if changed == 0 {
         println!("{:>28}", "(no counter changed)");
@@ -728,8 +750,18 @@ fn obs_diff(args: &Args) -> CliResult {
             }
             let dc = nc as i128 - oc as i128;
             let dt = nt as i128 - ot as i128;
-            let mean_us = if dc > 0 { dt as f64 / dc as f64 / 1e3 } else { 0.0 };
-            println!("{:>16} {:>+12} {:>14.3} {:>14.2}", name, dc, dt as f64 / 1e6, mean_us);
+            let mean_us = if dc > 0 {
+                dt as f64 / dc as f64 / 1e3
+            } else {
+                0.0
+            };
+            println!(
+                "{:>16} {:>+12} {:>14.3} {:>14.2}",
+                name,
+                dc,
+                dt as f64 / 1e6,
+                mean_us
+            );
         }
     }
     Ok(())
@@ -791,8 +823,21 @@ const CHECK_LIMIT: usize = 150_000;
 /// `pacds shard`
 pub fn shard(args: &Args) -> CliResult {
     args.check_known(&[
-        "n", "seed", "radius", "side", "shards", "halo", "threads", "policy", "semantics",
-        "energy-seed", "check", "compare", "expect-workers", "json", "fail-on-errors",
+        "n",
+        "seed",
+        "radius",
+        "side",
+        "shards",
+        "halo",
+        "threads",
+        "policy",
+        "semantics",
+        "energy-seed",
+        "check",
+        "compare",
+        "expect-workers",
+        "json",
+        "fail-on-errors",
     ])?;
     let n: usize = args.get_or("n", 50_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -939,7 +984,11 @@ pub fn shard(args: &Args) -> CliResult {
                 .map(|w| w.busy_ns.to_string())
                 .collect::<Vec<_>>()
                 .join(","),
-            if whole_s.is_nan() { "null".to_string() } else { whole_s.to_string() },
+            if whole_s.is_nan() {
+                "null".to_string()
+            } else {
+                whole_s.to_string()
+            },
         );
         std::fs::write(path, json + "\n")?;
         println!("stats written to {path}");
@@ -950,9 +999,22 @@ pub fn shard(args: &Args) -> CliResult {
 /// `pacds churn`
 pub fn churn(args: &Args) -> CliResult {
     args.check_known(&[
-        "n", "seed", "radius", "side", "shards", "threads", "policy", "semantics",
-        "energy-seed", "steps", "events", "check", "max-resolved-frac", "json",
-        "trace-jsonl", "trace-sample",
+        "n",
+        "seed",
+        "radius",
+        "side",
+        "shards",
+        "threads",
+        "policy",
+        "semantics",
+        "energy-seed",
+        "steps",
+        "events",
+        "check",
+        "max-resolved-frac",
+        "json",
+        "trace-jsonl",
+        "trace-sample",
     ])?;
     let n: usize = args.get_or("n", 5000)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -984,8 +1046,7 @@ pub fn churn(args: &Args) -> CliResult {
     let energy = energy_levels(args, n)?;
     pacds_obs::trace::reset_tracing();
     pacds_obs::set_sampling(trace_sample);
-    let mut engine =
-        pacds_shard::ChurnEngine::open(spec, bounds, radius, &points, &energy, &cfg)?;
+    let mut engine = pacds_shard::ChurnEngine::open(spec, bounds, radius, &points, &energy, &cfg)?;
     let tiles = engine.tiles();
     // Lifetime totals include the seed at open (one refresh, every
     // initial gateway a flip); snapshot it so the reported numbers cover
@@ -1133,9 +1194,24 @@ pub fn churn(args: &Args) -> CliResult {
 /// `pacds dataplane`
 pub fn dataplane(args: &Args) -> CliResult {
     args.check_known(&[
-        "n", "seed", "radius", "side", "shards", "threads", "policy", "semantics",
-        "energy-seed", "flows", "packets", "waves", "kill-every", "broadcast", "json",
-        "fail-on-errors", "trace-jsonl", "trace-sample",
+        "n",
+        "seed",
+        "radius",
+        "side",
+        "shards",
+        "threads",
+        "policy",
+        "semantics",
+        "energy-seed",
+        "flows",
+        "packets",
+        "waves",
+        "kill-every",
+        "broadcast",
+        "json",
+        "fail-on-errors",
+        "trace-jsonl",
+        "trace-sample",
     ])?;
     let n: usize = args.get_or("n", 5000)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -1149,10 +1225,9 @@ pub fn dataplane(args: &Args) -> CliResult {
     let kill_every: usize = args.get_or("kill-every", 0)?;
     let broadcast = args.get("broadcast").unwrap_or("both");
     if !matches!(broadcast, "none" | "blind" | "gateway" | "both") {
-        return Err(format!(
-            "unknown --broadcast mode '{broadcast}' (none|blind|gateway|both)"
-        )
-        .into());
+        return Err(
+            format!("unknown --broadcast mode '{broadcast}' (none|blind|gateway|both)").into(),
+        );
     }
     let spec = pacds_shard::ShardSpec {
         shards: args.get_or("shards", 0)?,
@@ -1194,7 +1269,11 @@ pub fn dataplane(args: &Args) -> CliResult {
         let s = rng.random_range(0..n as u32);
         let t = rng.random_range(0..n as u32);
         let mut probe = Vec::new();
-        if dp.routes_mut().assemble(net.graph(), s, t, &mut probe).is_err() {
+        if dp
+            .routes_mut()
+            .assemble(net.graph(), s, t, &mut probe)
+            .is_err()
+        {
             continue; // disconnected or undominated pick: redraw
         }
         protected[s as usize] = true;
@@ -1221,8 +1300,7 @@ pub fn dataplane(args: &Args) -> CliResult {
             // Kill one unprotected gateway: routes through it go stale.
             for _ in 0..10 * n {
                 let v = rng.random_range(0..n as u32);
-                if net.alive()[v as usize] && net.gateway()[v as usize] && !protected[v as usize]
-                {
+                if net.alive()[v as usize] && net.gateway()[v as usize] && !protected[v as usize] {
                     net.kill(v)?;
                     kills += 1;
                     break;
@@ -1232,10 +1310,7 @@ pub fn dataplane(args: &Args) -> CliResult {
         for &f in &flow_ids {
             dp.inject(f, packets);
         }
-        let src = flow_ids
-            .first()
-            .map(|_| dp.packets().src(0))
-            .unwrap_or(0);
+        let src = flow_ids.first().map(|_| dp.packets().src(0)).unwrap_or(0);
         if matches!(broadcast, "blind" | "both") {
             dp.inject_broadcast(src, true);
         }
@@ -1344,7 +1419,11 @@ pub fn dataplane(args: &Args) -> CliResult {
             stats.retransmits,
             stats.forwarded_hops,
             stats.misroutes,
-            if flood_reduction.is_nan() { "null".to_string() } else { flood_reduction.to_string() },
+            if flood_reduction.is_nan() {
+                "null".to_string()
+            } else {
+                flood_reduction.to_string()
+            },
         );
         std::fs::write(path, json + "\n")?;
         println!("stats written to {path}");
@@ -1391,8 +1470,16 @@ fn server_config_of(args: &Args) -> Result<pacds_serve::ServerConfig, Box<dyn st
 /// `pacds serve`
 pub fn serve(args: &Args) -> CliResult {
     args.check_known(&[
-        "addr", "workers", "queue", "cache-mb", "duration", "shard", "shard-threshold", "shards",
-        "metrics-addr", "trace-sample",
+        "addr",
+        "workers",
+        "queue",
+        "cache-mb",
+        "duration",
+        "shard",
+        "shard-threshold",
+        "shards",
+        "metrics-addr",
+        "trace-sample",
     ])?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7311");
     let mut cfg = server_config_of(args)?;
@@ -1436,10 +1523,32 @@ pub fn serve(args: &Args) -> CliResult {
 /// `pacds loadgen`
 pub fn loadgen(args: &Args) -> CliResult {
     args.check_known(&[
-        "addr", "duration", "concurrency", "mode", "rate", "n", "radius", "side", "seed",
-        "gen-seeds", "policy", "semantics", "no-cache", "deadline-ms", "json",
-        "fail-on-errors", "self-host", "workers", "queue", "cache-mb", "shard",
-        "shard-threshold", "shards", "mutate-every", "query-every", "obs-jsonl",
+        "addr",
+        "duration",
+        "concurrency",
+        "mode",
+        "rate",
+        "n",
+        "radius",
+        "side",
+        "seed",
+        "gen-seeds",
+        "policy",
+        "semantics",
+        "no-cache",
+        "deadline-ms",
+        "json",
+        "fail-on-errors",
+        "self-host",
+        "workers",
+        "queue",
+        "cache-mb",
+        "shard",
+        "shard-threshold",
+        "shards",
+        "mutate-every",
+        "query-every",
+        "obs-jsonl",
     ])?;
     // Optionally host the target server in-process (CI smoke runs).
     let hosted = if args.flag("self-host") {
@@ -1530,10 +1639,32 @@ pub fn loadgen(args: &Args) -> CliResult {
 /// `pacds cluster`
 pub fn cluster(args: &Args) -> CliResult {
     args.check_known(&[
-        "addr", "backends", "self-host", "workers", "queue", "vnodes", "probe-interval-ms",
-        "fail-threshold", "rise-threshold", "backend-workers", "cache-mb", "duration",
-        "loadgen", "concurrency", "n", "radius", "side", "seed", "gen-seeds", "policy",
-        "semantics", "deadline-ms", "kill-after", "drain-after", "expect-failover", "json",
+        "addr",
+        "backends",
+        "self-host",
+        "workers",
+        "queue",
+        "vnodes",
+        "probe-interval-ms",
+        "fail-threshold",
+        "rise-threshold",
+        "backend-workers",
+        "cache-mb",
+        "duration",
+        "loadgen",
+        "concurrency",
+        "n",
+        "radius",
+        "side",
+        "seed",
+        "gen-seeds",
+        "policy",
+        "semantics",
+        "deadline-ms",
+        "kill-after",
+        "drain-after",
+        "expect-failover",
+        "json",
         "fail-on-errors",
     ])?;
 
@@ -1544,7 +1675,10 @@ pub fn cluster(args: &Args) -> CliResult {
     let mut specs: Vec<pacds_cluster::BackendSpec> = Vec::new();
     if let Some(list) = args.get("backends") {
         for addr in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            specs.push(pacds_cluster::BackendSpec::new(format!("b{}", specs.len()), addr));
+            specs.push(pacds_cluster::BackendSpec::new(
+                format!("b{}", specs.len()),
+                addr,
+            ));
         }
     }
     let self_host: usize = args.get_or("self-host", 0)?;
@@ -1687,7 +1821,10 @@ pub fn cluster(args: &Args) -> CliResult {
     if let Some(path) = args.get("json") {
         // Counter names are plain identifiers, so the object composes
         // textually — the same way LoadReport::to_json builds its body.
-        let fields: Vec<String> = entries.iter().map(|(n, v)| format!("\"{n}\":{v}")).collect();
+        let fields: Vec<String> = entries
+            .iter()
+            .map(|(n, v)| format!("\"{n}\":{v}"))
+            .collect();
         let mut out = String::from("{");
         if let Some(r) = &report {
             out.push_str("\"loadgen\":");
@@ -1840,7 +1977,10 @@ mod tests {
     #[test]
     fn commands_run_end_to_end() {
         gen(&args("gen --n 15 --seed 3")).unwrap();
-        cds(&args("cds --n 25 --seed 3 --connected --policy el2 --energy-seed 1")).unwrap();
+        cds(&args(
+            "cds --n 25 --seed 3 --connected --policy el2 --energy-seed 1",
+        ))
+        .unwrap();
         compare(&args("compare --n 25 --seed 3 --connected")).unwrap();
         route(&args("route --n 25 --seed 3 --connected --from 0 --to 7")).unwrap();
         simulate(&args("simulate --n 15 --trials 2 --model 3")).unwrap();
@@ -1861,7 +2001,10 @@ mod tests {
 
     #[test]
     fn explain_runs_for_all_hosts_and_single_host() {
-        explain(&args("explain --n 20 --seed 3 --connected --policy el1 --energy-seed 2")).unwrap();
+        explain(&args(
+            "explain --n 20 --seed 3 --connected --policy el1 --energy-seed 2",
+        ))
+        .unwrap();
         explain(&args("explain --n 20 --seed 3 --host 5")).unwrap();
         assert!(explain(&args("explain --n 10 --seed 1 --host 99")).is_err());
     }
@@ -1973,7 +2116,10 @@ mod tests {
 
     #[test]
     fn shard_command_rejects_bad_halo_and_unshardable_semantics() {
-        assert!(shard(&args("shard --n 50 --halo 1")).is_err(), "halo below minimum");
+        assert!(
+            shard(&args("shard --n 50 --halo 1")).is_err(),
+            "halo below minimum"
+        );
         assert!(
             shard(&args("shard --n 50 --semantics seq")).is_err(),
             "sequential semantics are typed-rejected"
@@ -2026,8 +2172,10 @@ mod tests {
     fn obs_diff_reports_counter_and_phase_deltas() {
         use pacds_obs::{PhaseSnapshot, Snapshot};
         let dir = std::env::temp_dir();
-        let (old_path, new_path) =
-            (dir.join("pacds_cli_diff_old.jsonl"), dir.join("pacds_cli_diff_new.jsonl"));
+        let (old_path, new_path) = (
+            dir.join("pacds_cli_diff_old.jsonl"),
+            dir.join("pacds_cli_diff_new.jsonl"),
+        );
         let mut old = Snapshot::empty();
         old.counters.push(pacds_obs::export::CounterEntry {
             name: "serve.requests".into(),
@@ -2045,7 +2193,10 @@ mod tests {
         std::fs::write(&old_path, old.to_json_line() + "\n").unwrap();
         std::fs::write(
             &new_path,
-            format!("{}\n{{\"kind\":\"obs_window\",\"seq\":1}}\n", new.to_json_line()),
+            format!(
+                "{}\n{{\"kind\":\"obs_window\",\"seq\":1}}\n",
+                new.to_json_line()
+            ),
         )
         .unwrap();
         obs_report(&args(&format!(
@@ -2065,7 +2216,10 @@ mod tests {
 
     #[test]
     fn obs_live_tails_a_stats_subscription() {
-        let cfg = pacds_serve::ServerConfig { workers: 1, ..Default::default() };
+        let cfg = pacds_serve::ServerConfig {
+            workers: 1,
+            ..Default::default()
+        };
         let mut server = pacds_serve::serve("127.0.0.1:0", cfg).unwrap();
         obs_live(
             &server.addr().to_string(),

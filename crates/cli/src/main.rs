@@ -27,10 +27,7 @@ use std::process::ExitCode;
 
 /// Runs one subcommand under a log span so `--log-level debug` reports
 /// entry, exit, and wall time for every entry point.
-fn dispatch(
-    name: &'static str,
-    f: impl FnOnce() -> commands::CliResult,
-) -> commands::CliResult {
+fn dispatch(name: &'static str, f: impl FnOnce() -> commands::CliResult) -> commands::CliResult {
     let _span = pacds_obs::log::span(name);
     f()
 }
@@ -69,9 +66,9 @@ fn main() -> ExitCode {
         "robustness" => dispatch("cli.robustness", || commands::robustness(&args)),
         "explain" => dispatch("cli.explain", || commands::explain(&args)),
         "run" => dispatch("cli.run", || commands::run_scenario(&args)),
-        "scenario-template" => {
-            dispatch("cli.scenario-template", || commands::scenario_template(&args))
-        }
+        "scenario-template" => dispatch("cli.scenario-template", || {
+            commands::scenario_template(&args)
+        }),
         "obs-report" => dispatch("cli.obs-report", || commands::obs_report(&args)),
         "shard" => dispatch("cli.shard", || commands::shard(&args)),
         "churn" => dispatch("cli.churn", || commands::churn(&args)),
