@@ -1,8 +1,7 @@
 //! Horizontal-scaling bench of the `pacds-cluster` coordinator.
 //!
-//! For each backend count in `PACDS_CLUSTER_BACKENDS` (default `1,2`)
-//! the binary spawns that many in-process `pacds-serve` backends and one
-//! coordinator, then drives the closed-loop load generator *through* the
+//! For each backend count in [`BACKENDS`] the binary spawns that many
+//! in-process `pacds-serve` backends and one coordinator, then drives the closed-loop load generator *through* the
 //! coordinator: `GenCompute` requests cycling over a wheel of distinct
 //! seeds (distinct canonical digests — the keyspace actually spreads
 //! across the ring) with `FLAG_NO_CACHE`, so every request costs a full
@@ -15,9 +14,8 @@
 //! protocol/IO errors) and the failover is visible in the coordinator
 //! counters (`failed_over` ≥ 1, `health_flips` ≥ 1).
 //!
-//! Throughput scaling 1 → 2 is asserted ≥ `PACDS_CLUSTER_MIN_SCALING`
-//! (default 1.7) **only when the machine has cores to scale onto**
-//! (`machine_threads` ≥ 4: two backends plus coordinator and loadgen
+//! Throughput scaling 1 → 2 is asserted ≥ [`MIN_SCALING`] **only when
+//! the machine has cores to scale onto** (`machine_threads` ≥ 4: two backends plus coordinator and loadgen
 //! can't speed anything up when they time-slice one core — same
 //! precedent as `bench_shard`). On smaller machines the gate shifts to
 //! the portable counters: both backends routed a meaningful share, zero
@@ -25,31 +23,22 @@
 //! gate applied.
 //!
 //! Writes `BENCH_cluster.json` (override: `PACDS_BENCH_OUT`).
-//! Hand-written JSON: the bench crate deliberately takes no serde
-//! dependency.
 
+use pacds_bench::row::{self, Row};
+use pacds_bench::Error;
 use pacds_cluster::{cluster, BackendSpec, ClusterConfig, ClusterHandle};
 use pacds_core::{CdsConfig, Policy};
 use pacds_serve::{serve, LoadgenConfig, Mode, ServerConfig, ServerHandle};
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-fn backend_counts() -> Vec<usize> {
-    match std::env::var("PACDS_CLUSTER_BACKENDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("PACDS_CLUSTER_BACKENDS: integers"))
-            .collect(),
-        Err(_) => vec![1, 2],
-    }
-}
+const BACKENDS: [usize; 2] = [1, 2];
+/// Hosts per generated topology, and the seeds the request wheel cycles.
+const N: usize = 200;
+const GEN_SEEDS: usize = 64;
+const DURATION: Duration = Duration::from_secs(3);
+const CONCURRENCY: usize = 4;
+const MIN_SCALING: f64 = 1.7;
 
 /// One backend, sized for fronting: the coordinator holds persistent
 /// connections (pooled relays + the prober), and `pacds-serve` parks one
@@ -94,25 +83,21 @@ struct Point {
 }
 
 fn counter(entries: &[(String, u64)], name: &str) -> u64 {
-    entries
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
+    entries.iter().find(|(n, _)| n == name).map_or(0, |e| e.1)
 }
 
-fn load_cfg(addr: String, duration: Duration, concurrency: usize) -> LoadgenConfig {
+fn load_cfg(addr: String) -> LoadgenConfig {
     LoadgenConfig {
         addr,
-        concurrency,
-        duration,
+        concurrency: CONCURRENCY,
+        duration: DURATION,
         mode: Mode::Closed,
         cds: CdsConfig::policy(Policy::Degree),
-        n: env_or("PACDS_CLUSTER_N", 200),
+        n: N,
         radius: 15.0,
         side: 100.0,
         seed: 1,
-        gen_seeds: env_or("PACDS_CLUSTER_SEEDS", 64),
+        gen_seeds: GEN_SEEDS,
         no_cache: true,
         deadline_ms: 0,
         mutate_every: 0,
@@ -120,44 +105,25 @@ fn load_cfg(addr: String, duration: Duration, concurrency: usize) -> LoadgenConf
     }
 }
 
-fn run_point(backends: usize, duration: Duration, concurrency: usize) -> Point {
-    let hosted: Vec<ServerHandle> = (0..backends).map(|_| backend()).collect();
-    let refs: Vec<&ServerHandle> = hosted.iter().collect();
-    let mut coord = coordinator(&refs);
-    let report =
-        pacds_serve::loadgen::run(&load_cfg(coord.addr().to_string(), duration, concurrency))
-            .expect("loadgen through coordinator");
-    let state = coord.state();
-    let routed: Vec<u64> = state
-        .backends
-        .iter()
-        .map(|b| b.routed.load(std::sync::atomic::Ordering::Relaxed))
-        .collect();
-    let counters = state.stats.entries(&state.backends);
-    coord.shutdown();
-    Point {
-        backends,
-        report,
-        routed,
-        counters,
-    }
-}
-
-/// The mid-window kill: load for `duration`, shut one backend down at
-/// the halfway mark, and let the survivors absorb its keyspace.
-fn run_kill_drill(backends: usize, duration: Duration, concurrency: usize) -> Point {
+/// Load through a coordinator fronting `backends` fresh backends. With
+/// `kill`, one backend is shut down at the halfway mark and the
+/// survivors absorb its keyspace.
+fn run_point(backends: usize, kill: bool) -> Point {
     let mut hosted: Vec<ServerHandle> = (0..backends).map(|_| backend()).collect();
     let refs: Vec<&ServerHandle> = hosted.iter().collect();
     let mut coord = coordinator(&refs);
-    let mut victim = hosted.pop().expect("at least one backend");
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(duration / 2);
-        victim.shutdown();
+    let killer = kill.then(|| {
+        let mut victim = hosted.pop().expect("at least one backend");
+        std::thread::spawn(move || {
+            std::thread::sleep(DURATION / 2);
+            victim.shutdown();
+        })
     });
-    let report =
-        pacds_serve::loadgen::run(&load_cfg(coord.addr().to_string(), duration, concurrency))
-            .expect("loadgen through coordinator during the kill");
-    killer.join().expect("killer thread");
+    let report = pacds_serve::loadgen::run(&load_cfg(coord.addr().to_string()))
+        .expect("loadgen through coordinator");
+    if let Some(killer) = killer {
+        killer.join().expect("killer thread");
+    }
     let state = coord.state();
     let routed: Vec<u64> = state
         .backends
@@ -174,63 +140,50 @@ fn run_kill_drill(backends: usize, duration: Duration, concurrency: usize) -> Po
     }
 }
 
-fn join_u64(it: impl Iterator<Item = u64>) -> String {
-    let items: Vec<String> = it.map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn point_json(p: &Point, label: &str) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"kind\": \"{}\", \"backends\": {}, \"requests\": {}, \"throughput_rps\": {:.1},\n",
-            "      \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"mean_us\": {:.1},\n",
-            "      \"protocol_errors\": {}, \"io_errors\": {}, \"rejected\": {},\n",
-            "      \"routed_per_backend\": {}, \"failed_over\": {}, \"health_flips\": {},\n",
-            "      \"no_backend\": {}, \"backends_available_after\": {}\n",
-            "    }}"
-        ),
-        label,
-        p.backends,
-        p.report.requests,
-        p.report.throughput_rps,
-        p.report.p50_us,
-        p.report.p99_us,
-        p.report.mean_us,
-        p.report.protocol_errors,
-        p.report.io_errors,
-        p.report.rejected,
-        join_u64(p.routed.iter().copied()),
-        counter(&p.counters, "cluster.failed_over"),
-        counter(&p.counters, "cluster.health_flips"),
-        counter(&p.counters, "cluster.no_backend"),
-        counter(&p.counters, "cluster.backends_available"),
-    )
+fn point_row(p: &Point, kind: &str) -> Row {
+    Row::new()
+        .with("kind", kind)
+        .with("backends", p.backends)
+        .with("requests", p.report.requests)
+        .fixed("throughput_rps", p.report.throughput_rps, 1)
+        .fixed("p50_us", p.report.p50_us, 1)
+        .fixed("p99_us", p.report.p99_us, 1)
+        .fixed("mean_us", p.report.mean_us, 1)
+        .with("protocol_errors", p.report.protocol_errors)
+        .with("io_errors", p.report.io_errors)
+        .with("rejected", p.report.rejected)
+        .with("routed_per_backend", p.routed.clone())
+        .with("failed_over", counter(&p.counters, "cluster.failed_over"))
+        .with("health_flips", counter(&p.counters, "cluster.health_flips"))
+        .with("no_backend", counter(&p.counters, "cluster.no_backend"))
+        .with(
+            "backends_available_after",
+            counter(&p.counters, "cluster.backends_available"),
+        )
 }
 
 fn main() -> ExitCode {
-    let duration = Duration::from_secs_f64(env_or("PACDS_CLUSTER_DURATION_S", 3.0));
-    let concurrency: usize = env_or("PACDS_CLUSTER_CONCURRENCY", 4);
-    let min_scaling: f64 = env_or("PACDS_CLUSTER_MIN_SCALING", 1.7);
-    let machine_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    pacds_bench::exit(bench())
+}
+
+fn bench() -> Result<(), Error> {
+    let machine_threads = row::machine_threads();
     // Two backends + coordinator + loadgen need cores to show wall-clock
     // scaling; below this the counters are the gate.
     let wall_clock_trusted = machine_threads >= 4;
 
     let mut points = Vec::new();
-    for backends in backend_counts() {
-        let p = run_point(backends, duration, concurrency);
+    for backends in BACKENDS {
+        let p = run_point(backends, false);
         println!(
             "backends={backends}  {} requests, {:.0} req/s, p50={:.1}µs p99={:.1}µs  routed={:?}",
             p.report.requests, p.report.throughput_rps, p.report.p50_us, p.report.p99_us, p.routed,
         );
         if p.report.protocol_errors + p.report.io_errors > 0 {
-            eprintln!("error: backends={backends}: loadgen saw errors");
-            return ExitCode::FAILURE;
+            return Err(format!("backends={backends}: loadgen saw errors").into());
         }
         if p.routed.contains(&0) {
-            eprintln!("error: backends={backends}: a backend routed nothing");
-            return ExitCode::FAILURE;
+            return Err(format!("backends={backends}: a backend routed nothing").into());
         }
         points.push(p);
     }
@@ -238,105 +191,73 @@ fn main() -> ExitCode {
     // Ring balance on the widest point: no backend owns an outsized or
     // vanishing share of a 64-seed wheel (the spread() mix is what keeps
     // this true — see the ring tests for the distributional version).
-    if let Some(widest) = points.iter().max_by_key(|p| p.backends) {
-        if widest.backends > 1 {
-            let total: u64 = widest.routed.iter().sum();
-            for (i, &r) in widest.routed.iter().enumerate() {
-                let share = r as f64 / total as f64;
-                if !(0.15..=0.85).contains(&share) {
-                    eprintln!(
-                        "error: backend {i} owns {:.0}% of the keyspace (routed={:?})",
-                        share * 100.0,
-                        widest.routed
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
+    let widest = &points[points.len() - 1];
+    let total: u64 = widest.routed.iter().sum();
+    for (i, &r) in widest.routed.iter().enumerate() {
+        let share = r as f64 / total as f64;
+        if !(0.15..=0.85).contains(&share) {
+            return Err(format!(
+                "backend {i} owns {:.0}% of the keyspace (routed={:?})",
+                share * 100.0,
+                widest.routed
+            )
+            .into());
         }
     }
 
-    let scaling_1_to_2 = {
-        let one = points.iter().find(|p| p.backends == 1);
-        let two = points.iter().find(|p| p.backends == 2);
-        match (one, two) {
-            (Some(a), Some(b)) => Some(b.report.throughput_rps / a.report.throughput_rps),
-            _ => None,
-        }
+    let scaling_1_to_2 = points[1].report.throughput_rps / points[0].report.throughput_rps;
+    let gate = if wall_clock_trusted {
+        "wall_clock"
+    } else {
+        "counters"
     };
-    if let Some(s) = scaling_1_to_2 {
-        println!(
-            "scaling 1 -> 2 backends: {s:.2}x (machine_threads={machine_threads}, gate: {})",
-            if wall_clock_trusted {
-                "wall-clock"
-            } else {
-                "counters"
-            },
-        );
-        if wall_clock_trusted && s < min_scaling {
-            eprintln!("error: 1 -> 2 backend scaling {s:.2}x < required {min_scaling}x");
-            return ExitCode::FAILURE;
-        }
+    println!(
+        "scaling 1 -> 2 backends: {scaling_1_to_2:.2}x (machine_threads={machine_threads}, \
+         gate: {gate})"
+    );
+    if wall_clock_trusted && scaling_1_to_2 < MIN_SCALING {
+        return Err(format!(
+            "1 -> 2 backend scaling {scaling_1_to_2:.2}x < required {MIN_SCALING}x"
+        )
+        .into());
     }
 
-    let max_backends = points.iter().map(|p| p.backends).max().unwrap_or(2).max(2);
-    let drill = run_kill_drill(max_backends, duration, concurrency);
+    let drill = run_point(widest.backends, true);
+    let failed_over = counter(&drill.counters, "cluster.failed_over");
+    let health_flips = counter(&drill.counters, "cluster.health_flips");
     println!(
-        "kill drill: {} requests, {} failed over, {} health flips, {} protocol err, {} io err",
-        drill.report.requests,
-        counter(&drill.counters, "cluster.failed_over"),
-        counter(&drill.counters, "cluster.health_flips"),
-        drill.report.protocol_errors,
-        drill.report.io_errors,
+        "kill drill: {} requests, {failed_over} failed over, {health_flips} health flips, \
+         {} protocol err, {} io err",
+        drill.report.requests, drill.report.protocol_errors, drill.report.io_errors,
     );
     if drill.report.protocol_errors + drill.report.io_errors > 0 {
-        eprintln!("error: kill drill saw request errors — failover lost answers");
-        return ExitCode::FAILURE;
+        return Err("kill drill saw request errors — failover lost answers".into());
     }
-    if counter(&drill.counters, "cluster.failed_over") == 0
-        || counter(&drill.counters, "cluster.health_flips") == 0
-    {
-        eprintln!("error: kill drill did not register a failover in the counters");
-        return ExitCode::FAILURE;
+    if failed_over == 0 || health_flips == 0 {
+        return Err("kill drill did not register a failover in the counters".into());
     }
 
-    let out = std::env::var("PACDS_BENCH_OUT").unwrap_or_else(|_| "BENCH_cluster.json".into());
-    let rows: Vec<String> = points
+    let rows = points
         .iter()
-        .map(|p| point_json(p, "scaling"))
-        .chain(std::iter::once(point_json(&drill, "kill_drill")))
+        .map(|p| point_row(p, "scaling"))
+        .chain(std::iter::once(point_row(&drill, "kill_drill")))
         .collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"cluster_scaling\",\n",
-            "  \"comment\": \"GenCompute wheel (no_cache) through the coordinator; ",
-            "wall-clock scaling only gates when machine_threads >= 4, ",
-            "counters (routed spread, zero errors, observed failover) gate everywhere\",\n",
-            "  \"machine_threads\": {},\n",
-            "  \"duration_s\": {:.1}, \"concurrency\": {}, \"n\": {}, \"gen_seeds\": {},\n",
-            "  \"scaling_gate\": \"{}\",\n",
-            "  \"min_scaling\": {}, \"scaling_1_to_2\": {},\n",
-            "  \"points\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        machine_threads,
-        duration.as_secs_f64(),
-        concurrency,
-        env_or("PACDS_CLUSTER_N", 200usize),
-        env_or("PACDS_CLUSTER_SEEDS", 64usize),
-        if wall_clock_trusted {
-            "wall_clock"
-        } else {
-            "counters"
-        },
-        min_scaling,
-        scaling_1_to_2.map_or("null".into(), |s| format!("{s:.2}")),
-        rows.join(",\n"),
+    let extra = Row::new()
+        .fixed("duration_s", DURATION.as_secs_f64(), 1)
+        .with("concurrency", CONCURRENCY)
+        .with("n", N)
+        .with("gen_seeds", GEN_SEEDS)
+        .with("scaling_gate", gate)
+        .with("min_scaling", MIN_SCALING)
+        .fixed("scaling_1_to_2", scaling_1_to_2, 2);
+    let text = row::file(
+        "cluster_scaling",
+        "GenCompute wheel (no_cache) through the coordinator; wall-clock scaling only gates \
+         when machine_threads >= 4, counters (routed spread, zero errors, observed failover) \
+         gate everywhere",
+        "req/s",
+        extra,
+        rows,
     );
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
+    row::write(&pacds_bench::bench_out("BENCH_cluster.json"), &text)
 }

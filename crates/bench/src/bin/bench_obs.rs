@@ -5,13 +5,12 @@
 //! rebuild + `CdsWorkspace` CDS + verification):
 //!
 //! 1. **without** `--features obs` — instrumentation compiled out — it
-//!    writes the baseline timings (`PACDS_OBS_BASELINE`, default
-//!    `BENCH_obs_baseline.json`);
+//!    writes the baseline timings to [`BASELINE`];
 //! 2. **with** `--features obs` (or `obs,trace`) — it re-times the
 //!    workload, reads the baseline, writes the merged `BENCH_obs.json`
 //!    artifact (`PACDS_BENCH_OUT`), and **exits non-zero** if the
-//!    instrumented build is more than `PACDS_OBS_MAX_PCT` percent slower
-//!    (default 3) at any n ≥ 1000.
+//!    instrumented build is more than [`MAX_PCT`] percent slower at any
+//!    n ≥ 1000.
 //!
 //! Four hot paths are gated: the whole-graph reuse loop, the sharded
 //! engine, the incremental churn engine, and the dataplane forwarding
@@ -24,19 +23,24 @@
 //! minima are far more stable than means under scheduler noise, which
 //! matters when the acceptance band is single-digit percent.
 //!
-//! The JSON is written (and re-read) by hand — the bench crate
-//! deliberately takes no serde dependency.
+//! Both files go through [`pacds_bench::row`]; the baseline is re-read
+//! by key.
 
+use pacds_bench::row::{self, Row};
+use pacds_bench::{time_ns, Error, Interval};
 use pacds_core::{CdsConfig, CdsWorkspace, Policy};
-use pacds_geom::{Point2, Rect};
+use pacds_geom::Point2;
 use pacds_graph::{gen, CsrGraph};
-use pacds_mobility::{MobilityModel, PaperWalk};
-use rand::SeedableRng;
+use pacds_shard::{ChurnEngine, ChurnEvent, ShardSpec, ShardedCds};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 const RADIUS: f64 = 25.0;
+/// Where the uninstrumented run leaves its timings for the instrumented
+/// run to compare against.
+const BASELINE: &str = "BENCH_obs_baseline.json";
+/// The overhead gate, percent, at n ≥ 1000.
+const MAX_PCT: f64 = 3.0;
 const SIZES: [usize; 3] = [100, 1000, 10000];
 /// Sizes for the sharded-engine hot path (`pacds-shard`), gated the same
 /// way: the shard phase timers and counters must also be ≤ 3% overhead.
@@ -53,61 +57,38 @@ const TRACE_SAMPLE: u64 = 64;
 /// Many *short* repetitions, minimum taken: on a small shared machine,
 /// contention arrives in multi-second bursts, so a 75–125 ms measurement
 /// window that can dodge the burst beats a long window that averages it
-/// in. The window length is set by `iters` in [`measure`].
+/// in. The window length is set by `iters` in [`best_of_reps`].
 const REPS: usize = 20;
 
-fn arena(n: usize) -> Rect {
-    Rect::square((100.0 * (n as f64 / 100.0).sqrt()).max(1.0))
-}
-
-struct Interval {
-    bounds: Rect,
-    positions: Vec<Point2>,
-    walk: PaperWalk,
-    energy: Vec<u64>,
-    rng: rand::rngs::StdRng,
-}
-
-impl Interval {
-    fn new(n: usize, seed: u64) -> Self {
-        let bounds = arena(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let positions = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
-        let energy = (0..n).map(|i| (i as u64 * 7919) % 100).collect();
-        Self {
-            bounds,
-            positions,
-            walk: PaperWalk::paper(),
-            energy,
-            rng,
-        }
-    }
-}
-
-/// Mean ns per iteration of `f` after `warmup` unmeasured runs.
-fn time_ns(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Minimum over [`REPS`] repetitions of the reuse hot path at size `n`.
-fn measure(n: usize) -> f64 {
-    let cfg = CdsConfig::policy(Policy::EnergyDegree);
+/// Minimum over [`REPS`] fresh intervals at size `n` of `timed(interval,
+/// iters)`, a mean over `iters` runs of one hot path.
+fn best_of_reps(n: usize, mut timed: impl FnMut(Interval, usize) -> f64) -> f64 {
     let iters = (50_000 / n).clamp(4, 400);
-    let mut best = f64::INFINITY;
-    for rep in 0..REPS {
-        let mut iv = Interval::new(n, 42 + rep as u64);
-        let mut csr = CsrGraph::new();
-        let mut scratch = gen::UnitDiskScratch::new();
-        let mut ws = CdsWorkspace::with_capacity(n);
-        let ns = time_ns(2, iters, || {
-            iv.walk.step(&mut iv.rng, iv.bounds, &mut iv.positions);
+    (0..REPS)
+        .map(|rep| timed(Interval::new(n, 42 + rep as u64), iters))
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn energy_degree() -> CdsConfig {
+    CdsConfig::policy(Policy::EnergyDegree)
+}
+
+/// The inline single-thread engine shape of the shard and churn paths.
+fn inline() -> ShardSpec {
+    ShardSpec {
+        threads: 1,
+        ..ShardSpec::auto()
+    }
+}
+
+/// The reuse hot path: mobility step + in-place CSR rebuild + CDS +
+/// verification.
+fn measure(n: usize) -> f64 {
+    best_of_reps(n, |mut iv, iters| {
+        let (mut csr, mut scratch) = (CsrGraph::new(), gen::UnitDiskScratch::new());
+        let (mut ws, cfg) = (CdsWorkspace::with_capacity(n), energy_degree());
+        time_ns(2, iters, || {
+            iv.step();
             gen::unit_disk_csr(
                 iv.bounds,
                 RADIUS,
@@ -119,105 +100,73 @@ fn measure(n: usize) -> f64 {
             ws.compute(&csr, Some(&iv.energy), &cfg);
             let _ = black_box(ws.verify_last(&csr));
             black_box(ws.gateway_count());
-        });
-        best = best.min(ns);
-    }
-    best
+        })
+    })
 }
 
-/// Minimum over [`REPS`] repetitions of the sharded hot path at size `n`:
-/// mobility step + `ShardedCds::compute_unit_disk` on a retained engine
-/// (inline single thread, shard count scaled with `n`).
+/// The sharded hot path: mobility step + `ShardedCds::compute_unit_disk`
+/// on a retained engine (inline single thread, shard count scaled with
+/// `n`).
 fn measure_shard(n: usize) -> f64 {
-    let cfg = CdsConfig::policy(Policy::EnergyDegree);
-    let iters = (50_000 / n).clamp(4, 400);
-    let mut best = f64::INFINITY;
-    for rep in 0..REPS {
-        let mut iv = Interval::new(n, 42 + rep as u64);
-        let mut engine = pacds_shard::ShardedCds::new(pacds_shard::ShardSpec {
-            threads: 1,
-            ..pacds_shard::ShardSpec::auto()
-        })
-        .expect("default halo is legal");
-        let ns = time_ns(2, iters, || {
-            iv.walk.step(&mut iv.rng, iv.bounds, &mut iv.positions);
+    best_of_reps(n, |mut iv, iters| {
+        let mut engine = ShardedCds::new(inline()).expect("default halo is legal");
+        let cfg = energy_degree();
+        time_ns(2, iters, || {
+            iv.step();
             engine.set_trace(pacds_obs::next_trace_id());
             engine
                 .compute_unit_disk(iv.bounds, RADIUS, &iv.positions, Some(&iv.energy), &cfg)
                 .expect("benchmark config is shardable");
             black_box(engine.gateway_count());
-        });
-        best = best.min(ns);
-    }
-    best
+        })
+    })
 }
 
-/// Minimum over [`REPS`] repetitions of the churn hot path at size `n`:
-/// a deterministic batch of mobility events through a retained
-/// `ChurnEngine` (inline single thread; only the dirtied tiles re-solve).
+/// The churn hot path: a deterministic batch of mobility events through a
+/// retained `ChurnEngine` (inline single thread; only the dirtied tiles
+/// re-solve).
 fn measure_churn(n: usize) -> f64 {
-    let cfg = CdsConfig::policy(Policy::EnergyDegree);
-    let iters = (50_000 / n).clamp(4, 400);
     let batch = (n / 100).max(4);
-    let mut best = f64::INFINITY;
-    for rep in 0..REPS {
-        let iv = Interval::new(n, 42 + rep as u64);
+    best_of_reps(n, |iv, iters| {
         // The churn engine treats energy 0 as exhausted; keep every host up.
         let energy: Vec<u64> = iv.energy.iter().map(|&e| e.max(1)).collect();
-        let mut engine = pacds_shard::ChurnEngine::open(
-            pacds_shard::ShardSpec {
-                threads: 1,
-                ..pacds_shard::ShardSpec::auto()
-            },
-            iv.bounds,
-            RADIUS,
-            &iv.positions,
-            &energy,
-            &cfg,
-        )
-        .expect("benchmark config is shardable");
+        let (bounds, points) = (iv.bounds, &iv.positions);
+        let mut engine =
+            ChurnEngine::open(inline(), bounds, RADIUS, points, &energy, &energy_degree())
+                .expect("benchmark config is shardable");
         let mut step = 0u64;
-        let ns = time_ns(2, iters, || {
+        time_ns(2, iters, || {
             // Small deterministic hops for a rotating subset of hosts.
-            let events: Vec<pacds_shard::ChurnEvent> = (0..batch)
+            let events: Vec<ChurnEvent> = (0..batch as u64)
                 .map(|k| {
-                    let node = ((step * 31 + k as u64 * 97) % n as u64) as u32;
+                    let node = ((step * 31 + k * 97) % n as u64) as u32;
                     let p = engine.positions()[node as usize];
-                    let f = ((step * 61 + k as u64 * 13) % 997) as f64 / 997.0 - 0.5;
-                    pacds_shard::ChurnEvent::MoveNode {
-                        node,
-                        to: Point2::new(
-                            (p.x + f * RADIUS).clamp(iv.bounds.x0, iv.bounds.x1),
-                            (p.y - f * RADIUS).clamp(iv.bounds.y0, iv.bounds.y1),
-                        ),
-                    }
+                    let f = ((step * 61 + k * 13) % 997) as f64 / 997.0 - 0.5;
+                    let to = Point2::new(
+                        (p.x + f * RADIUS).clamp(bounds.x0, bounds.x1),
+                        (p.y - f * RADIUS).clamp(bounds.y0, bounds.y1),
+                    );
+                    ChurnEvent::MoveNode { node, to }
                 })
                 .collect();
             engine.set_trace(pacds_obs::next_trace_id());
             engine.step(&events).expect("typed-valid event batch");
             black_box(engine.gateway_count());
             step += 1;
-        });
-        best = best.min(ns);
-    }
-    best
+        })
+    })
 }
 
-/// Minimum over [`REPS`] repetitions of the dataplane forwarding hot path
-/// at size `n`: a wave of packets over cached source routes through
-/// `Dataplane::pump` (inject → lookup hit → forward → egress, then the
-/// wholesale batch reset). The backbone is static here — churn overhead
-/// is `measure_churn`'s job; this isolates the per-packet engine cost.
+/// The dataplane forwarding hot path: a wave of packets over cached
+/// source routes through `Dataplane::pump` (inject → lookup hit →
+/// forward → egress, then the wholesale batch reset). The backbone is
+/// static here — churn overhead is `measure_churn`'s job; this isolates
+/// the per-packet engine cost.
 fn measure_dataplane(n: usize) -> f64 {
     const FLOWS: usize = 64;
     const PACKETS: usize = 32;
-    let cfg = CdsConfig::policy(Policy::EnergyDegree);
-    let iters = (50_000 / n).clamp(4, 400);
-    let mut best = f64::INFINITY;
-    for rep in 0..REPS {
-        let iv = Interval::new(n, 42 + rep as u64);
-        let mut csr = CsrGraph::new();
-        let mut scratch = gen::UnitDiskScratch::new();
+    best_of_reps(n, |iv, iters| {
+        let (mut csr, mut scratch) = (CsrGraph::new(), gen::UnitDiskScratch::new());
         gen::unit_disk_csr(
             iv.bounds,
             RADIUS,
@@ -227,33 +176,31 @@ fn measure_dataplane(n: usize) -> f64 {
             &mut scratch,
         );
         let mut ws = CdsWorkspace::with_capacity(n);
-        ws.compute(&csr, Some(&iv.energy), &cfg);
+        ws.compute(&csr, Some(&iv.energy), &energy_degree());
         let alive = vec![true; n];
         let mut dp = pacds_dataplane::Dataplane::new();
         dp.install_tables(ws.gateways(), &alive);
         let mut probe = Vec::new();
         let mut flow_ids = Vec::with_capacity(FLOWS);
-        let mut k = 0u32;
-        while flow_ids.len() < FLOWS {
+        for k in 0u32.. {
+            if flow_ids.len() == FLOWS {
+                break;
+            }
             let s = (k.wrapping_mul(131).wrapping_add(17)) % n as u32;
             let t = (k.wrapping_mul(197).wrapping_add(5)) % n as u32;
-            k += 1;
-            if s == t || dp.routes_mut().assemble(&csr, s, t, &mut probe).is_err() {
-                continue; // off-backbone or disconnected pick: next stride
+            if s != t && dp.routes_mut().assemble(&csr, s, t, &mut probe).is_ok() {
+                flow_ids.push(dp.add_flow(s, t)); // else off-backbone or disconnected
             }
-            flow_ids.push(dp.add_flow(s, t));
         }
-        let ns = time_ns(2, iters, || {
+        time_ns(2, iters, || {
             dp.set_trace(pacds_obs::next_trace_id());
             for &f in &flow_ids {
                 dp.inject(f, PACKETS);
             }
             black_box(dp.pump(&csr, &alive));
             dp.reset_packets();
-        });
-        best = best.min(ns);
-    }
-    best
+        })
+    })
 }
 
 /// Extracts `"key": <number>` occurrences from hand-written JSON `text`.
@@ -273,133 +220,119 @@ fn extract_numbers(text: &str, key: &str) -> Vec<f64> {
     out
 }
 
-fn run_baseline() -> ExitCode {
-    let rows: Vec<String> = SIZES
-        .iter()
-        .map(|&n| {
-            let ns = measure(n);
-            println!("n={n:>6}  baseline {ns:>12.0} ns/interval");
-            format!("    {{ \"n\": {n}, \"ns_per_interval\": {ns:.0} }}")
-        })
-        .collect();
-    let shard_rows: Vec<String> = SHARD_SIZES
-        .iter()
-        .map(|&n| {
-            let ns = measure_shard(n);
-            println!("n={n:>6}  baseline {ns:>12.0} ns/interval (sharded)");
-            format!("    {{ \"shard_n\": {n}, \"shard_ns_per_interval\": {ns:.0} }}")
-        })
-        .collect();
-    let churn_rows: Vec<String> = CHURN_SIZES
-        .iter()
-        .map(|&n| {
-            let ns = measure_churn(n);
-            println!("n={n:>6}  baseline {ns:>12.0} ns/step (churn)");
-            format!("    {{ \"churn_n\": {n}, \"churn_ns_per_step\": {ns:.0} }}")
-        })
-        .collect();
-    let dp_rows: Vec<String> = DP_SIZES
-        .iter()
-        .map(|&n| {
-            let ns = measure_dataplane(n);
-            println!("n={n:>6}  baseline {ns:>12.0} ns/wave (dataplane)");
-            format!("    {{ \"dp_n\": {n}, \"dp_ns_per_wave\": {ns:.0} }}")
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"mode\": \"baseline\",\n  \"results\": [\n{}\n  ],\n  \
-         \"shard_results\": [\n{}\n  ],\n  \"churn_results\": [\n{}\n  ],\n  \
-         \"dp_results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-        shard_rows.join(",\n"),
-        churn_rows.join(",\n"),
-        dp_rows.join(",\n")
-    );
-    let out =
-        std::env::var("PACDS_OBS_BASELINE").unwrap_or_else(|_| "BENCH_obs_baseline.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => {
-            eprintln!("wrote {out}; now run with --features obs to compare");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// One gated hot path: its sizes, its timer, and the keys its rows use
+/// in both files.
+struct HotPath {
+    /// The list the rows go in, and the keys of a row's `n` and time.
+    list: &'static str,
+    n_key: &'static str,
+    ns_key: &'static str,
+    label: &'static str,
+    sizes: &'static [usize],
+    measure: fn(usize) -> f64,
 }
 
-fn run_instrumented() -> ExitCode {
-    let baseline_path =
-        std::env::var("PACDS_OBS_BASELINE").unwrap_or_else(|_| "BENCH_obs_baseline.json".into());
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "error: cannot read baseline {baseline_path}: {e}\n\
-                 run this binary once WITHOUT --features obs first"
-            );
-            return ExitCode::FAILURE;
+/// `results` is the file's own list; the other paths ride as extras.
+const PATHS: [HotPath; 4] = [
+    HotPath {
+        list: "results",
+        n_key: "n",
+        ns_key: "ns_per_interval",
+        label: "",
+        sizes: &SIZES,
+        measure,
+    },
+    HotPath {
+        list: "shard_results",
+        n_key: "shard_n",
+        ns_key: "shard_ns_per_interval",
+        label: " (sharded)",
+        sizes: &SHARD_SIZES,
+        measure: measure_shard,
+    },
+    HotPath {
+        list: "churn_results",
+        n_key: "churn_n",
+        ns_key: "churn_ns_per_step",
+        label: " (churn)",
+        sizes: &CHURN_SIZES,
+        measure: measure_churn,
+    },
+    HotPath {
+        list: "dp_results",
+        n_key: "dp_n",
+        ns_key: "dp_ns_per_wave",
+        label: " (dataplane)",
+        sizes: &DP_SIZES,
+        measure: measure_dataplane,
+    },
+];
+
+const DESCRIPTION: &str = "BENCH_workspace reuse hot path (mobility step + in-place CSR \
+    rebuild + CdsWorkspace CDS + verification), the sharded-engine hot path (mobility step + \
+    ShardedCds::compute_unit_disk), the incremental churn hot path (ChurnEngine::step on a \
+    mobility event batch) and the dataplane forwarding hot path (Dataplane::pump over cached \
+    routes), timed with pacds-obs compiled out vs enabled";
+
+/// Writes a file whose `results` are the first path's rows and whose
+/// other paths' rows follow `extra`.
+fn write_file(path: &str, extra: Row, mut lists: Vec<Vec<Row>>) -> Result<(), Error> {
+    let results = lists.remove(0);
+    let extra = PATHS[1..]
+        .iter()
+        .zip(lists)
+        .fold(extra, |row, (p, rows)| row.with(p.list, rows));
+    let description = format!("{DESCRIPTION}; minimum of {REPS} repetitions per size");
+    row::write(
+        path,
+        &row::file("obs_overhead", &description, "ns/interval", extra, results),
+    )
+}
+
+fn run_baseline() -> Result<(), Error> {
+    let lists = PATHS
+        .iter()
+        .map(|p| {
+            p.sizes
+                .iter()
+                .map(|&n| {
+                    let ns = (p.measure)(n);
+                    println!("n={n:>6}  baseline {ns:>12.0} ns{}", p.label);
+                    Row::new().with(p.n_key, n).fixed(p.ns_key, ns, 0)
+                })
+                .collect()
+        })
+        .collect();
+    write_file(BASELINE, Row::new().with("mode", "baseline"), lists)?;
+    eprintln!("now run with --features obs to compare");
+    Ok(())
+}
+
+fn run_instrumented() -> Result<(), Error> {
+    let text = std::fs::read_to_string(BASELINE).map_err(|e| {
+        format!("cannot read baseline {BASELINE}: {e}\nrun this binary once WITHOUT --features obs first")
+    })?;
+    // The keys are distinct whole words ("n" never matches inside
+    // "shard_n"), so plain extraction stays exact.
+    let mut bases = Vec::new();
+    for p in &PATHS {
+        let base_ns = extract_numbers(&text, p.ns_key);
+        let base_n = extract_numbers(&text, p.n_key);
+        if base_ns.len() != p.sizes.len()
+            || base_n
+                .iter()
+                .map(|&v| v as usize)
+                .ne(p.sizes.iter().copied())
+        {
+            return Err(format!(
+                "baseline {BASELINE} does not cover{} sizes {:?}; re-run the baseline binary \
+                 (without --features obs)",
+                p.label, p.sizes
+            )
+            .into());
         }
-    };
-    let base_ns = extract_numbers(&text, "ns_per_interval");
-    let base_n: Vec<f64> = extract_numbers(&text, "n");
-    // "ns_per_interval" / "n" are prefixes of the shard keys only in the
-    // other direction, so plain extraction stays exact; the shard rows use
-    // distinct "shard_n" / "shard_ns_per_interval" keys.
-    if base_ns.len() != SIZES.len() || base_n.iter().map(|&v| v as usize).ne(SIZES.iter().copied())
-    {
-        eprintln!("error: baseline {baseline_path} does not cover sizes {SIZES:?}");
-        return ExitCode::FAILURE;
+        bases.push(base_ns);
     }
-    let shard_base_ns = extract_numbers(&text, "shard_ns_per_interval");
-    let shard_base_n: Vec<f64> = extract_numbers(&text, "shard_n");
-    if shard_base_ns.len() != SHARD_SIZES.len()
-        || shard_base_n
-            .iter()
-            .map(|&v| v as usize)
-            .ne(SHARD_SIZES.iter().copied())
-    {
-        eprintln!(
-            "error: baseline {baseline_path} does not cover shard sizes {SHARD_SIZES:?}; \
-             re-run the baseline binary (without --features obs)"
-        );
-        return ExitCode::FAILURE;
-    }
-    let churn_base_ns = extract_numbers(&text, "churn_ns_per_step");
-    let churn_base_n: Vec<f64> = extract_numbers(&text, "churn_n");
-    if churn_base_ns.len() != CHURN_SIZES.len()
-        || churn_base_n
-            .iter()
-            .map(|&v| v as usize)
-            .ne(CHURN_SIZES.iter().copied())
-    {
-        eprintln!(
-            "error: baseline {baseline_path} does not cover churn sizes {CHURN_SIZES:?}; \
-             re-run the baseline binary (without --features obs)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let dp_base_ns = extract_numbers(&text, "dp_ns_per_wave");
-    let dp_base_n: Vec<f64> = extract_numbers(&text, "dp_n");
-    if dp_base_ns.len() != DP_SIZES.len()
-        || dp_base_n
-            .iter()
-            .map(|&v| v as usize)
-            .ne(DP_SIZES.iter().copied())
-    {
-        eprintln!(
-            "error: baseline {baseline_path} does not cover dataplane sizes {DP_SIZES:?}; \
-             re-run the baseline binary (without --features obs)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let max_pct: f64 = std::env::var("PACDS_OBS_MAX_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
 
     pacds_obs::reset();
     // A trace build is gated with sampling ON: the deployment-realistic
@@ -409,164 +342,83 @@ fn run_instrumented() -> ExitCode {
         pacds_obs::set_sampling(TRACE_SAMPLE);
     }
     let mut gate_failed = false;
-    // Scheduler noise is one-sided (it only ever adds time), so a
-    // minimum that trips the gate is re-measured and min-combined a
-    // couple of times before the failure is believed.
-    let mut gate = |sizes: &[usize],
-                    base_ns: &[f64],
-                    key: &str,
-                    label: &str,
-                    measure_fn: &dyn Fn(usize) -> f64|
-     -> Vec<String> {
+    let mut lists = Vec::new();
+    for (p, base_ns) in PATHS.iter().zip(&bases) {
         let mut rows = Vec::new();
-        for (&n, &base) in sizes.iter().zip(base_ns) {
+        for (&n, &base) in p.sizes.iter().zip(base_ns) {
             let gated = n >= 1000;
-            let mut ns = measure_fn(n);
+            // Scheduler noise is one-sided (it only ever adds time), so
+            // a minimum that trips the gate is re-measured and
+            // min-combined a couple of times before the failure is
+            // believed.
+            let mut ns = (p.measure)(n);
             for _ in 0..2 {
-                if !(gated && 100.0 * (ns - base) / base > max_pct) {
+                if !(gated && 100.0 * (ns - base) / base > MAX_PCT) {
                     break;
                 }
-                ns = ns.min(measure_fn(n));
+                ns = ns.min((p.measure)(n));
             }
             let overhead = 100.0 * (ns - base) / base;
-            if gated && overhead > max_pct {
-                gate_failed = true;
-            }
+            gate_failed |= gated && overhead > MAX_PCT;
             println!(
                 "n={n:>6}  baseline {base:>12.0}  instrumented {ns:>12.0}  \
-                 overhead {overhead:>+6.2}%{label}{}",
+                 overhead {overhead:>+6.2}%{}{}",
+                p.label,
                 if gated { "  [gated]" } else { "" }
             );
-            rows.push(format!(
-                concat!(
-                    "    {{\n",
-                    "      \"{}\": {},\n",
-                    "      \"baseline_ns_per_interval\": {:.0},\n",
-                    "      \"instrumented_ns_per_interval\": {:.0},\n",
-                    "      \"overhead_pct\": {:.2}\n",
-                    "    }}"
-                ),
-                key, n, base, ns, overhead
-            ));
+            rows.push(
+                Row::new()
+                    .with(p.n_key, n)
+                    .fixed("baseline_ns_per_interval", base, 0)
+                    .fixed("instrumented_ns_per_interval", ns, 0)
+                    .fixed("overhead_pct", overhead, 2),
+            );
         }
-        rows
-    };
-    let rows = gate(&SIZES, &base_ns, "n", "", &measure);
-    let shard_rows = gate(
-        &SHARD_SIZES,
-        &shard_base_ns,
-        "shard_n",
-        " (sharded)",
-        &measure_shard,
-    );
-    let churn_rows = gate(
-        &CHURN_SIZES,
-        &churn_base_ns,
-        "churn_n",
-        " (churn)",
-        &measure_churn,
-    );
-    let dp_rows = gate(
-        &DP_SIZES,
-        &dp_base_ns,
-        "dp_n",
-        " (dataplane)",
-        &measure_dataplane,
-    );
+        lists.push(rows);
+    }
 
     // Prove the instrumented run actually recorded something: a ≤ 3%
     // number for a build where the counters silently compiled out would
     // be meaningless.
     let snap = pacds_obs::Snapshot::capture();
-    let computes = snap.counter("workspace.computes");
-    if computes == 0 {
-        eprintln!("error: instrumented build recorded no workspace.computes");
-        return ExitCode::FAILURE;
+    let mut extra = Row::new()
+        .with("max_overhead_pct_gate", MAX_PCT)
+        .with("gated_sizes", "n >= 1000")
+        .with("trace_enabled", pacds_obs::trace_enabled())
+        .with(
+            "trace_sample",
+            if pacds_obs::trace_enabled() {
+                TRACE_SAMPLE
+            } else {
+                0
+            },
+        )
+        .with("instrumented_trace_spans", snap.counter("trace.spans"));
+    if pacds_obs::trace_enabled() && snap.counter("trace.spans") == 0 {
+        return Err(format!("trace build with sampling 1/{TRACE_SAMPLE} recorded no spans").into());
     }
-    let shard_computes = snap.counter("shard.computes");
-    if shard_computes == 0 {
-        eprintln!("error: instrumented build recorded no shard.computes");
-        return ExitCode::FAILURE;
-    }
-    let churn_refreshes = snap.counter("churn.refreshes");
-    if churn_refreshes == 0 {
-        eprintln!("error: instrumented build recorded no churn.refreshes");
-        return ExitCode::FAILURE;
-    }
-    let dp_forwarded = snap.counter("dp.forwarded");
-    if dp_forwarded == 0 {
-        eprintln!("error: instrumented build recorded no dp.forwarded");
-        return ExitCode::FAILURE;
-    }
-    let trace_spans = snap.counter("trace.spans");
-    if pacds_obs::trace_enabled() && trace_spans == 0 {
-        eprintln!("error: trace build with sampling 1/{TRACE_SAMPLE} recorded no spans");
-        return ExitCode::FAILURE;
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"obs_overhead\",\n",
-            "  \"description\": \"BENCH_workspace reuse hot path (mobility step + in-place ",
-            "CSR rebuild + CdsWorkspace CDS + verification), the sharded-engine hot path ",
-            "(mobility step + ShardedCds::compute_unit_disk), the incremental churn hot ",
-            "path (ChurnEngine::step on a mobility event batch) and the dataplane ",
-            "forwarding hot path (Dataplane::pump over cached routes), timed with pacds-obs ",
-            "compiled out vs enabled; minimum of {} repetitions per size\",\n",
-            "  \"unit\": \"ns/interval\",\n",
-            "  \"max_overhead_pct_gate\": {},\n",
-            "  \"gated_sizes\": \"n >= 1000\",\n",
-            "  \"trace_enabled\": {},\n",
-            "  \"trace_sample\": {},\n",
-            "  \"instrumented_trace_spans\": {},\n",
-            "  \"instrumented_workspace_computes\": {},\n",
-            "  \"instrumented_shard_computes\": {},\n",
-            "  \"instrumented_churn_refreshes\": {},\n",
-            "  \"instrumented_dp_forwarded\": {},\n",
-            "  \"results\": [\n{}\n  ],\n",
-            "  \"shard_results\": [\n{}\n  ],\n",
-            "  \"churn_results\": [\n{}\n  ],\n",
-            "  \"dp_results\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        REPS,
-        max_pct,
-        pacds_obs::trace_enabled(),
-        if pacds_obs::trace_enabled() {
-            TRACE_SAMPLE
-        } else {
-            0
-        },
-        trace_spans,
-        computes,
-        shard_computes,
-        churn_refreshes,
-        dp_forwarded,
-        rows.join(",\n"),
-        shard_rows.join(",\n"),
-        churn_rows.join(",\n"),
-        dp_rows.join(",\n")
-    );
-    let out = std::env::var("PACDS_BENCH_OUT").unwrap_or_else(|_| "BENCH_obs.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
+    for (key, counter) in [
+        ("instrumented_workspace_computes", "workspace.computes"),
+        ("instrumented_shard_computes", "shard.computes"),
+        ("instrumented_churn_refreshes", "churn.refreshes"),
+        ("instrumented_dp_forwarded", "dp.forwarded"),
+    ] {
+        let value = snap.counter(counter);
+        if value == 0 {
+            return Err(format!("instrumented build recorded no {counter}").into());
         }
+        extra = extra.with(key, value);
     }
+    write_file(&pacds_bench::bench_out("BENCH_obs.json"), extra, lists)?;
     if gate_failed {
-        eprintln!("error: instrumentation overhead exceeds {max_pct}% at n >= 1000");
-        return ExitCode::FAILURE;
+        return Err(format!("instrumentation overhead exceeds {MAX_PCT}% at n >= 1000").into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    if pacds_obs::enabled() {
-        run_instrumented()
-    } else {
-        run_baseline()
-    }
+    pacds_bench::exit(match pacds_obs::enabled() {
+        true => run_instrumented(),
+        false => run_baseline(),
+    })
 }

@@ -1,323 +1,121 @@
 //! Scaling curve of the sharded CDS engine (`pacds-shard`).
 //!
-//! For each size in `PACDS_SHARD_SIZES` (default `10000,100000,1000000`)
-//! the binary places a constant-density unit-disk instance and times:
+//! For each size in `PACDS_BENCH_SIZES` (default `10000,100000,1000000`)
+//! the binary places a constant-density unit-disk instance and runs
+//! [`pacds_bench::shard::run`] — the driver behind `pacds shard` — at:
 //!
-//! * the **sharded** engine (`compute_unit_disk`, shards scaled with `n`)
-//!   at every thread count in the scaling list (`--threads 1,2,4,8` or
-//!   `PACDS_SHARD_THREADS`; default `1,2,4,8`) plus an all-cores run —
-//!   the full partition → halo build → per-tile solve → ownership merge
-//!   path, straight from the points: the whole-graph adjacency never
-//!   materialises;
-//! * the **whole-graph** `CdsWorkspace` on the same instance, where its
-//!   dense `O(n²)`-bit neighbour bitmap is feasible (`n ≤ 100000`; at
-//!   `n = 10⁶` it would need ~125 TB, which is the point of the crate).
+//! * every thread count in `PACDS_BENCH_THREADS` (default `1,2,4,8`;
+//!   1 is always included: it is the reference every identity check is
+//!   computed against), then an all-cores run — the
+//!   full partition → halo build → per-tile solve → ownership merge
+//!   path, straight from the points;
+//! * at threads = 1, the whole-graph `CdsWorkspace` check where its
+//!   dense `O(n²)`-bit bitmap fits (`n ≤`
+//!   [`WHOLE_GRAPH_LIMIT`](pacds_bench::shard::WHOLE_GRAPH_LIMIT)).
 //!
-//! Every measured sharded run is asserted **bit-identical** to the
-//! whole-graph result whenever the baseline ran, and the thread-count
-//! runs to each other — the speedup columns are only meaningful if all
-//! sides answer the same question.
+//! Every sharded run is required bit-identical to the threads = 1 run,
+//! and that one to the whole graph where it ran: the speedup columns are
+//! only meaningful if all sides answer the same question.
 //!
-//! Writes `BENCH_shard.json` (override: `PACDS_BENCH_OUT`) with per-phase
-//! timings from [`pacds_shard::ShardStats`] and a per-size `scaling`
-//! table carrying the work-distribution counters
-//! ([`pacds_shard::ThreadWork`]): `tiles_per_thread`,
-//! `busy_ns_per_thread`, `stolen_tiles`. Those counters — not wall clock,
-//! which depends on how many cores the bench box actually has
-//! (`machine_threads` records it) — are the portable evidence that the
-//! parallel path distributes work. Exits non-zero on identity failure or
-//! a degenerate result.
-//!
-//! Hand-written JSON: the bench crate deliberately takes no serde
-//! dependency.
+//! Writes `BENCH_shard.json` (override: `PACDS_BENCH_OUT`). Each result
+//! carries a `scaling` table of per-thread-count rows with the
+//! work-distribution counters (`tiles_per_thread`, `busy_ns_per_thread`,
+//! `stolen_tiles`) — the portable evidence that the parallel path
+//! distributes work, since wall clock depends on `machine_threads`.
+//! Exits non-zero on identity failure or a degenerate result.
 
-use pacds_core::{CdsConfig, CdsWorkspace, Policy};
-use pacds_geom::Rect;
-use pacds_graph::gen;
-use pacds_shard::{ShardSpec, ShardStats, ShardedCds, ThreadWork};
+use pacds_bench::row::{self, Row};
+use pacds_bench::shard::{self, ShardParams, WHOLE_GRAPH_LIMIT};
+use pacds_bench::{density_side, identical, spread_energy, verdicts, Error, Instance};
+use pacds_core::{CdsConfig, Policy};
+use pacds_shard::ShardSpec;
 use rand::SeedableRng;
-use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 const RADIUS: f64 = 25.0;
-/// Whole-graph baseline ceiling: the dense bitmap is `n²` bits
-/// (1.25 GB at 10⁵); past this only the sharded engine runs.
-const BASELINE_LIMIT: usize = 100_000;
-
-fn arena(n: usize) -> Rect {
-    Rect::square((100.0 * (n as f64 / 100.0).sqrt()).max(1.0))
-}
-
-fn sizes() -> Vec<usize> {
-    match std::env::var("PACDS_SHARD_SIZES") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("PACDS_SHARD_SIZES: integers"))
-            .collect(),
-        Err(_) => vec![10_000, 100_000, 1_000_000],
-    }
-}
-
-/// Thread counts for the scaling table: `--threads`, then
-/// `PACDS_SHARD_THREADS`, then `1,2,4,8`. Always includes 1 (the
-/// reference point every speedup is computed against).
-fn thread_counts() -> Vec<usize> {
-    let mut args = std::env::args().skip(1);
-    let mut spec = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => spec = Some(args.next().expect("--threads needs a list")),
-            other => {
-                eprintln!("error: unknown argument {other} (supported: --threads 1,2,4)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let spec = spec
-        .or_else(|| std::env::var("PACDS_SHARD_THREADS").ok())
-        .unwrap_or_else(|| "1,2,4,8".into());
-    let mut counts: Vec<usize> = spec
-        .split(',')
-        .map(|t| t.trim().parse().expect("thread list: integers"))
-        .collect();
-    assert!(counts.iter().all(|&t| t >= 1), "thread counts must be >= 1");
-    if !counts.contains(&1) {
-        counts.insert(0, 1);
-    }
-    counts
-}
+const SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Repetitions scale down with size; minima are reported.
 fn reps(n: usize) -> usize {
-    if n >= 1_000_000 {
-        1
-    } else if n >= 100_000 {
-        2
-    } else {
-        3
+    match n {
+        1_000_000.. => 1,
+        100_000.. => 2,
+        _ => 3,
     }
-}
-
-struct ShardRun {
-    ns: f64,
-    stats: ShardStats,
-    work: Vec<ThreadWork>,
-}
-
-/// Times `engine.compute_unit_disk` on a retained engine (minimum over
-/// `reps`), returning the stats and work distribution of the fastest run.
-fn run_sharded(
-    engine: &mut ShardedCds,
-    bounds: Rect,
-    points: &[pacds_geom::Point2],
-    energy: &[u64],
-    cfg: &CdsConfig,
-    reps: usize,
-) -> ShardRun {
-    let mut best = f64::INFINITY;
-    let mut stats = ShardStats::default();
-    let mut work = Vec::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        engine
-            .compute_unit_disk(bounds, RADIUS, points, Some(energy), cfg)
-            .expect("benchmark config is shardable");
-        let ns = t.elapsed().as_nanos() as f64;
-        black_box(engine.gateway_count());
-        if ns < best {
-            best = ns;
-            stats = engine.stats();
-            work = engine.thread_work();
-        }
-    }
-    ShardRun {
-        ns: best,
-        stats,
-        work,
-    }
-}
-
-fn join_u64<I: Iterator<Item = u64>>(it: I) -> String {
-    it.map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
-}
-
-/// One row of the per-size `scaling` table.
-fn scaling_row(threads: usize, run: &ShardRun) -> String {
-    let s = &run.stats;
-    // Trim the retained-slot tail: slots past the run's width report 0.
-    let active = &run.work[..run.work.len().min(threads)];
-    format!(
-        concat!(
-            "        {{ \"threads\": {}, \"ns\": {:.0}, ",
-            "\"partition_ns\": {}, \"halo_build_ns\": {}, ",
-            "\"solve_ns\": {}, \"merge_ns\": {}, \"stolen_tiles\": {}, ",
-            "\"tiles_per_thread\": [{}], \"busy_ns_per_thread\": [{}] }}"
-        ),
-        threads,
-        run.ns,
-        s.partition_ns,
-        s.halo_build_ns,
-        s.solve_ns,
-        s.merge_ns,
-        s.stolen_tiles,
-        join_u64(active.iter().map(|w| w.tiles_solved)),
-        join_u64(active.iter().map(|w| w.busy_ns)),
-    )
 }
 
 fn main() -> ExitCode {
-    let cfg = CdsConfig::policy(Policy::EnergyDegree);
-    let counts = thread_counts();
-    let machine_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    pacds_bench::exit(bench())
+}
+
+fn bench() -> Result<(), Error> {
+    let mut counts = pacds_bench::list_env("PACDS_BENCH_THREADS", &THREADS);
+    if counts.contains(&0) {
+        return Err("PACDS_BENCH_THREADS: thread counts must be >= 1".into());
+    }
+    counts.retain(|&t| t != 1);
     let mut rows = Vec::new();
-    for n in sizes() {
-        let bounds = arena(n);
+    for n in pacds_bench::list_env("PACDS_BENCH_SIZES", &SIZES) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let points = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
-        let energy: Vec<u64> = (0..n).map(|i| (i as u64 * 7919) % 100).collect();
-        let r = reps(n);
-
-        // The thread-scaling sweep; threads=1 is the reference the other
-        // rows' identity and speedups are checked against.
-        let mut inline = ShardedCds::new(ShardSpec::auto()).expect("default halo");
-        let single = run_sharded(&mut inline, bounds, &points, &energy, &cfg, r);
-        let gateways = inline.gateway_count();
-        if n > 0 && gateways == 0 {
-            eprintln!("error: n={n} produced an empty gateway set");
-            return ExitCode::FAILURE;
-        }
-
-        let mut scaling = vec![scaling_row(1, &single)];
-        let mut scaling_log = vec![(1usize, single.ns)];
-        for &t in counts.iter().filter(|&&t| t != 1) {
-            let mut eng = ShardedCds::new(ShardSpec {
-                threads: t,
+        let inst = Instance::uniform(&mut rng, density_side(n), RADIUS, spread_energy(n, 0));
+        let params = |threads, check| ShardParams {
+            spec: ShardSpec {
+                threads,
                 ..ShardSpec::auto()
-            })
-            .expect("default halo");
-            let run = run_sharded(&mut eng, bounds, &points, &energy, &cfg, r);
-            if eng.gateways() != inline.gateways() {
-                eprintln!("error: n={n} threads={t}: result diverged from inline");
-                return ExitCode::FAILURE;
-            }
-            scaling.push(scaling_row(t, &run));
-            scaling_log.push((t, run.ns));
-        }
-
-        // The "use the whole machine" shape the serving layer would pick.
-        let mut stealing = ShardedCds::new(ShardSpec::all_cores()).expect("default halo");
-        let multi = run_sharded(&mut stealing, bounds, &points, &energy, &cfg, r);
-        if stealing.gateways() != inline.gateways() {
-            eprintln!("error: n={n}: all-cores result diverged from inline");
-            return ExitCode::FAILURE;
-        }
-
-        // Whole-graph baseline + identity check where the bitmap fits.
-        let whole_ns = if n <= BASELINE_LIMIT {
-            let g = gen::unit_disk(bounds, RADIUS, &points);
-            let mut ws = CdsWorkspace::with_capacity(n);
-            let mut best = f64::INFINITY;
-            for _ in 0..r {
-                let t = Instant::now();
-                ws.compute(&g, Some(&energy), &cfg);
-                best = best.min(t.elapsed().as_nanos() as f64);
-                black_box(ws.gateway_count());
-            }
-            if ws.gateways() != inline.gateways()
-                || ws.marked() != inline.marked()
-                || ws.after_rule1() != inline.after_rule1()
-            {
-                eprintln!("error: n={n}: sharded result diverged from the whole graph");
-                return ExitCode::FAILURE;
-            }
-            Some(best)
-        } else {
-            None
+            },
+            cfg: CdsConfig::policy(Policy::EnergyDegree),
+            reps: reps(n),
+            check,
+            expect_workers: 0,
         };
-
-        let s = &single.stats;
-        let speedup = whole_ns.map(|w| w / single.ns);
-        println!(
-            "n={n:>8}  tiles={:>5}  sharded {:>12.0} ns (threads=1) / {:>12.0} ns (all cores)  \
-             whole-graph {}  speedup {}",
-            s.tiles,
-            single.ns,
-            multi.ns,
-            whole_ns.map_or("    skipped".into(), |w| format!("{w:>12.0} ns")),
-            speedup.map_or("-".into(), |x| format!("{x:.2}x")),
+        // threads = 1 is the reference every other run must match.
+        let (single, inline) = shard::run(&inst, &params(1, true))?;
+        if n > 0 && single.num("gateways") == 0.0 {
+            return Err(format!("n={n} produced an empty gateway set").into());
+        }
+        let mut scaling = vec![single.clone()];
+        // 0 threads: the "use the whole machine" shape the serving layer
+        // would pick, reported apart from the scaling table.
+        for t in counts.iter().copied().chain([0]) {
+            let (run, engine) = shard::run(&inst, &params(t, false))?;
+            identical(
+                &format!("n={n} threads={t} vs threads=1"),
+                verdicts!(engine),
+                verdicts!(inline),
+            )?;
+            scaling.push(run);
+        }
+        let all_cores = scaling.pop().expect("the all-cores run");
+        rows.push(
+            single
+                .clone()
+                .fixed("sharded_ns", single.num("ns"), 0)
+                .fixed("sharded_all_cores_ns", all_cores.num("ns"), 0)
+                .with("scaling", scaling),
         );
-        for &(t, ns) in &scaling_log {
-            println!(
-                "            threads={t:>2}  {ns:>12.0} ns  speedup-vs-1 {:.2}x",
-                single.ns / ns
-            );
-        }
-        rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"n\": {}, \"tiles\": {}, \"gateways\": {},\n",
-                "      \"owned_nodes\": {}, \"halo_nodes\": {}, \"cross_tile_edges\": {},\n",
-                "      \"sharded_ns\": {:.0}, \"sharded_all_cores_ns\": {:.0},\n",
-                "      \"partition_ns\": {}, \"halo_build_ns\": {}, ",
-                "\"solve_ns\": {}, \"merge_ns\": {},\n",
-                "      \"whole_graph_ns\": {}, \"speedup_vs_whole_graph\": {},\n",
-                "      \"scaling\": [\n{}\n      ]\n",
-                "    }}"
-            ),
-            n,
-            s.tiles,
-            gateways,
-            s.owned_nodes,
-            s.halo_nodes,
-            s.cross_tile_edges,
-            single.ns,
-            multi.ns,
-            s.partition_ns,
-            s.halo_build_ns,
-            s.solve_ns,
-            s.merge_ns,
-            whole_ns.map_or("null".into(), |w| format!("{w:.0}")),
-            speedup.map_or("null".into(), |x| format!("{x:.3}")),
-            scaling.join(",\n"),
-        ));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"shard_scaling\",\n",
-            "  \"description\": \"pacds-shard spatial engine on constant-density unit-disk ",
-            "instances (radius 25, ~19.6 expected neighbours), EnergyDegree policy, ",
-            "simultaneous single-pass min-of-three semantics; minimum over repetitions; ",
-            "whole-graph CdsWorkspace baseline where its dense n^2-bit bitmap fits ",
-            "(n <= {}), with asserted bit-identity. whole_graph_ns and ",
-            "speedup_vs_whole_graph are null (never omitted) when the baseline did not run. ",
-            "Schema: each result's scaling[] row is one thread count; its per-phase *_ns ",
-            "fields sum executor CPU time (not wall time, which is the row's ns); ",
-            "stolen_tiles counts tiles an executor claimed from another executor's stripe ",
-            "of the size-ordered schedule; tiles_per_thread / busy_ns_per_thread are ",
-            "indexed by executor id (0 = the calling thread) — work distribution is the ",
-            "machine-independent evidence of parallelism, wall-clock speedup depends on ",
-            "machine_threads\",\n",
-            "  \"unit\": \"ns/compute\",\n",
-            "  \"machine_threads\": {},\n",
-            "  \"results\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        BASELINE_LIMIT,
-        machine_threads,
-        rows.join(",\n")
+    let description = format!(
+        "pacds-shard spatial engine on constant-density unit-disk instances (radius 25, \
+         ~19.6 expected neighbours), EnergyDegree policy, simultaneous single-pass \
+         min-of-three semantics; minimum over repetitions; whole-graph CdsWorkspace \
+         baseline where its dense n^2-bit bitmap fits (n <= {WHOLE_GRAPH_LIMIT}), with \
+         asserted bit-identity. whole_graph_ns and speedup_vs_whole_graph are null (never \
+         omitted) when the baseline did not run. Schema: each result's scaling[] row is one \
+         thread count; its per-phase *_ns fields sum executor CPU time (not wall time, which \
+         is the row's ns); stolen_tiles counts tiles an executor claimed from another \
+         executor's stripe of the size-ordered schedule; tiles_per_thread / \
+         busy_ns_per_thread are indexed by executor id (0 = the calling thread) — work \
+         distribution is the machine-independent evidence of parallelism, wall-clock \
+         speedup depends on machine_threads"
     );
-    let out = std::env::var("PACDS_BENCH_OUT").unwrap_or_else(|_| "BENCH_shard.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let text = row::file(
+        "shard_scaling",
+        &description,
+        "ns/compute",
+        Row::new(),
+        rows,
+    );
+    row::write(&pacds_bench::bench_out("BENCH_shard.json"), &text)
 }

@@ -7,66 +7,15 @@
 //! hot path, at n in {100, 1000, 10000}, and writes `BENCH_workspace.json`
 //! (override the path with `PACDS_BENCH_OUT`). Run with `--release`; the
 //! acceptance target is a >= 2x speedup at n >= 1000.
-//!
-//! The JSON is written by hand — the bench crate deliberately takes no
-//! serde dependency.
 
+use pacds_bench::row::{self, Row};
 use pacds_bench::seed_baseline::compute_cds_seed;
+use pacds_bench::{time_ns, Interval};
 use pacds_core::{verify_cds, CdsConfig, CdsWorkspace, Policy};
-use pacds_geom::{Point2, Rect};
 use pacds_graph::{gen, CsrGraph};
-use pacds_mobility::{MobilityModel, PaperWalk};
-use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 const RADIUS: f64 = 25.0;
-
-fn arena(n: usize) -> Rect {
-    Rect::square((100.0 * (n as f64 / 100.0).sqrt()).max(1.0))
-}
-
-struct Interval {
-    bounds: Rect,
-    positions: Vec<Point2>,
-    walk: PaperWalk,
-    energy: Vec<u64>,
-    rng: rand::rngs::StdRng,
-}
-
-impl Interval {
-    fn new(n: usize, seed: u64) -> Self {
-        let bounds = arena(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let positions = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
-        let energy = (0..n).map(|i| (i as u64 * 7919) % 100).collect();
-        Self {
-            bounds,
-            positions,
-            walk: PaperWalk::paper(),
-            energy,
-            rng,
-        }
-    }
-
-    fn step(&mut self) {
-        self.walk
-            .step(&mut self.rng, self.bounds, &mut self.positions);
-    }
-}
-
-/// Mean wall-clock nanoseconds per interval over `iters` runs of `f`,
-/// after `warmup` unmeasured runs.
-fn time_ns(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
 
 fn main() {
     let cfg = CdsConfig::policy(Policy::EnergyDegree);
@@ -109,36 +58,26 @@ fn main() {
             "n={n:>6}  alloc {:>12.0} ns/interval  reuse {:>12.0} ns/interval  speedup {speedup:.2}x",
             alloc_ns, reuse_ns
         );
-        rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"n\": {},\n",
-                "      \"iters\": {},\n",
-                "      \"alloc_ns_per_interval\": {:.0},\n",
-                "      \"reuse_ns_per_interval\": {:.0},\n",
-                "      \"speedup\": {:.3}\n",
-                "    }}"
-            ),
-            n, iters, alloc_ns, reuse_ns, speedup
-        ));
+        rows.push(
+            Row::new()
+                .with("n", n)
+                .with("iters", iters)
+                .fixed("alloc_ns_per_interval", alloc_ns, 0)
+                .fixed("reuse_ns_per_interval", reuse_ns, 0)
+                .fixed("speedup", speedup, 3),
+        );
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"workspace\",\n",
-            "  \"description\": \"one Monte-Carlo interval: mobility step + topology rebuild ",
-            "+ CDS (EnergyDegree, single-pass) + verification; alloc = v0 pipeline ",
-            "(fresh Graph + full-word-scan passes), reuse = in-place CSR + CdsWorkspace\",\n",
-            "  \"unit\": \"ns/interval\",\n",
-            "  \"results\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        rows.join(",\n")
+    let text = row::file(
+        "workspace",
+        "one Monte-Carlo interval: mobility step + topology rebuild + CDS (EnergyDegree, \
+         single-pass) + verification; alloc = v0 pipeline (fresh Graph + full-word-scan \
+         passes), reuse = in-place CSR + CdsWorkspace",
+        "ns/interval",
+        Row::new(),
+        rows,
     );
-    let out = std::env::var("PACDS_BENCH_OUT").unwrap_or_else(|_| "BENCH_workspace.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => eprintln!("warning: cannot write {out}: {e}"),
+    if let Err(e) = row::write(&pacds_bench::bench_out("BENCH_workspace.json"), &text) {
+        eprintln!("warning: {e}");
     }
 }

@@ -93,11 +93,11 @@ impl Args {
             .map_err(|_| ArgError(format!("--{key}: cannot parse '{raw}'")))
     }
 
-    /// Rejects options/flags outside `allowed` (catches typos) and any
-    /// positional argument — commands that take positionals use
+    /// Rejects options/flags outside `allowed` — option names separated
+    /// by whitespace — (catches typos) and any positional argument — commands that take positionals use
     /// [`Args::check_known_with_positionals`]. The [`GLOBAL_OPTS`] are
     /// accepted everywhere.
-    pub fn check_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    pub fn check_known(&self, allowed: &str) -> Result<(), ArgError> {
         self.check_known_with_positionals(allowed, 0)
     }
 
@@ -105,9 +105,10 @@ impl Args {
     /// `max_positionals` positional arguments.
     pub fn check_known_with_positionals(
         &self,
-        allowed: &[&str],
+        allowed: &str,
         max_positionals: usize,
     ) -> Result<(), ArgError> {
+        let allowed: Vec<&str> = allowed.split_whitespace().collect();
         if self.positionals.len() > max_positionals {
             return Err(ArgError(format!(
                 "unexpected positional argument '{}'",
@@ -188,18 +189,18 @@ mod tests {
         // Positionals parse, but commands reject them unless opted in.
         let a = parse("a b c").unwrap();
         assert_eq!(a.positionals, vec!["b", "c"]);
-        assert!(a.check_known(&[]).is_err());
-        assert!(a.check_known_with_positionals(&[], 1).is_err());
-        assert!(a.check_known_with_positionals(&[], 2).is_ok());
+        assert!(a.check_known("").is_err());
+        assert!(a.check_known_with_positionals("", 1).is_err());
+        assert!(a.check_known_with_positionals("", 2).is_ok());
         let a = parse("x --good 1 --bad 2").unwrap();
-        assert!(a.check_known(&["good"]).is_err());
-        assert!(a.check_known(&["good", "bad"]).is_ok());
+        assert!(a.check_known("good").is_err());
+        assert!(a.check_known("good bad").is_ok());
     }
 
     #[test]
     fn global_options_are_always_known() {
         let a = parse("x --log-level debug --n 3").unwrap();
-        assert!(a.check_known(&["n"]).is_ok());
+        assert!(a.check_known("n").is_ok());
         assert_eq!(a.get("log-level"), Some("debug"));
     }
 

@@ -1,11 +1,13 @@
 //! The CLI subcommands.
 
 use crate::args::Args;
+use pacds_bench::Instance;
 use pacds_core::{compute_cds_trace, verify_cds, CdsConfig, CdsInput, Policy};
 use pacds_energy::DrainModel;
 use pacds_geom::Rect;
 use pacds_graph::{algo, gen, io, mask_to_vec, Graph};
 use pacds_routing::BackboneRoutes;
+use pacds_shard::{ShardSpec, ShardedCds};
 use pacds_sim::{SimConfig, Simulation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -245,13 +247,11 @@ fn energy_levels(args: &Args, n: usize) -> Result<Vec<u64>, Box<dyn std::error::
     }
 }
 
-const TOPOLOGY_OPTS: &[&str] = &["input", "n", "radius", "side", "seed", "connected"];
+const TOPOLOGY_OPTS: &str = "input n radius side seed connected";
 
 /// `pacds gen`
 pub fn gen(args: &Args) -> CliResult {
-    let mut known = TOPOLOGY_OPTS.to_vec();
-    known.push("format");
-    args.check_known(&known)?;
+    args.check_known(&format!("{TOPOLOGY_OPTS} format"))?;
     let g = topology(args)?;
     match args.get("format").unwrap_or("edges") {
         "edges" => print!("{}", io::to_edge_list(&g)),
@@ -264,9 +264,7 @@ pub fn gen(args: &Args) -> CliResult {
 
 /// `pacds cds`
 pub fn cds(args: &Args) -> CliResult {
-    let mut known = TOPOLOGY_OPTS.to_vec();
-    known.extend(["policy", "semantics", "energy-seed", "dot"]);
-    args.check_known(&known)?;
+    args.check_known(&format!("{TOPOLOGY_OPTS} policy semantics energy-seed dot"))?;
     let g = topology(args)?;
     let policy = policy_of(args.get("policy").unwrap_or("id"))?;
     let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
@@ -301,9 +299,9 @@ pub fn cds(args: &Args) -> CliResult {
 
 /// `pacds route`
 pub fn route(args: &Args) -> CliResult {
-    let mut known = TOPOLOGY_OPTS.to_vec();
-    known.extend(["policy", "semantics", "energy-seed", "from", "to"]);
-    args.check_known(&known)?;
+    args.check_known(&format!(
+        "{TOPOLOGY_OPTS} policy semantics energy-seed from to"
+    ))?;
     let g = topology(args)?;
     let policy = policy_of(args.get("policy").unwrap_or("id"))?;
     let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
@@ -327,7 +325,7 @@ pub fn route(args: &Args) -> CliResult {
 
 /// `pacds simulate`
 pub fn simulate(args: &Args) -> CliResult {
-    args.check_known(&["n", "policy", "model", "trials", "seed", "semantics"])?;
+    args.check_known("n policy model trials seed semantics")?;
     let n: usize = args.get_or("n", 50)?;
     let policy = policy_of(args.get("policy").unwrap_or("el1"))?;
     let model = model_of(args.get("model").unwrap_or("2"))?;
@@ -358,9 +356,7 @@ pub fn simulate(args: &Args) -> CliResult {
 
 /// `pacds compare`
 pub fn compare(args: &Args) -> CliResult {
-    let mut known = TOPOLOGY_OPTS.to_vec();
-    known.extend(["semantics", "energy-seed"]);
-    args.check_known(&known)?;
+    args.check_known(&format!("{TOPOLOGY_OPTS} semantics energy-seed"))?;
     let g = topology(args)?;
     let energy = energy_levels(args, g.n())?;
     let semantics = args.get("semantics").unwrap_or("safe").to_string();
@@ -402,7 +398,7 @@ pub fn compare(args: &Args) -> CliResult {
 
 /// `pacds trace`
 pub fn trace(args: &Args) -> CliResult {
-    args.check_known(&["n", "policy", "model", "seed", "max", "out", "semantics"])?;
+    args.check_known("n policy model seed max out semantics")?;
     let n: usize = args.get_or("n", 30)?;
     let policy = policy_of(args.get("policy").unwrap_or("el1"))?;
     let model = model_of(args.get("model").unwrap_or("2"))?;
@@ -427,7 +423,7 @@ pub fn trace(args: &Args) -> CliResult {
 
 /// `pacds watch`
 pub fn watch(args: &Args) -> CliResult {
-    args.check_known(&["n", "policy", "intervals", "seed", "model"])?;
+    args.check_known("n policy intervals seed model")?;
     let n: usize = args.get_or("n", 30)?;
     let policy = policy_of(args.get("policy").unwrap_or("el1"))?;
     let model = model_of(args.get("model").unwrap_or("2"))?;
@@ -464,9 +460,7 @@ pub fn watch(args: &Args) -> CliResult {
 
 /// `pacds robustness`
 pub fn robustness(args: &Args) -> CliResult {
-    let mut known = TOPOLOGY_OPTS.to_vec();
-    known.extend(["policy", "semantics", "energy-seed"]);
-    args.check_known(&known)?;
+    args.check_known(&format!("{TOPOLOGY_OPTS} policy semantics energy-seed"))?;
     let g = topology(args)?;
     let energy = energy_levels(args, g.n())?;
     let semantics = args.get("semantics").unwrap_or("safe").to_string();
@@ -493,9 +487,9 @@ pub fn robustness(args: &Args) -> CliResult {
 
 /// `pacds explain`
 pub fn explain(args: &Args) -> CliResult {
-    let mut known = TOPOLOGY_OPTS.to_vec();
-    known.extend(["policy", "semantics", "energy-seed", "host"]);
-    args.check_known(&known)?;
+    args.check_known(&format!(
+        "{TOPOLOGY_OPTS} policy semantics energy-seed host"
+    ))?;
     let g = topology(args)?;
     let policy = policy_of(args.get("policy").unwrap_or("id"))?;
     let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
@@ -516,7 +510,7 @@ pub fn explain(args: &Args) -> CliResult {
 
 /// `pacds run`
 pub fn run_scenario(args: &Args) -> CliResult {
-    args.check_known(&["scenario"])?;
+    args.check_known("scenario")?;
     let path: String = args.require("scenario")?;
     let text = std::fs::read_to_string(&path)?;
     let scenario: pacds_sim::Scenario =
@@ -531,24 +525,8 @@ pub fn obs_report(args: &Args) -> CliResult {
     // `--diff old.jsonl new.jsonl` parses as option "diff"=old plus one
     // positional (the new path); everything else takes no positionals.
     args.check_known_with_positionals(
-        &[
-            "n",
-            "policy",
-            "model",
-            "seed",
-            "intervals",
-            "semantics",
-            "format",
-            "workload",
-            "shards",
-            "threads",
-            "diff",
-            "live",
-            "interval-ms",
-            "windows",
-            "trace-jsonl",
-            "trace-sample",
-        ],
+        "n policy model seed intervals semantics format workload shards threads diff live \
+         interval-ms windows trace-jsonl trace-sample",
         1,
     )?;
     if args.get("diff").is_some() {
@@ -566,15 +544,6 @@ pub fn obs_report(args: &Args) -> CliResult {
     }
     let policy = policy_of(args.get("policy").unwrap_or("el1"))?;
     let seed: u64 = args.get_or("seed", 1)?;
-    let trace_path = args.get("trace-jsonl");
-    let trace_sample: u64 = args.get_or("trace-sample", u64::from(trace_path.is_some()))?;
-    if trace_path.is_some() && !pacds_obs::trace_enabled() {
-        eprintln!(
-            "note: span tracing is compiled out in this build; rebuild with \
-             `--features trace` for a populated --trace-jsonl"
-        );
-    }
-
     if !pacds_obs::enabled() {
         eprintln!(
             "note: metrics are compiled out in this build; rebuild with \
@@ -582,8 +551,7 @@ pub fn obs_report(args: &Args) -> CliResult {
         );
     }
     pacds_obs::reset();
-    pacds_obs::trace::reset_tracing();
-    pacds_obs::set_sampling(trace_sample);
+    let trace = trace_start(args)?;
     let header = match args.get("workload").unwrap_or("sim") {
         "sim" => {
             let n: usize = args.get_or("n", 50)?;
@@ -607,38 +575,25 @@ pub fn obs_report(args: &Args) -> CliResult {
         }
         "shard" => {
             let n: usize = args.get_or("n", 2000)?;
-            let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
-            let side = density_side(n);
-            let bounds = Rect::square(side);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let points = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
             let energy = energy_levels(args, n)?;
-            let spec = pacds_shard::ShardSpec {
-                shards: args.get_or("shards", 0)?,
-                halo: pacds_shard::REQUIRED_HALO,
-                threads: args.get_or("threads", 0)?,
-            };
-            let mut engine = pacds_shard::ShardedCds::new(spec)?;
-            engine.compute_unit_disk(bounds, 25.0, &points, Some(&energy), &cfg)?;
-            let stats = engine.stats();
+            let inst = Instance::uniform(&mut rng, pacds_bench::density_side(n), 25.0, energy);
+            let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
+            let mut engine = ShardedCds::new(spec_of(args, pacds_shard::REQUIRED_HALO)?)?;
+            let (bounds, points) = (inst.bounds, &inst.points);
+            engine.compute_unit_disk(bounds, 25.0, points, Some(&inst.energy), &cfg)?;
             format!(
                 "obs-report: n={n} policy={} seed={seed} — sharded compute, \
                  {} tiles, {} gateways",
                 policy.label(),
-                stats.tiles,
+                engine.stats().tiles,
                 engine.gateway_count(),
             )
         }
         other => return Err(format!("unknown workload '{other}' (sim|shard)").into()),
     };
     let snap = pacds_obs::Snapshot::capture();
-    if let Some(path) = trace_path {
-        let jsonl = pacds_obs::traces_jsonl();
-        let traces = jsonl.lines().count();
-        std::fs::write(path, jsonl)?;
-        println!("{traces} trace(s) written to {path} (sampling 1/{trace_sample})");
-    }
-    pacds_obs::set_sampling(0);
+    trace_finish(trace)?;
 
     match args.get("format").unwrap_or("table") {
         "table" => {
@@ -810,643 +765,151 @@ fn obs_live(addr: &str, args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Arena side for a target density of ~19.6 expected neighbours at
-/// radius 25 (the paper's default density), scaled to `n`.
-fn density_side(n: usize) -> f64 {
-    (100.0 * (n as f64 / 100.0).sqrt()).max(1.0)
+/// Options of the large-scale commands (`shard`, `churn`, `dataplane`).
+const LARGE_OPTS: &str = "n seed radius side shards threads policy semantics energy-seed json";
+
+/// The instance, configuration and RNG the large-scale commands share:
+/// `n` hosts placed by `--seed` on a `--side` square (default: the
+/// paper's density), `--radius`, `--energy-seed`, `--policy` and
+/// `--semantics`. The RNG continues the placement stream.
+fn large_instance(
+    args: &Args,
+    n: usize,
+) -> Result<(Instance, CdsConfig, ChaCha8Rng), Box<dyn std::error::Error>> {
+    let seed: u64 = args.get_or("seed", 1)?;
+    let radius: f64 = args.get_or("radius", 25.0)?;
+    let side: f64 = args.get_or("side", pacds_bench::density_side(n))?;
+    let policy = policy_of(args.get("policy").unwrap_or("nd"))?;
+    let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let inst = Instance::uniform(&mut rng, side, radius, energy_levels(args, n)?);
+    Ok((inst, cfg, rng))
 }
 
-/// Whole-graph verification is bounded by the dense neighbour bitmap
-/// (`n²` bits); past this it would dominate memory, so `--check` refuses.
-const CHECK_LIMIT: usize = 150_000;
+/// `--shards`/`--threads` at `halo`.
+fn spec_of(args: &Args, halo: usize) -> Result<ShardSpec, Box<dyn std::error::Error>> {
+    let (shards, threads) = (args.get_or("shards", 0)?, args.get_or("threads", 0)?);
+    Ok(ShardSpec {
+        shards,
+        halo,
+        threads,
+    })
+}
+
+/// Starts span sampling for `--trace-jsonl <file>` (every
+/// `--trace-sample`th trace; default all when a file is given).
+fn trace_start(args: &Args) -> Result<Option<(String, u64)>, Box<dyn std::error::Error>> {
+    let path = args.get("trace-jsonl");
+    let sample: u64 = args.get_or("trace-sample", u64::from(path.is_some()))?;
+    if path.is_some() && !pacds_obs::trace_enabled() {
+        eprintln!(
+            "note: span tracing is compiled out in this build; rebuild with \
+             `--features trace` for a populated --trace-jsonl"
+        );
+    }
+    pacds_obs::trace::reset_tracing();
+    pacds_obs::set_sampling(sample);
+    Ok(path.map(|p| (p.to_string(), sample)))
+}
+
+/// Stops sampling and writes the traces [`trace_start`] asked for.
+fn trace_finish(trace: Option<(String, u64)>) -> CliResult {
+    pacds_obs::set_sampling(0);
+    if let Some((path, sample)) = trace {
+        let jsonl = pacds_obs::traces_jsonl();
+        std::fs::write(&path, &jsonl)?;
+        let traces = jsonl.lines().count();
+        println!("{traces} trace(s) written to {path} (sampling 1/{sample})");
+    }
+    Ok(())
+}
+
+/// Writes `row` as one JSON line to `--json <file>`, if given.
+fn write_json(args: &Args, row: &pacds_bench::row::Row) -> CliResult {
+    if let Some(path) = args.get("json") {
+        std::fs::write(path, row.json() + "\n")?;
+        println!("stats written to {path}");
+    }
+    Ok(())
+}
 
 /// `pacds shard`
 pub fn shard(args: &Args) -> CliResult {
-    args.check_known(&[
-        "n",
-        "seed",
-        "radius",
-        "side",
-        "shards",
-        "halo",
-        "threads",
-        "policy",
-        "semantics",
-        "energy-seed",
-        "check",
-        "compare",
-        "expect-workers",
-        "json",
-        "fail-on-errors",
-    ])?;
+    use pacds_bench::shard::{ShardParams, WHOLE_GRAPH_LIMIT};
+    let known = "halo check compare expect-workers fail-on-errors";
+    args.check_known(&format!("{LARGE_OPTS} {known}"))?;
     let n: usize = args.get_or("n", 50_000)?;
-    let seed: u64 = args.get_or("seed", 1)?;
-    let radius: f64 = args.get_or("radius", 25.0)?;
-    let side: f64 = args.get_or("side", density_side(n))?;
-    let policy = policy_of(args.get("policy").unwrap_or("nd"))?;
-    let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
-    let spec = pacds_shard::ShardSpec {
-        shards: args.get_or("shards", 0)?,
-        halo: args.get_or("halo", pacds_shard::REQUIRED_HALO)?,
-        threads: args.get_or("threads", 0)?,
-    };
-
-    let check_requested = args.flag("check") || args.flag("compare");
-    if check_requested && n > CHECK_LIMIT {
+    let check = args.flag("check") || args.flag("compare");
+    if check && n > WHOLE_GRAPH_LIMIT {
         let msg = format!(
             "--check needs the whole-graph bitmap (n² bits); n={n} exceeds the \
-             {CHECK_LIMIT} limit"
+             {WHOLE_GRAPH_LIMIT} limit"
         );
         if args.flag("fail-on-errors") {
             return Err(msg.into());
         }
         eprintln!("warning: {msg}; skipped");
     }
-
-    let bounds = Rect::square(side);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let points = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
-    let energy = energy_levels(args, n)?;
-
-    let mut engine = pacds_shard::ShardedCds::new(spec)?;
-    let t0 = std::time::Instant::now();
-    engine.compute_unit_disk(bounds, radius, &points, Some(&energy), &cfg)?;
-    let sharded_s = t0.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    println!(
-        "shard: n={n} radius={radius} side={side:.1} policy={} — \
-         {} tiles, {} halo nodes, {} cross-tile edges",
-        policy.label(),
-        stats.tiles,
-        stats.halo_nodes,
-        stats.cross_tile_edges,
-    );
-    println!(
-        "result: {} marked, {} after Rule 1, {} gateways, {} round(s)",
-        engine.marked().iter().filter(|&&b| b).count(),
-        engine.after_rule1().iter().filter(|&&b| b).count(),
-        engine.gateway_count(),
-        engine.rounds(),
-    );
-    println!(
-        "time: {:.3}s total (partition {:.3}s, halo build {:.3}s, solve {:.3}s, merge {:.3}s)",
-        sharded_s,
-        stats.partition_ns as f64 / 1e9,
-        stats.halo_build_ns as f64 / 1e9,
-        stats.solve_ns as f64 / 1e9,
-        stats.merge_ns as f64 / 1e9,
-    );
-
-    // Work distribution: the machine-independent evidence that a parallel
-    // run actually spread tiles across executors.
-    let work = engine.thread_work();
-    let active_workers = work.iter().filter(|w| w.tiles_solved > 0).count();
-    println!(
-        "workers: {} executor(s) active, tiles [{}], {} stolen",
-        active_workers,
-        work.iter()
-            .map(|w| w.tiles_solved.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        stats.stolen_tiles,
-    );
-    let expect_workers: usize = args.get_or("expect-workers", 0)?;
-    if active_workers < expect_workers {
-        return Err(format!(
-            "--expect-workers {expect_workers}: only {active_workers} executor(s) solved a tile \
-             (tile distribution [{}])",
-            work.iter()
-                .map(|w| w.tiles_solved.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        )
-        .into());
-    }
-
-    // --check / --compare run the whole-graph pipeline on the same
-    // instance; identity failure is always fatal (the over-sized skip was
-    // handled before computing).
-    let mut whole_s = f64::NAN;
-    if check_requested && n <= CHECK_LIMIT {
-        let g = gen::unit_disk(bounds, radius, &points);
-        let mut ws = pacds_core::CdsWorkspace::new();
-        let t1 = std::time::Instant::now();
-        ws.compute(&g, Some(&energy), &cfg);
-        whole_s = t1.elapsed().as_secs_f64();
-        if ws.gateways() != engine.gateways()
-            || ws.marked() != engine.marked()
-            || ws.after_rule1() != engine.after_rule1()
-        {
-            return Err("sharded result diverged from the whole-graph pipeline".into());
-        }
-        println!("check: bit-identical to the whole-graph pipeline");
-        if args.flag("compare") {
-            println!(
-                "compare: whole-graph {:.3}s, sharded {:.3}s — {:.2}x",
-                whole_s,
-                sharded_s,
-                whole_s / sharded_s,
-            );
-        }
-    }
-
-    if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\"n\":{n},\"radius\":{radius},\"side\":{side},\"policy\":\"{}\",\
-             \"shards\":{},\"halo\":{},\"threads\":{},\"tiles\":{},\
-             \"owned_nodes\":{},\"halo_nodes\":{},\"cross_tile_edges\":{},\
-             \"marked\":{},\"after_rule1\":{},\"gateways\":{},\"rounds\":{},\
-             \"partition_ns\":{},\"halo_build_ns\":{},\"solve_ns\":{},\
-             \"merge_ns\":{},\"stolen_tiles\":{},\"tiles_per_thread\":[{}],\
-             \"busy_ns_per_thread\":[{}],\"total_s\":{sharded_s},\"whole_graph_s\":{}}}",
-            policy.label(),
-            spec.shards,
-            spec.halo,
-            spec.threads,
-            stats.tiles,
-            stats.owned_nodes,
-            stats.halo_nodes,
-            stats.cross_tile_edges,
-            engine.marked().iter().filter(|&&b| b).count(),
-            engine.after_rule1().iter().filter(|&&b| b).count(),
-            engine.gateway_count(),
-            engine.rounds(),
-            stats.partition_ns,
-            stats.halo_build_ns,
-            stats.solve_ns,
-            stats.merge_ns,
-            stats.stolen_tiles,
-            work.iter()
-                .map(|w| w.tiles_solved.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            work.iter()
-                .map(|w| w.busy_ns.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            if whole_s.is_nan() {
-                "null".to_string()
-            } else {
-                whole_s.to_string()
-            },
-        );
-        std::fs::write(path, json + "\n")?;
-        println!("stats written to {path}");
-    }
-    Ok(())
+    let (inst, cfg, _) = large_instance(args, n)?;
+    let p = ShardParams {
+        spec: spec_of(args, args.get_or("halo", pacds_shard::REQUIRED_HALO)?)?,
+        cfg,
+        reps: 1,
+        check,
+        expect_workers: args.get_or("expect-workers", 0)?,
+    };
+    // An identity failure is always fatal (the over-sized skip was
+    // handled above).
+    let (row, _) = pacds_bench::shard::run(&inst, &p)?;
+    write_json(args, &row)
 }
 
 /// `pacds churn`
 pub fn churn(args: &Args) -> CliResult {
-    args.check_known(&[
-        "n",
-        "seed",
-        "radius",
-        "side",
-        "shards",
-        "threads",
-        "policy",
-        "semantics",
-        "energy-seed",
-        "steps",
-        "events",
-        "check",
-        "max-resolved-frac",
-        "json",
-        "trace-jsonl",
-        "trace-sample",
-    ])?;
+    let known = "steps events check max-resolved-frac trace-jsonl trace-sample";
+    args.check_known(&format!("{LARGE_OPTS} {known}"))?;
     let n: usize = args.get_or("n", 5000)?;
-    let seed: u64 = args.get_or("seed", 1)?;
-    let radius: f64 = args.get_or("radius", 25.0)?;
-    let side: f64 = args.get_or("side", density_side(n))?;
-    let policy = policy_of(args.get("policy").unwrap_or("nd"))?;
-    let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
-    let steps: usize = args.get_or("steps", 20)?;
-    let per_step: usize = args.get_or("events", (n / 100).max(4))?;
-    let max_frac: f64 = args.get_or("max-resolved-frac", 1.0)?;
-    let spec = pacds_shard::ShardSpec {
-        shards: args.get_or("shards", 0)?,
-        halo: pacds_shard::REQUIRED_HALO,
-        threads: args.get_or("threads", 0)?,
+    let (inst, cfg, mut rng) = large_instance(args, n)?;
+    let p = pacds_bench::churn::ChurnParams {
+        spec: spec_of(args, pacds_shard::REQUIRED_HALO)?,
+        cfg,
+        steps: args.get_or("steps", 20)?,
+        events: args.get_or("events", (n / 100).max(4))?,
+        check_every_step: args.flag("check"),
+        max_resolved_frac: args.get_or("max-resolved-frac", 1.0)?,
     };
-
-    let trace_path = args.get("trace-jsonl");
-    let trace_sample: u64 = args.get_or("trace-sample", u64::from(trace_path.is_some()))?;
-    if trace_path.is_some() && !pacds_obs::trace_enabled() {
-        eprintln!(
-            "note: span tracing is compiled out in this build; rebuild with \
-             `--features trace` for a populated --trace-jsonl"
-        );
-    }
-
-    let bounds = Rect::square(side);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let points = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
-    let energy = energy_levels(args, n)?;
-    pacds_obs::trace::reset_tracing();
-    pacds_obs::set_sampling(trace_sample);
-    let mut engine = pacds_shard::ChurnEngine::open(spec, bounds, radius, &points, &energy, &cfg)?;
-    let tiles = engine.tiles();
-    // Lifetime totals include the seed at open (one refresh, every
-    // initial gateway a flip); snapshot it so the reported numbers cover
-    // only the churn stream.
-    let initial = engine.totals();
-    println!(
-        "churn: n={n} radius={radius} side={side:.1} policy={} — {} tiles, \
-         {} initial gateways",
-        policy.label(),
-        tiles,
-        engine.gateway_count(),
-    );
-
-    use pacds_shard::ChurnEvent;
-    use rand::Rng;
-    let hop = radius.max(1e-9);
-    let mut resolved_frac_sum = 0.0;
-    let t0 = std::time::Instant::now();
-    for step in 0..steps {
-        // An event mix that exercises every mutation type: mostly small
-        // mobility hops, some battery drains, rare deaths and arrivals.
-        let mut events = Vec::with_capacity(per_step);
-        // Deaths queued earlier in this batch: later live-only events must
-        // not target them or the whole batch would be typed-rejected.
-        let mut killed = vec![false; engine.n()];
-        while events.len() < per_step {
-            let node = rng.random_range(0..engine.n() as u32);
-            let alive = engine.alive()[node as usize] && !killed[node as usize];
-            match rng.random_range(0..100u32) {
-                0..=69 if alive => {
-                    let p = engine.positions()[node as usize];
-                    let to = pacds_geom::Point2::new(
-                        (p.x + rng.random_range(-hop..hop)).clamp(bounds.x0, bounds.x1),
-                        (p.y + rng.random_range(-hop..hop)).clamp(bounds.y0, bounds.y1),
-                    );
-                    events.push(ChurnEvent::MoveNode { node, to });
-                }
-                70..=89 if alive => {
-                    let remaining = engine.energy()[node as usize].saturating_sub(1);
-                    events.push(ChurnEvent::DrainBattery { node, remaining });
-                }
-                90..=95 if alive => {
-                    killed[node as usize] = true;
-                    events.push(ChurnEvent::KillNode { node });
-                }
-                96..=99 => events.push(ChurnEvent::AddNode {
-                    pos: pacds_geom::Point2::new(
-                        rng.random_range(bounds.x0..bounds.x1),
-                        rng.random_range(bounds.y0..bounds.y1),
-                    ),
-                    energy: rng.random_range(1..=10u64),
-                }),
-                _ => {} // dead host drawn for a live-only event: redraw
-            }
-        }
-        // One trace id per step: the refresh + its dirty-tile re-solves
-        // land as one causally-linked trace line.
-        engine.set_trace(pacds_obs::next_trace_id());
-        let stats = engine.step(&events)?;
-        resolved_frac_sum += stats.resolved_tiles as f64 / tiles.max(1) as f64;
-        println!(
-            "step {:>3}: {} events, {}/{} tiles re-solved, {} gateway flips, \
-             {} gateways",
-            step + 1,
-            stats.events,
-            stats.resolved_tiles,
-            stats.total_tiles,
-            stats.gateway_flips,
-            engine.gateway_count(),
-        );
-        if args.flag("check") {
-            let off = engine.off_mask();
-            let mut scratch = pacds_shard::ShardedCds::new(engine.spec())?;
-            scratch.compute_unit_disk_masked(
-                bounds,
-                radius,
-                engine.positions(),
-                Some(&off),
-                Some(engine.energy()),
-                &cfg,
-            )?;
-            if engine.gateways() != scratch.gateways()
-                || engine.marked() != scratch.marked()
-                || engine.after_rule1() != scratch.after_rule1()
-            {
-                return Err(format!(
-                    "step {}: incremental state diverged from the from-scratch recompute",
-                    step + 1
-                )
-                .into());
-            }
-        }
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    let totals = engine.totals();
-    let events = totals.events - initial.events;
-    let refreshes = totals.refreshes - initial.refreshes;
-    let resolved = totals.resolved_tiles - initial.resolved_tiles;
-    let flips = totals.gateway_flips - initial.gateway_flips;
-    let mean_frac = resolved_frac_sum / steps.max(1) as f64;
-    let events_per_s = events as f64 / wall_s.max(1e-9);
-    println!(
-        "totals: {events} events in {wall_s:.3}s ({events_per_s:.0} events/s), \
-         {refreshes} refreshes, {:.1} tiles re-solved/refresh (mean frac {:.3}), \
-         {:.2} gateway flips/event",
-        resolved as f64 / refreshes.max(1) as f64,
-        mean_frac,
-        flips as f64 / events.max(1) as f64,
-    );
-    if args.flag("check") {
-        println!("check: bit-identical to the from-scratch recompute after every step");
-    }
-    if let Some(path) = trace_path {
-        let jsonl = pacds_obs::traces_jsonl();
-        let traces = jsonl.lines().count();
-        std::fs::write(path, jsonl)?;
-        println!("{traces} trace(s) written to {path} (sampling 1/{trace_sample})");
-    }
-    pacds_obs::set_sampling(0);
-
-    if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\"n\":{n},\"radius\":{radius},\"side\":{side},\"policy\":\"{}\",\
-             \"tiles\":{tiles},\"steps\":{steps},\"events\":{events},\
-             \"refreshes\":{refreshes},\"resolved_tiles\":{resolved},\
-             \"gateway_flips\":{flips},\
-             \"mean_resolved_frac\":{mean_frac},\"events_per_s\":{events_per_s},\
-             \"wall_s\":{wall_s},\"checked\":{}}}",
-            policy.label(),
-            args.flag("check"),
-        );
-        std::fs::write(path, json + "\n")?;
-        println!("stats written to {path}");
-    }
-    if mean_frac > max_frac {
-        return Err(format!(
-            "--max-resolved-frac {max_frac}: mean re-solved tile fraction was \
-             {mean_frac:.3} — churn is not localized"
-        )
-        .into());
-    }
-    Ok(())
+    let trace = trace_start(args)?;
+    let row = pacds_bench::churn::run(&inst, &p, &mut rng);
+    trace_finish(trace)?;
+    write_json(args, &row?)
 }
 
 /// `pacds dataplane`
 pub fn dataplane(args: &Args) -> CliResult {
-    args.check_known(&[
-        "n",
-        "seed",
-        "radius",
-        "side",
-        "shards",
-        "threads",
-        "policy",
-        "semantics",
-        "energy-seed",
-        "flows",
-        "packets",
-        "waves",
-        "kill-every",
-        "broadcast",
-        "json",
-        "fail-on-errors",
-        "trace-jsonl",
-        "trace-sample",
-    ])?;
+    use pacds_bench::dataplane::{broadcast_of, DpParams};
+    let known = "flows packets waves kill-every broadcast fail-on-errors trace-jsonl trace-sample";
+    args.check_known(&format!("{LARGE_OPTS} {known}"))?;
+    let broadcast = broadcast_of(args.get("broadcast").unwrap_or("both"))?;
     let n: usize = args.get_or("n", 5000)?;
-    let seed: u64 = args.get_or("seed", 1)?;
-    let radius: f64 = args.get_or("radius", 25.0)?;
-    let side: f64 = args.get_or("side", density_side(n))?;
-    let policy = policy_of(args.get("policy").unwrap_or("nd"))?;
-    let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
-    let flows: usize = args.get_or("flows", 64)?;
-    let packets: usize = args.get_or("packets", 16)?;
-    let waves: usize = args.get_or("waves", 10)?;
-    let kill_every: usize = args.get_or("kill-every", 0)?;
-    let broadcast = args.get("broadcast").unwrap_or("both");
-    if !matches!(broadcast, "none" | "blind" | "gateway" | "both") {
-        return Err(
-            format!("unknown --broadcast mode '{broadcast}' (none|blind|gateway|both)").into(),
-        );
-    }
-    let spec = pacds_shard::ShardSpec {
-        shards: args.get_or("shards", 0)?,
-        halo: pacds_shard::REQUIRED_HALO,
-        threads: args.get_or("threads", 0)?,
+    let (inst, cfg, mut rng) = large_instance(args, n)?;
+    let p = DpParams {
+        spec: spec_of(args, pacds_shard::REQUIRED_HALO)?,
+        cfg,
+        flows: args.get_or("flows", 64)?,
+        packets: args.get_or("packets", 16)?,
+        waves: args.get_or("waves", 10)?,
+        kill_every: args.get_or("kill-every", 0)?,
+        broadcast,
+        stretch_pairs: 0,
+        drill: false,
+        min_hops_per_s: 0.0,
+        min_flood_reduction: 0.0,
+        fail_on_errors: args.flag("fail-on-errors"),
     };
-
-    let trace_path = args.get("trace-jsonl");
-    let trace_sample: u64 = args.get_or("trace-sample", u64::from(trace_path.is_some()))?;
-    if trace_path.is_some() && !pacds_obs::trace_enabled() {
-        eprintln!(
-            "note: span tracing is compiled out in this build; rebuild with \
-             `--features trace` for a populated --trace-jsonl"
-        );
-    }
-
-    let bounds = Rect::square(side);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let points = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
-    let energy = energy_levels(args, n)?;
-    pacds_obs::trace::reset_tracing();
-    pacds_obs::set_sampling(trace_sample);
-    let mut net = pacds_dataplane::ChurnNet::open(spec, bounds, radius, &points, &energy, &cfg)?;
-    let mut dp = pacds_dataplane::Dataplane::new();
-    dp.install_tables(net.gateway(), net.alive());
-    println!(
-        "dataplane: n={n} radius={radius} side={side:.1} policy={} — {} gateways, \
-         {flows} flows x {packets} packets x {waves} waves",
-        policy.label(),
-        net.gateway_count(),
-    );
-
-    // Flow endpoints: alive, dominated hosts, protected from the kill
-    // schedule so every flow stays routable for the whole run.
-    use rand::Rng;
-    let mut protected = vec![false; n];
-    let mut flow_ids = Vec::with_capacity(flows);
-    while flow_ids.len() < flows {
-        let s = rng.random_range(0..n as u32);
-        let t = rng.random_range(0..n as u32);
-        let mut probe = Vec::new();
-        if dp
-            .routes_mut()
-            .assemble(net.graph(), s, t, &mut probe)
-            .is_err()
-        {
-            continue; // disconnected or undominated pick: redraw
-        }
-        protected[s as usize] = true;
-        protected[t as usize] = true;
-        flow_ids.push(dp.add_flow(s, t));
-    }
-
-    let mut kills = 0u64;
-    let mut refreshes = 0u64;
-    let mut reroute_s_sum = 0.0f64;
-    // Destination trees (built in full, repaired in place), summed over
-    // every install: the counters restart at each one.
-    let mut trees = (0usize, 0usize);
-    let count_trees = |dp: &pacds_dataplane::Dataplane, trees: &mut (usize, usize)| {
-        trees.0 += dp.routes().trees_built();
-        trees.1 += dp.routes().trees_repaired();
-    };
-    let mut blind_tx = 0u64;
-    let mut gateway_tx = 0u64;
-    let t0 = std::time::Instant::now();
-    for wave in 0..waves {
-        dp.set_trace(pacds_obs::next_trace_id());
-        if kill_every > 0 && wave > 0 && wave % kill_every == 0 {
-            // Kill one unprotected gateway: routes through it go stale.
-            for _ in 0..10 * n {
-                let v = rng.random_range(0..n as u32);
-                if net.alive()[v as usize] && net.gateway()[v as usize] && !protected[v as usize] {
-                    net.kill(v)?;
-                    kills += 1;
-                    break;
-                }
-            }
-        }
-        for &f in &flow_ids {
-            dp.inject(f, packets);
-        }
-        let src = flow_ids.first().map(|_| dp.packets().src(0)).unwrap_or(0);
-        if matches!(broadcast, "blind" | "both") {
-            dp.inject_broadcast(src, true);
-        }
-        let before = dp.stats();
-        dp.pump(net.graph(), net.alive());
-        if matches!(broadcast, "blind" | "both") {
-            blind_tx += dp.last_flood().map_or(0, |c| c.transmissions as u64)
-        }
-        if matches!(broadcast, "gateway" | "both") {
-            dp.inject_broadcast(src, false);
-            dp.pump(net.graph(), net.alive());
-            gateway_tx += dp.last_flood().map_or(0, |c| c.transmissions as u64);
-        }
-        // Stale routes NACKed above: refresh the control plane, reinstall
-        // tables, retransmit, and time the recovery end to end.
-        if dp.nacked_pending() > 0 {
-            let tr = std::time::Instant::now();
-            net.refresh();
-            count_trees(&dp, &mut trees);
-            dp.install_tables(net.gateway(), net.alive());
-            let requeued = dp.requeue_nacked();
-            dp.pump(net.graph(), net.alive());
-            reroute_s_sum += tr.elapsed().as_secs_f64();
-            refreshes += 1;
-            println!(
-                "wave {:>3}: {} packets NACKed on stale routes, redelivered after \
-                 refresh ({} gateways)",
-                wave + 1,
-                requeued,
-                net.gateway_count(),
-            );
-        }
-        let after = dp.stats();
-        if dp.nacked_pending() == 0 {
-            dp.reset_packets();
-        }
-        pacds_obs::obs_debug!(
-            "cli.dataplane",
-            "wave {}: {} delivered, {} hops",
-            wave + 1,
-            after.delivered - before.delivered,
-            after.forwarded_hops - before.forwarded_hops
-        );
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    count_trees(&dp, &mut trees);
-    let (trees_rebuilt, trees_repaired) = trees;
-    let stats = dp.stats();
-    let hops_per_s = stats.forwarded_hops as f64 / wall_s.max(1e-9);
-    let flood_reduction = if blind_tx > 0 && gateway_tx > 0 {
-        1.0 - gateway_tx as f64 / blind_tx as f64
-    } else {
-        f64::NAN
-    };
-    println!(
-        "totals: {} injected, {} delivered, {} dropped, {} NACKed ({} retransmits), \
-         {} hops in {wall_s:.3}s ({hops_per_s:.0} hops/s), {} misroutes",
-        stats.injected,
-        stats.delivered,
-        stats.dropped,
-        stats.nacked,
-        stats.retransmits,
-        stats.forwarded_hops,
-        stats.misroutes,
-    );
-    if kills > 0 {
-        println!(
-            "churn: {kills} gateway kills, {refreshes} refreshes, mean reroute \
-             {:.1} ms; destination trees: {trees_rebuilt} built in full, \
-             {trees_repaired} repaired",
-            1e3 * reroute_s_sum / refreshes.max(1) as f64,
-        );
-    }
-    if !flood_reduction.is_nan() {
-        println!(
-            "broadcast: {blind_tx} blind vs {gateway_tx} gateway transmissions \
-             ({:.1}% reduction)",
-            100.0 * flood_reduction,
-        );
-    }
-    if let Some(path) = trace_path {
-        let jsonl = pacds_obs::traces_jsonl();
-        let traces = jsonl.lines().count();
-        std::fs::write(path, jsonl)?;
-        println!("{traces} trace(s) written to {path} (sampling 1/{trace_sample})");
-    }
-    pacds_obs::set_sampling(0);
-
-    if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\"n\":{n},\"radius\":{radius},\"side\":{side},\"policy\":\"{}\",\
-             \"flows\":{flows},\"packets_per_flow\":{packets},\"waves\":{waves},\
-             \"injected\":{},\"delivered\":{},\"dropped\":{},\"nacked\":{},\
-             \"retransmits\":{},\"forwarded_hops\":{},\"misroutes\":{},\
-             \"hops_per_s\":{hops_per_s},\"wall_s\":{wall_s},\
-             \"kills\":{kills},\"refreshes\":{refreshes},\
-             \"trees_rebuilt\":{trees_rebuilt},\"trees_repaired\":{trees_repaired},\
-             \"blind_transmissions\":{blind_tx},\
-             \"gateway_transmissions\":{gateway_tx},\
-             \"flood_reduction\":{}}}",
-            policy.label(),
-            stats.injected,
-            stats.delivered,
-            stats.dropped,
-            stats.nacked,
-            stats.retransmits,
-            stats.forwarded_hops,
-            stats.misroutes,
-            if flood_reduction.is_nan() {
-                "null".to_string()
-            } else {
-                flood_reduction.to_string()
-            },
-        );
-        std::fs::write(path, json + "\n")?;
-        println!("stats written to {path}");
-    }
-    if args.flag("fail-on-errors") {
-        if stats.misroutes > 0 {
-            return Err(format!("{} packets misrouted into dead nodes", stats.misroutes).into());
-        }
-        if stats.dropped > 0 {
-            return Err(format!("{} packets terminally dropped", stats.dropped).into());
-        }
-        if dp.nacked_pending() > 0 {
-            return Err(format!(
-                "{} packets still parked for retransmission at exit",
-                dp.nacked_pending()
-            )
-            .into());
-        }
-        if stats.delivered + stats.dropped != stats.injected {
-            return Err("delivered + dropped != injected: packets unaccounted for".into());
-        }
-    }
-    Ok(())
+    let trace = trace_start(args)?;
+    let row = pacds_bench::dataplane::run(&inst, &p, &mut rng);
+    trace_finish(trace)?;
+    write_json(args, &row?)
 }
 
 /// Server shape shared by `serve` and `loadgen --self-host`.
@@ -1469,18 +932,10 @@ fn server_config_of(args: &Args) -> Result<pacds_serve::ServerConfig, Box<dyn st
 
 /// `pacds serve`
 pub fn serve(args: &Args) -> CliResult {
-    args.check_known(&[
-        "addr",
-        "workers",
-        "queue",
-        "cache-mb",
-        "duration",
-        "shard",
-        "shard-threshold",
-        "shards",
-        "metrics-addr",
-        "trace-sample",
-    ])?;
+    args.check_known(
+        "addr workers queue cache-mb duration shard shard-threshold shards metrics-addr \
+         trace-sample",
+    )?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7311");
     let mut cfg = server_config_of(args)?;
     cfg.metrics_addr = args.get("metrics-addr").map(str::to_string);
@@ -1522,34 +977,11 @@ pub fn serve(args: &Args) -> CliResult {
 
 /// `pacds loadgen`
 pub fn loadgen(args: &Args) -> CliResult {
-    args.check_known(&[
-        "addr",
-        "duration",
-        "concurrency",
-        "mode",
-        "rate",
-        "n",
-        "radius",
-        "side",
-        "seed",
-        "gen-seeds",
-        "policy",
-        "semantics",
-        "no-cache",
-        "deadline-ms",
-        "json",
-        "fail-on-errors",
-        "self-host",
-        "workers",
-        "queue",
-        "cache-mb",
-        "shard",
-        "shard-threshold",
-        "shards",
-        "mutate-every",
-        "query-every",
-        "obs-jsonl",
-    ])?;
+    args.check_known(
+        "addr duration concurrency mode rate n radius side seed gen-seeds policy semantics \
+         no-cache deadline-ms json fail-on-errors self-host workers queue cache-mb shard \
+         shard-threshold shards mutate-every query-every obs-jsonl",
+    )?;
     // Optionally host the target server in-process (CI smoke runs).
     let hosted = if args.flag("self-host") {
         Some(pacds_serve::serve("127.0.0.1:0", server_config_of(args)?)?)
@@ -1638,35 +1070,12 @@ pub fn loadgen(args: &Args) -> CliResult {
 
 /// `pacds cluster`
 pub fn cluster(args: &Args) -> CliResult {
-    args.check_known(&[
-        "addr",
-        "backends",
-        "self-host",
-        "workers",
-        "queue",
-        "vnodes",
-        "probe-interval-ms",
-        "fail-threshold",
-        "rise-threshold",
-        "backend-workers",
-        "cache-mb",
-        "duration",
-        "loadgen",
-        "concurrency",
-        "n",
-        "radius",
-        "side",
-        "seed",
-        "gen-seeds",
-        "policy",
-        "semantics",
-        "deadline-ms",
-        "kill-after",
-        "drain-after",
-        "expect-failover",
-        "json",
-        "fail-on-errors",
-    ])?;
+    args.check_known(
+        "addr backends self-host workers queue vnodes probe-interval-ms fail-threshold \
+         rise-threshold backend-workers cache-mb duration loadgen concurrency n radius \
+         side seed gen-seeds policy semantics deadline-ms kill-after drain-after \
+         expect-failover json fail-on-errors",
+    )?;
 
     // Backends: external addresses, in-process ones, or a mix. Ids are
     // positional (`b0`, `b1`, …) — stable ids keep ring arcs (and cache
@@ -1867,7 +1276,7 @@ pub fn cluster(args: &Args) -> CliResult {
 
 /// `pacds scenario-template`
 pub fn scenario_template(args: &Args) -> CliResult {
-    args.check_known(&[])?;
+    args.check_known("")?;
     println!(
         "{}",
         serde_json::to_string_pretty(&pacds_sim::Scenario::template())?
