@@ -41,7 +41,8 @@ use crate::cache::{Claim, Lookup, ShardedCache};
 use crate::hub::SubscriberHub;
 use crate::protocol::{
     self, encode_error, ComputeCdsRequest, DecodeError, ErrorCode, GenComputeRequest, MutateResult,
-    OpenGraphRequest, RequestKind, StatsFormat, WireEvent, FLAG_NO_CACHE, SUB_FLIPS,
+    OpenGraphRequest, RequestKind, StatsFormat, WireEvent, FLAG_NO_CACHE, MAX_WORKSPACE_NODES,
+    SUB_FLIPS,
 };
 
 /// Tile results are keyed per (graph uid, tile, version) — a serve-local
@@ -173,7 +174,9 @@ impl std::fmt::Debug for GraphRegistry {
 ///
 /// Both paths are bit-identical for shardable configurations (pinned by
 /// the conformance suite), so the routing decision never changes response
-/// bytes — cache entries are shared across modes.
+/// bytes — cache entries are shared across modes. A request routed to the
+/// workspace with more than [`MAX_WORKSPACE_NODES`] hosts is answered
+/// `BadInput`: the workspace's neighbour bitmap takes `n²` bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// Shard when the topology has at least [`ShardPolicy::threshold`]
@@ -446,6 +449,9 @@ fn handle_compute(
     state.stats.compute.fetch_add(1, Ordering::Relaxed);
     let decode_timer = pacds_obs::phase_timer(pacds_obs::Phase::ServeDecode);
     let req = ComputeCdsRequest::decode(body)?;
+    if !fits_engine(state, &req.cfg, req.n) {
+        return Ok(bad_input(state, resp, WORKSPACE_TOO_SMALL));
+    }
     // Validate + copy edges into the retained buffer in one streaming pass.
     req.canonical_edges(&mut scratch.edges)?;
     let n = req.n;
@@ -480,6 +486,9 @@ fn handle_gen(
 ) -> Handled {
     state.stats.gen_compute.fetch_add(1, Ordering::Relaxed);
     let req = GenComputeRequest::decode(body)?;
+    if !fits_engine(state, &req.cfg, req.n) {
+        return Ok(bad_input(state, resp, WORKSPACE_TOO_SMALL));
+    }
     let deadline = deadline_of(received, req.deadline_ms);
     let key = (req.flags & FLAG_NO_CACHE == 0).then(|| keys::gen_key(&req));
     let claim = match cached(state, key, resp, deadline, trace) {
@@ -541,6 +550,24 @@ fn cached<'a>(
     }
 }
 
+/// Whether a topology of `n` hosts under `cfg` runs on the sharded
+/// engine rather than the whole-graph workspace.
+fn use_shard(state: &ServeState, cfg: &CdsConfig, n: usize) -> bool {
+    match state.shard.mode {
+        ShardMode::Never => false,
+        ShardMode::Always => check_shardable(cfg).is_ok(),
+        ShardMode::Auto => n >= state.shard.threshold && check_shardable(cfg).is_ok(),
+    }
+}
+
+const WORKSPACE_TOO_SMALL: &str = "n exceeds MAX_WORKSPACE_NODES on the whole-graph engine";
+
+/// False when the request would run on the workspace past
+/// [`MAX_WORKSPACE_NODES`] — its `n²`-bit bitmap would be gigabytes.
+fn fits_engine(state: &ServeState, cfg: &CdsConfig, n: u32) -> bool {
+    n <= MAX_WORKSPACE_NODES || use_shard(state, cfg, n as usize)
+}
+
 /// Runs the pipeline on `scratch.graph`, encodes the `CdsResult` frame,
 /// inserts it into the cache through `claim` (flag zeroed), and patches
 /// nothing: a fresh computation reports `cache_hit = 0`.
@@ -555,13 +582,7 @@ fn compute_and_encode(
     claim: Option<Claim<'_>>,
     trace: pacds_obs::TraceId,
 ) -> HandleOutcome {
-    let use_shard = match state.shard.mode {
-        ShardMode::Never => false,
-        ShardMode::Always => check_shardable(cfg).is_ok(),
-        ShardMode::Auto => {
-            scratch.graph.n() >= state.shard.threshold && check_shardable(cfg).is_ok()
-        }
-    };
+    let use_shard = use_shard(state, cfg, scratch.graph.n());
     {
         let _s = pacds_obs::span(trace, pacds_obs::SpanKind::Compute, scratch.graph.n() as u32);
         let _t = pacds_obs::phase_timer(pacds_obs::Phase::ServeCompute);

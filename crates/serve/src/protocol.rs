@@ -109,6 +109,27 @@ pub const MAX_TILES: u32 = 1 << 15;
 
 const _: () = assert!(MAX_TILES >= MAX_NODES / 64);
 
+/// Maximum vertex count a request may run on the whole-graph
+/// [`CdsWorkspace`](pacds_core::CdsWorkspace): its neighbour bitmap takes
+/// `n²` bits, held here to 256 MiB. Requests past it must shard.
+pub const MAX_WORKSPACE_NODES: u32 = 46_340;
+
+const _: () = assert!((MAX_WORKSPACE_NODES as u64).pow(2) / 8 <= 256 << 20);
+
+/// Maximum expected edge count of a `GenCompute` topology: what a
+/// maximum-length `ComputeCds` frame can carry (8 bytes per edge), so a
+/// tiny frame cannot demand a denser graph than a client could send.
+pub const MAX_GEN_EDGES: f64 = (DEFAULT_MAX_FRAME_LEN / 8) as f64;
+
+/// Expected edge count of `n` hosts placed uniformly on a `side`-wide
+/// square at transmission radius `radius`: `½·n·min(n−1, (n−1)·πr²/side²)`
+/// (border effects ignored, so an overestimate).
+pub fn expected_gen_edges(n: u32, radius: f64, side: f64) -> f64 {
+    let others = f64::from(n.saturating_sub(1));
+    let degree = others.min(others * std::f64::consts::PI * radius * radius / (side * side));
+    0.5 * f64::from(n) * degree
+}
+
 /// Offset of the `cache_hit` byte inside a [`ResponseKind::CdsResult`]
 /// payload (version, kind, then the flag) — the cache stores responses with
 /// the flag zeroed and patches this byte on a hit.
@@ -850,6 +871,8 @@ message! {
         n <= MAX_NODES => "n exceeds MAX_NODES",
         radius.is_finite() && radius > 0.0 && side.is_finite() && side > 0.0
             => "radius/side must be finite and positive",
+        expected_gen_edges(n, radius, side) <= MAX_GEN_EDGES
+            => "expected edge count exceeds what a ComputeCds frame can carry",
     }
 }
 

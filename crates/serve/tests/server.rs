@@ -205,6 +205,51 @@ fn bad_input_keeps_the_connection_usable() {
     assert_eq!(ok.mask.len(), 3);
 }
 
+/// Expects the typed `BadInput` answer, then a `Ping` on the same
+/// connection.
+fn assert_bad_input_then_ping(client: &mut Client, err: ClientError, what: &str) {
+    match err {
+        ClientError::Wire(e) => assert_eq!(e.code, ErrorCode::BadInput, "{what}"),
+        other => panic!("{what}: expected BadInput, got {other}"),
+    }
+    client.ping().unwrap();
+}
+
+#[test]
+fn a_tiny_frame_cannot_demand_a_gigabyte_workspace() {
+    for rig in rigs(2, 4) {
+        let mut client = Client::connect(rig.addr()).unwrap();
+        // Literal Rule 2 is unshardable, so this runs on the whole-graph
+        // workspace, whose bitmap at MAX_NODES hosts would take ~500 GB.
+        let cfg = CdsConfig::paper(Policy::Degree);
+        let err = client
+            .compute_cds(&cfg, protocol::MAX_NODES, &[], None, 0, 0)
+            .unwrap_err();
+        assert_bad_input_then_ping(&mut client, err, rig.name());
+    }
+}
+
+#[test]
+fn a_tiny_frame_cannot_demand_a_complete_graph() {
+    for rig in rigs(2, 4) {
+        let mut client = Client::connect(rig.addr()).unwrap();
+        // Every host within range of every other: ~2·10¹² edges.
+        let req = GenComputeRequest {
+            flags: 0,
+            deadline_ms: 0,
+            cfg: CdsConfig::policy(Policy::Degree),
+            n: protocol::MAX_NODES,
+            seed: 1,
+            radius: 10.0,
+            side: 1.0,
+            connected: false,
+            energy_seed: None,
+        };
+        let err = client.gen_compute(&req).unwrap_err();
+        assert_bad_input_then_ping(&mut client, err, rig.name());
+    }
+}
+
 #[test]
 fn backpressure_rejects_with_a_typed_frame() {
     // One worker, queue depth one. The worker is pinned by connection A;
