@@ -210,9 +210,10 @@ impl ChurnEngine {
     ///
     /// Rejects unshardable configurations and too-narrow halos with the
     /// same typed errors as the batch engine. A `spec.halo` above
-    /// [`REQUIRED_HALO`] is accepted but only widens that seeding solve:
-    /// the engine's own tiles always gather the exact 2-hop margin, so
-    /// masks and tile counts match those at the minimum halo.
+    /// [`REQUIRED_HALO`] is accepted and changes nothing: the seeding
+    /// solve and the engine's own tiles always gather the exact 2-hop
+    /// margin, so masks, tile counts and work match those at the minimum
+    /// halo.
     ///
     /// # Panics
     /// Panics if `radius <= 0` or `energy.len() != points.len()` (energy
@@ -284,10 +285,12 @@ impl ChurnEngine {
     }
 
     /// Fills the merged masks and every tile's stored verdicts from one
-    /// batch solve over `domain` at the batch engine's automatic count.
+    /// batch solve over `domain` at the batch engine's automatic count and
+    /// the exact halo.
     fn seed(&mut self, domain: Rect) -> Result<(), ShardError> {
         let mut batch = ShardedCds::new(ShardSpec {
             shards: 0,
+            halo: REQUIRED_HALO,
             ..self.spec
         })?;
         batch.compute_unit_disk(

@@ -24,9 +24,9 @@ pub struct ShardSpec {
     /// Halo width in hops. [`REQUIRED_HALO`] is the proven exactness
     /// minimum; in [`ShardedCds`] wider halos only cost replication.
     /// Narrower halos are rejected by [`ShardedCds::new`] and
-    /// [`ChurnEngine::open`](crate::ChurnEngine::open). A churn engine's
-    /// own tiles always gather the exact 2-hop margin: a wider halo only
-    /// widens the batch solve that seeds it at open.
+    /// [`ChurnEngine::open`](crate::ChurnEngine::open). A churn engine
+    /// ignores a wider halo: its seeding solve and its own tiles always
+    /// gather the exact 2-hop margin.
     pub halo: usize,
     /// Worker threads; `0` uses the machine's available parallelism, `1`
     /// solves every tile inline on the calling thread. Both paths are
