@@ -1,17 +1,19 @@
 //! Protocol execution engines.
 //!
 //! [`run_distributed`] spawns one OS thread per host, connected by
-//! crossbeam channels — a real concurrent actor system in which the only
-//! information flow is explicit messages between radio neighbours.
+//! `std::sync::mpsc` channels — a real concurrent actor system in which
+//! the only information flow is explicit messages between radio
+//! neighbours.
 //! [`run_distributed_sequential`] runs the identical per-node code
 //! round-robin on one thread (useful inside tight simulation loops and for
 //! deterministic debugging).
 
 use crate::node::{LocalView, NeighborInfo, NodeState};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pacds_core::{CdsConfig, EnergyLevel, Policy, PruneSchedule, Rule2Semantics};
 use pacds_graph::{Graph, NodeId, VertexMask};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 /// A protocol message between radio neighbours.
 #[derive(Debug, Clone)]
@@ -81,14 +83,14 @@ pub fn run_distributed_counted(
     let mut senders: Vec<Sender<Message>> = Vec::with_capacity(n);
     let mut receivers: Vec<Option<Receiver<Message>>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(Some(rx));
     }
 
     let cfg = *cfg;
     let sent = std::sync::atomic::AtomicU64::new(0);
-    let results = parking_lot::Mutex::new(vec![false; n]);
+    let results = Mutex::new(vec![false; n]);
     std::thread::scope(|scope| {
         for v in 0..n as NodeId {
             let inbox = receivers[v as usize].take().expect("receiver taken once");
@@ -105,12 +107,12 @@ pub fn run_distributed_counted(
                 let (marked, count) =
                     host_main(v, my_neighbors, my_energy, inbox, &outboxes, &cfg);
                 sent.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
-                results.lock()[v as usize] = marked;
+                results.lock().expect("no host panics")[v as usize] = marked;
             });
         }
     });
     (
-        results.into_inner(),
+        results.into_inner().expect("no host panics"),
         sent.load(std::sync::atomic::Ordering::Relaxed),
     )
 }

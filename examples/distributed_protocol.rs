@@ -22,7 +22,7 @@ fn main() {
         "{} hosts exchange neighbour sets, markers and rule decisions over",
         graph.n()
     );
-    println!("crossbeam channels — no host ever sees the global topology.\n");
+    println!("std::sync::mpsc channels — no host ever sees the global topology.\n");
 
     for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
         let cfg = CdsConfig::paper(policy);
