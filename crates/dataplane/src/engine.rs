@@ -148,10 +148,10 @@ impl Dataplane {
     /// gateway and liveness masks, invalidating every cached route (the
     /// arena is cleared wholesale; flow caches miss on the epoch bump).
     /// Destination trees survive: each is repaired from the hosts that
-    /// joined or left the backbone on its next use (see
-    /// [`BackboneRoutes::install`]). Between installs, adjacency among
-    /// the hosts alive at both must not change — hosts may die or
-    /// appear, not move.
+    /// joined or left the backbone on its next use. That repair holds
+    /// only under [`BackboneRoutes::install`]'s precondition: between two
+    /// installs the graph only loses edges. Hosts may die, but none may
+    /// move or appear — an arriving host brings edges.
     ///
     /// # Panics
     /// Panics if packets are still queued inside the node graph — pump to
