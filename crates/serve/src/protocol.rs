@@ -121,13 +121,14 @@ const _: () = assert!((MAX_WORKSPACE_NODES as u64).pow(2) / 8 <= 256 << 20);
 /// tiny frame cannot demand a denser graph than a client could send.
 pub const MAX_GEN_EDGES: f64 = (DEFAULT_MAX_FRAME_LEN / 8) as f64;
 
-/// Expected edge count of `n` hosts placed uniformly on a `side`-wide
-/// square at transmission radius `radius`: `½·n·min(n−1, (n−1)·πr²/side²)`
+/// Whether `n` hosts placed uniformly on a `side`-wide square at
+/// transmission radius `radius` are expected to have at most
+/// [`MAX_GEN_EDGES`] edges. The estimate is `½·n·min(n−1, (n−1)·πr²/side²)`
 /// (border effects ignored, so an overestimate).
-pub fn expected_gen_edges(n: u32, radius: f64, side: f64) -> f64 {
+pub fn gen_fits_a_frame(n: u32, radius: f64, side: f64) -> bool {
     let others = f64::from(n.saturating_sub(1));
     let degree = others.min(others * std::f64::consts::PI * radius * radius / (side * side));
-    0.5 * f64::from(n) * degree
+    0.5 * f64::from(n) * degree <= MAX_GEN_EDGES
 }
 
 /// Offset of the `cache_hit` byte inside a [`ResponseKind::CdsResult`]
@@ -871,7 +872,7 @@ message! {
         n <= MAX_NODES => "n exceeds MAX_NODES",
         radius.is_finite() && radius > 0.0 && side.is_finite() && side > 0.0
             => "radius/side must be finite and positive",
-        expected_gen_edges(n, radius, side) <= MAX_GEN_EDGES
+        gen_fits_a_frame(n, radius, side)
             => "expected edge count exceeds what a ComputeCds frame can carry",
     }
 }
