@@ -76,8 +76,8 @@ COMMANDS:
               --threads <int; 0 = all cores> --policy <..=nd>
               --semantics <safe|literal|seq =safe> --energy-seed <int>
               --check (also run the whole-graph pipeline and assert
-              bit-identity; needs the O(n²)-bit bitmap, so moderate n)
-              --compare (like --check, plus report the speedup)
+              bit-identity; needs the O(n²)-bit bitmap, so n <= 100000)
+              --compare (same as --check, which reports the speedup)
               --expect-workers <int=0> (fail unless at least this many
               executors solved >= 1 tile — the work-distribution gate
               CI uses where wall-clock scaling cannot be trusted)
@@ -96,8 +96,8 @@ COMMANDS:
               --events <int; per step; default max(n/100, 4)>
               --trace-jsonl <file> (one trace per step: refresh + dirty
               tile spans; --trace-sample <N=1>; needs --features trace)
-              --check (after every step, re-solve from scratch on the
-              sharded engine in masked mode and assert bit-identity)
+              --check (after every step, not only the last, re-solve from
+              scratch in masked mode and assert bit-identity)
               --max-resolved-frac <f=1.0> (fail if the mean re-solved
               tile fraction across steps exceeds this — the locality
               gate CI uses where wall-clock cannot be trusted)

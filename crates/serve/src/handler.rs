@@ -180,7 +180,8 @@ impl std::fmt::Debug for GraphRegistry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// Shard when the topology has at least [`ShardPolicy::threshold`]
-    /// nodes and the configuration is shardable.
+    /// nodes, or more than [`MAX_WORKSPACE_NODES`], and the configuration
+    /// is shardable.
     #[default]
     Auto,
     /// Shard every shardable request regardless of size (unshardable
@@ -556,7 +557,10 @@ fn use_shard(state: &ServeState, cfg: &CdsConfig, n: usize) -> bool {
     match state.shard.mode {
         ShardMode::Never => false,
         ShardMode::Always => check_shardable(cfg).is_ok(),
-        ShardMode::Auto => n >= state.shard.threshold && check_shardable(cfg).is_ok(),
+        ShardMode::Auto => {
+            let big = n >= state.shard.threshold || n > MAX_WORKSPACE_NODES as usize;
+            big && check_shardable(cfg).is_ok()
+        }
     }
 }
 
@@ -1149,6 +1153,13 @@ mod tests {
         let big = [(0u32, 1), (1, 2), (2, 3), (3, 4)];
         compute_via_handler(&state, &mut scratch, &cfg, 5, &big, None, FLAG_NO_CACHE);
         assert!(scratch.sharded.stats().tiles > 0, "at threshold: sharded");
+        // Past the workspace's ceiling a shardable request shards whatever
+        // the threshold.
+        state.shard.threshold = usize::MAX;
+        let mut scratch = WorkerScratch::new();
+        let n = MAX_WORKSPACE_NODES + 1;
+        compute_via_handler(&state, &mut scratch, &cfg, n, &[], None, FLAG_NO_CACHE);
+        assert!(scratch.sharded.stats().tiles > 0, "past MAX_WORKSPACE_NODES: sharded");
     }
 
     #[test]
