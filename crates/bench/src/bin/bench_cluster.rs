@@ -1,8 +1,9 @@
 //! Horizontal-scaling bench of the `pacds-cluster` coordinator.
 //!
 //! For each backend count in [`BACKENDS`] the binary spawns that many
-//! in-process `pacds-serve` backends and one coordinator, then drives the closed-loop load generator *through* the
-//! coordinator: `GenCompute` requests cycling over a wheel of distinct
+//! in-process `pacds-serve` backends and one coordinator, then drives
+//! the closed-loop load generator *through* the coordinator: `GenCompute`
+//! requests cycling over a wheel of distinct
 //! seeds (distinct canonical digests — the keyspace actually spreads
 //! across the ring) with `FLAG_NO_CACHE`, so every request costs a full
 //! topology build + CDS compute on a backend. Cache-warm requests would
@@ -15,8 +16,9 @@
 //! counters (`failed_over` ≥ 1, `health_flips` ≥ 1).
 //!
 //! Throughput scaling 1 → 2 is asserted ≥ [`MIN_SCALING`] **only when
-//! the machine has cores to scale onto** (`machine_threads` ≥ 4: two backends plus coordinator and loadgen
-//! can't speed anything up when they time-slice one core — same
+//! the machine has cores to scale onto** (`machine_threads` ≥ 4: two
+//! backends plus coordinator and loadgen can't speed anything up when
+//! they time-slice one core — same
 //! precedent as `bench_shard`). On smaller machines the gate shifts to
 //! the portable counters: both backends routed a meaningful share, zero
 //! errors, failover observed. `scaling_gate` in the JSON records which

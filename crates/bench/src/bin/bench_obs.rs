@@ -310,7 +310,10 @@ fn run_baseline() -> Result<(), Error> {
 
 fn run_instrumented() -> Result<(), Error> {
     let text = std::fs::read_to_string(BASELINE).map_err(|e| {
-        format!("cannot read baseline {BASELINE}: {e}\nrun this binary once WITHOUT --features obs first")
+        format!(
+            "cannot read baseline {BASELINE}: {e}\nrun this binary once WITHOUT --features \
+             obs first"
+        )
     })?;
     // The keys are distinct whole words ("n" never matches inside
     // "shard_n"), so plain extraction stays exact.

@@ -34,7 +34,7 @@ pub struct ChurnParams {
 /// 20% battery drains, 6% deaths, 4% arrivals. Live-only events never
 /// target a host killed earlier in the same batch, so every batch
 /// applies fully.
-pub fn step_events(
+fn step_events(
     rng: &mut impl Rng,
     engine: &ChurnEngine,
     bounds: Rect,
@@ -78,7 +78,7 @@ pub fn step_events(
 
 /// The masked identity check: `engine`'s verdicts equal a from-scratch
 /// sharded solve over its live hosts.
-pub fn scratch_identity(engine: &ChurnEngine, bounds: Rect, radius: f64) -> Result<(), Error> {
+fn scratch_identity(engine: &ChurnEngine, bounds: Rect, radius: f64) -> Result<(), Error> {
     let off = engine.off_mask();
     let mut scratch = ShardedCds::new(engine.spec())?;
     scratch.compute_unit_disk_masked(

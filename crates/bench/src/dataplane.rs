@@ -234,7 +234,8 @@ impl Traffic {
             );
         }
         println!(
-            "drill: {} NACKed, rerouted in {:.1} ms (adjacency {:.2} ms), {repaired} trees repaired",
+            "drill: {} NACKed, rerouted in {:.1} ms (adjacency {:.2} ms), {repaired} trees \
+             repaired",
             after.nacked - before.nacked,
             r.ns / 1e6,
             r.adjacency_ns / 1e6

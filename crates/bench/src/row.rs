@@ -220,7 +220,11 @@ mod tests {
             Row::new().with("gate", true),
             vec![row.clone(), row],
         );
-        let head = format!("{{\n  \"benchmark\": \"b\",\n  \"description\": \"d\",\n  \"unit\": \"ns\",\n  \"machine_threads\": {},\n  \"gate\": true,\n", machine_threads());
+        let threads = machine_threads();
+        let head = format!(
+            "{{\n  \"benchmark\": \"b\",\n  \"description\": \"d\",\n  \"unit\": \"ns\",\n  \
+             \"machine_threads\": {threads},\n  \"gate\": true,\n"
+        );
         assert_eq!(
             text,
             format!("{head}  \"results\": [\n    {line},\n    {line}\n  ]\n}}\n")

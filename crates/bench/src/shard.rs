@@ -93,7 +93,8 @@ pub fn run(inst: &Instance, p: &ShardParams) -> Result<(Row, ShardedCds), Error>
     };
     if let Some(w) = whole_ns {
         println!(
-            "check: bit-identical to the whole-graph pipeline ({:.3}s vs sharded {:.3}s — {:.2}x)",
+            "check: bit-identical to the whole-graph pipeline ({:.3}s vs sharded {:.3}s — \
+             {:.2}x)",
             w / 1e9,
             ns / 1e9,
             w / ns

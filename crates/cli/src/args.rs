@@ -93,8 +93,9 @@ impl Args {
             .map_err(|_| ArgError(format!("--{key}: cannot parse '{raw}'")))
     }
 
-    /// Rejects options/flags outside `allowed` — option names separated
-    /// by whitespace — (catches typos) and any positional argument — commands that take positionals use
+    /// Rejects options/flags outside `allowed`, a whitespace-separated
+    /// list of names (catches typos), and any positional argument —
+    /// commands that take positionals use
     /// [`Args::check_known_with_positionals`]. The [`GLOBAL_OPTS`] are
     /// accepted everywhere.
     pub fn check_known(&self, allowed: &str) -> Result<(), ArgError> {
