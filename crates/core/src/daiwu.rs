@@ -61,12 +61,7 @@ pub fn rule_k_pass(
 }
 
 /// Whether some connected component of `G[higher]` covers `N(v)`.
-fn some_component_covers(
-    g: &Graph,
-    bm: &NeighborBitmap,
-    v: NodeId,
-    higher: &[NodeId],
-) -> bool {
+fn some_component_covers(g: &Graph, bm: &NeighborBitmap, v: NodeId, higher: &[NodeId]) -> bool {
     let k = higher.len();
     let mut seen = vec![false; k];
     let mut component: Vec<NodeId> = Vec::with_capacity(k);
@@ -184,7 +179,12 @@ mod tests {
             let n = 8 + trial % 40;
             let g = gen::connected_gnp(&mut rng, n, 0.15, 8);
             let energy: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
-            for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+            for policy in [
+                Policy::Id,
+                Policy::Degree,
+                Policy::Energy,
+                Policy::EnergyDegree,
+            ] {
                 let cds = compute_cds_daiwu(&g, Some(&energy), policy);
                 assert!(verify_cds(&g, &cds).is_ok(), "trial {trial} {policy:?}");
                 let marked = crate::marking(&g);

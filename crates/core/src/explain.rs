@@ -237,10 +237,6 @@ mod tests {
     #[should_panic]
     fn sequential_configs_are_rejected() {
         let g = gen::path(4);
-        explain(
-            &CdsInput::new(&g),
-            &CdsConfig::sequential(Policy::Id),
-            1,
-        );
+        explain(&CdsInput::new(&g), &CdsConfig::sequential(Policy::Id), 1);
     }
 }

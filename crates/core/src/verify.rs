@@ -134,7 +134,10 @@ mod tests {
         let g = gen::path(4);
         assert!(is_dominating_set(&g, &[false, true, true, false]));
         assert!(!is_dominating_set(&g, &[true, false, false, false]));
-        assert_eq!(dominating_witness(&g, &[true, false, false, false]), Some(2));
+        assert_eq!(
+            dominating_witness(&g, &[true, false, false, false]),
+            Some(2)
+        );
     }
 
     #[test]

@@ -51,7 +51,12 @@ fn all_configs() -> Vec<CdsConfig> {
         for rule2 in [Rule2Semantics::MinOfThree, Rule2Semantics::CaseAnalysis] {
             for application in [Application::Simultaneous, Application::Sequential] {
                 for schedule in [PruneSchedule::SinglePass, PruneSchedule::Fixpoint] {
-                    cfgs.push(CdsConfig { policy, schedule, rule2, application });
+                    cfgs.push(CdsConfig {
+                        policy,
+                        schedule,
+                        rule2,
+                        application,
+                    });
                 }
             }
         }
@@ -67,7 +72,13 @@ fn assert_pipeline_equivalence(g: &Graph, energy: &[u64]) {
     let csr = pacds_graph::CsrGraph::from(g);
     let mut ws = CdsWorkspace::new();
     for cfg in all_configs() {
-        let reference = compute_cds(&CdsInput { graph: g, energy: Some(energy) }, &cfg);
+        let reference = compute_cds(
+            &CdsInput {
+                graph: g,
+                energy: Some(energy),
+            },
+            &cfg,
+        );
         let via_csr = ws.compute(&csr, Some(energy), &cfg).clone();
         assert_eq!(
             reference, via_csr,
@@ -87,7 +98,10 @@ fn assert_pass_equivalence(g: &Graph, energy: &[u64]) {
     let csr = pacds_graph::CsrGraph::from(g);
     let marked_g = marking(g);
     let marked_c = marking(&csr);
-    assert_eq!(marked_g, marked_c, "marking diverged across backends on {g:?}");
+    assert_eq!(
+        marked_g, marked_c,
+        "marking diverged across backends on {g:?}"
+    );
 
     let bm_g = NeighborBitmap::build(g);
     let bm_c = NeighborBitmap::build(&csr);

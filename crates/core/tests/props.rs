@@ -5,9 +5,7 @@
 //! raw marking, and *every* rule family preserves the CDS property while
 //! only ever shrinking the set.
 
-use pacds_core::{
-    compute_cds, compute_cds_trace, verify_cds, CdsConfig, CdsInput, Policy,
-};
+use pacds_core::{compute_cds, compute_cds_trace, verify_cds, CdsConfig, CdsInput, Policy};
 use pacds_graph::{gen, Graph};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -51,17 +49,31 @@ fn count(mask: &[bool]) -> usize {
 fn every_policy_is_a_cds(g: &Graph, energy: &[u64]) {
     for policy in Policy::ALL {
         let cds = compute_cds(
-            &CdsInput { graph: g, energy: Some(energy) },
+            &CdsInput {
+                graph: g,
+                energy: Some(energy),
+            },
             &CdsConfig::policy(policy),
         );
-        assert!(verify_cds(g, &cds).is_ok(), "policy {policy:?} violated CDS on {g:?}");
+        assert!(
+            verify_cds(g, &cds).is_ok(),
+            "policy {policy:?} violated CDS on {g:?}"
+        );
     }
 }
 
 fn pruning_is_monotone(g: &Graph, energy: &[u64]) {
-    let input = CdsInput { graph: g, energy: Some(energy) };
+    let input = CdsInput {
+        graph: g,
+        energy: Some(energy),
+    };
     let trace_nr = compute_cds(&input, &CdsConfig::policy(Policy::NoPruning));
-    for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+    for policy in [
+        Policy::Id,
+        Policy::Degree,
+        Policy::Energy,
+        Policy::EnergyDegree,
+    ] {
         let trace = compute_cds_trace(&input, &CdsConfig::policy(policy));
         // Stage-wise: marked ⊇ after_rule1 ⊇ after_rule2.
         for (v, &nr) in trace_nr.iter().enumerate() {
@@ -73,8 +85,16 @@ fn pruning_is_monotone(g: &Graph, energy: &[u64]) {
 }
 
 fn fixpoint_stays_a_cds_and_never_grows(g: &Graph, energy: &[u64]) {
-    let input = CdsInput { graph: g, energy: Some(energy) };
-    for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+    let input = CdsInput {
+        graph: g,
+        energy: Some(energy),
+    };
+    for policy in [
+        Policy::Id,
+        Policy::Degree,
+        Policy::Energy,
+        Policy::EnergyDegree,
+    ] {
         let single = compute_cds(&input, &CdsConfig::policy(policy));
         let fix = compute_cds(&input, &CdsConfig::fixpoint(policy));
         assert!(verify_cds(g, &fix).is_ok(), "fixpoint {policy:?}");
@@ -88,7 +108,10 @@ fn paper_literal_is_monotone(g: &Graph, energy: &[u64]) {
     // implementation. What must always hold: the result is a subset of
     // the marking, and verify_cds either passes or reports a
     // NotDominating/NotConnected violation (never panics).
-    let input = CdsInput { graph: g, energy: Some(energy) };
+    let input = CdsInput {
+        graph: g,
+        energy: Some(energy),
+    };
     for policy in [Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
         let trace = compute_cds_trace(&input, &CdsConfig::paper(policy));
         for v in 0..g.n() {
@@ -101,7 +124,10 @@ fn paper_literal_is_monotone(g: &Graph, energy: &[u64]) {
 /// The in-place sweep is sound for every policy in `policies` and both
 /// Rule 2 semantics: each single removal preserves the CDS invariant.
 fn sequential_sweep_is_a_cds(g: &Graph, energy: &[u64], policies: &[Policy]) {
-    let input = CdsInput { graph: g, energy: Some(energy) };
+    let input = CdsInput {
+        graph: g,
+        energy: Some(energy),
+    };
     for &policy in policies {
         let cds = compute_cds(&input, &CdsConfig::sequential(policy));
         assert!(verify_cds(g, &cds).is_ok(), "sequential {policy:?}");
@@ -121,7 +147,10 @@ fn degenerate_energy_is_safe(g: &Graph) {
     for energy in [vec![0u64; n], vec![u64::MAX; n]] {
         for policy in [Policy::Energy, Policy::EnergyDegree] {
             let cds = compute_cds(
-                &CdsInput { graph: g, energy: Some(&energy) },
+                &CdsInput {
+                    graph: g,
+                    energy: Some(&energy),
+                },
                 &CdsConfig::policy(policy),
             );
             assert!(verify_cds(g, &cds).is_ok());
@@ -129,7 +158,12 @@ fn degenerate_energy_is_safe(g: &Graph) {
     }
 }
 
-const NON_NR: [Policy; 4] = [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree];
+const NON_NR: [Policy; 4] = [
+    Policy::Id,
+    Policy::Degree,
+    Policy::Energy,
+    Policy::EnergyDegree,
+];
 
 /// Every property checked over [`connected_graph_with_energy`].
 fn gnp_properties(g: &Graph, energy: &[u64]) {
@@ -216,7 +250,11 @@ fn from_adjacency(adj: &[&[u32]]) -> Graph {
         .collect();
     let g = Graph::from_edges(adj.len(), &edges);
     for (u, row) in adj.iter().enumerate() {
-        assert_eq!(g.degree(u as u32), row.len(), "row {u} lists each neighbour once");
+        assert_eq!(
+            g.degree(u as u32),
+            row.len(),
+            "row {u} lists each neighbour once"
+        );
     }
     g
 }
