@@ -132,6 +132,9 @@ pub(crate) struct WorkerSlot {
     pub(crate) ws: CdsWorkspace,
     pub(crate) csr: CsrGraph,
     pub(crate) locals: Vec<u32>,
+    /// Local ids of the hosts the current tile owns, ascending: the only
+    /// hosts whose Rule 1 and Rule 2 verdicts the tile decides and keeps.
+    pub(crate) owned: Vec<NodeId>,
     pub(crate) owned_flags: Vec<bool>,
     pub(crate) energy: Vec<u64>,
     pub(crate) uds: UnitDiskScratch,
@@ -153,6 +156,7 @@ impl ReserveLike for WorkerSlot {
         self.ws.reserve_like(&other.ws);
         self.csr.reserve_like(&other.csr);
         self.locals.reserve_like(&other.locals);
+        self.owned.reserve_like(&other.owned);
         self.owned_flags.reserve_like(&other.owned_flags);
         self.energy.reserve_like(&other.energy);
         self.uds.reserve_like(&other.uds);
@@ -426,14 +430,11 @@ impl ShardedCds {
                 }
                 slot.halo_build_ns += hb.elapsed().as_nanos() as u64;
 
-                slot.owned_flags.clear();
-                slot.owned_flags.resize(slot.locals.len(), false);
-                for (li, &v) in slot.locals.iter().enumerate() {
-                    if v >= lo && v < hi {
-                        slot.owned_flags[li] = true;
-                    }
-                }
-                solve_locals(slot, (hi - lo) as usize, energy, cfg_ref);
+                // `locals` ascends, so the block's hosts are one run of it.
+                let first = slot.locals.partition_point(|&v| v < lo) as NodeId;
+                slot.owned.clear();
+                slot.owned.extend(first..first + (hi - lo));
+                solve_locals(slot, energy, cfg_ref);
             },
         );
         drop(_dispatch);
@@ -573,14 +574,14 @@ impl ShardedCds {
 }
 
 /// The per-tile solve tail shared by both modes: slice energy, run the
-/// retained workspace on the local subgraph, collect owned verdicts and
-/// halo/cross-edge tallies.
-pub(crate) fn solve_locals(
-    slot: &mut WorkerSlot,
-    owned_count: usize,
-    energy: Option<&[u64]>,
-    cfg: &CdsConfig,
-) {
+/// retained workspace on the local subgraph deciding only the owned hosts
+/// (`slot.owned`), collect their verdicts and the halo/cross-edge tallies.
+pub(crate) fn solve_locals(slot: &mut WorkerSlot, energy: Option<&[u64]>, cfg: &CdsConfig) {
+    slot.owned_flags.clear();
+    slot.owned_flags.resize(slot.locals.len(), false);
+    for &li in &slot.owned {
+        slot.owned_flags[li as usize] = true;
+    }
     let sv = Instant::now();
     {
         let _t = pacds_obs::phase_timer(pacds_obs::Phase::ShardSolve);
@@ -593,24 +594,21 @@ pub(crate) fn solve_locals(
             }
             _ => None,
         };
-        slot.ws.compute(&slot.csr, energy_local, cfg);
+        slot.ws
+            .compute_owned(&slot.csr, &slot.owned, energy_local, cfg);
 
         let (marked, after1, gw) = (slot.ws.marked(), slot.ws.after_rule1(), slot.ws.gateways());
-        for (li, &g) in slot.locals.iter().enumerate() {
-            if slot.owned_flags[li] {
-                let bits =
-                    u8::from(marked[li]) | (u8::from(after1[li]) << 1) | (u8::from(gw[li]) << 2);
-                slot.results.push((g, bits));
-            }
+        for &li in &slot.owned {
+            let i = li as usize;
+            let bits = u8::from(marked[i]) | (u8::from(after1[i]) << 1) | (u8::from(gw[i]) << 2);
+            slot.results.push((slot.locals[i], bits));
         }
 
-        slot.halo_nodes += slot.locals.len() - owned_count;
+        slot.halo_nodes += slot.locals.len() - slot.owned.len();
         let mut cross = 0u64;
-        for (li, &g) in slot.locals.iter().enumerate() {
-            if !slot.owned_flags[li] {
-                continue;
-            }
-            for &lu in slot.csr.neighbors(li as NodeId) {
+        for &li in &slot.owned {
+            let g = slot.locals[li as usize];
+            for &lu in slot.csr.neighbors(li) {
                 // Count each cross-ownership edge once: from the tile
                 // owning the smaller-id endpoint.
                 if !slot.owned_flags[lu as usize] && slot.locals[lu as usize] > g {

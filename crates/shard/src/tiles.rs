@@ -9,6 +9,7 @@ use crate::engine::{solve_locals, WorkerSlot};
 use pacds_core::CdsConfig;
 use pacds_geom::{Point2, Rect, EPS};
 use pacds_graph::gen::unit_disk_csr_subset;
+use pacds_graph::NodeId;
 use std::time::Instant;
 
 /// A `tx × ty` grid of equal rectangular tiles over a domain, with the
@@ -225,7 +226,7 @@ pub(crate) struct SpatialRun<'a, F> {
 impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
     /// Solves tile `t` on `slot`: gathers the points within the margin of
     /// the tile, drops the off hosts, builds the induced unit-disk
-    /// subgraph, flags the live locals the tile owns and runs
+    /// subgraph, lists the live locals the tile owns and runs
     /// [`solve_locals`]. Every owned host's verdict is pushed to
     /// `slot.results`: off hosts' (all false) first, then the live ones,
     /// each group ascending.
@@ -250,10 +251,9 @@ impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
         }
         slot.halo_build_ns += hb.elapsed().as_nanos() as u64;
 
-        // Ascending-list merge walk: flag the live locals this tile owns.
-        slot.owned_flags.clear();
-        slot.owned_flags.resize(slot.locals.len(), false);
-        let (mut li, mut owned_live) = (0, 0);
+        // Ascending-list merge walk: list the live locals this tile owns.
+        slot.owned.clear();
+        let mut li = 0;
         for &g in self.grid.owned(t) {
             if (self.off)(g as usize) {
                 slot.results.push((g, 0));
@@ -263,11 +263,10 @@ impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
                 li += 1;
             }
             debug_assert_eq!(slot.locals[li], g, "tile {t} halo lost an owned node");
-            slot.owned_flags[li] = true;
+            slot.owned.push(li as NodeId);
             li += 1;
-            owned_live += 1;
         }
-        solve_locals(slot, owned_live, self.energy, self.cfg);
+        solve_locals(slot, self.energy, self.cfg);
     }
 }
 
