@@ -53,7 +53,12 @@ fn bench() -> Result<(), Error> {
     for n in pacds_bench::list_env("PACDS_BENCH_SIZES", &SIZES) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let inst = Instance::uniform(&mut rng, density_side(n), RADIUS, spread_energy(n, 1));
-        rows.push(churn::run(&inst, &params, &mut rng)?);
+        rows.push(churn::run(
+            &inst,
+            &params,
+            &mut rng,
+            &mut std::io::stdout(),
+        )?);
     }
 
     let description = format!(

@@ -78,7 +78,8 @@ fn bench() -> Result<(), Error> {
     for n in pacds_bench::list_env("PACDS_BENCH_SIZES", &SIZES) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let inst = Instance::uniform(&mut rng, density_side(n), RADIUS, spread_energy(n, 1));
-        let row = dataplane::run(&inst, &params, &mut rng).map_err(|e| format!("n={n}: {e}"))?;
+        let row = dataplane::run(&inst, &params, &mut rng, &mut std::io::stdout())
+            .map_err(|e| format!("n={n}: {e}"))?;
         rows.push(row);
     }
 

@@ -70,7 +70,7 @@ fn bench() -> Result<(), Error> {
             expect_workers: 0,
         };
         // threads = 1 is the reference every other run must match.
-        let (single, inline) = shard::run(&inst, &params(1, true))?;
+        let (single, inline) = shard::run(&inst, &params(1, true), &mut std::io::stdout())?;
         if n > 0 && single.num("gateways") == 0.0 {
             return Err(format!("n={n} produced an empty gateway set").into());
         }
@@ -78,7 +78,7 @@ fn bench() -> Result<(), Error> {
         // 0 threads: the "use the whole machine" shape the serving layer
         // would pick, reported apart from the scaling table.
         for t in counts.iter().copied().chain([0]) {
-            let (run, engine) = shard::run(&inst, &params(t, false))?;
+            let (run, engine) = shard::run(&inst, &params(t, false), &mut std::io::stdout())?;
             identical(
                 &format!("n={n} threads={t} vs threads=1"),
                 verdicts!(engine),

@@ -14,6 +14,7 @@ use pacds_core::CdsConfig;
 use pacds_geom::{Point2, Rect};
 use pacds_shard::{ChurnEngine, ChurnEvent, ShardSpec, ShardedCds};
 use rand::Rng;
+use std::io::Write;
 use std::time::Instant;
 
 /// What one churn run drives.
@@ -97,9 +98,14 @@ fn scratch_identity(engine: &ChurnEngine, bounds: Rect, radius: f64) -> Result<(
 }
 
 /// Opens a churn engine on `inst` and drives the event stream drawn from
-/// `rng`, printing one line per step. Counts in the row cover the event
+/// `rng`, writing one line per step to `out`. Counts in the row cover the event
 /// stream only, not the seed solve at open.
-pub fn run(inst: &Instance, p: &ChurnParams, rng: &mut impl Rng) -> Result<Row, Error> {
+pub fn run(
+    inst: &Instance,
+    p: &ChurnParams,
+    rng: &mut impl Rng,
+    out: &mut dyn Write,
+) -> Result<Row, Error> {
     let (bounds, radius, energy) = (inst.bounds, inst.radius, inst.energy.as_slice());
     let mut scratch = ShardedCds::new(p.spec)?;
     let t = Instant::now();
@@ -114,11 +120,12 @@ pub fn run(inst: &Instance, p: &ChurnParams, rng: &mut impl Rng) -> Result<Row, 
     // Lifetime totals include the seed at open (one refresh, every
     // initial gateway a flip).
     let initial = engine.totals();
-    println!(
+    writeln!(
+        out,
         "churn: {} — {tiles} tiles, {} initial gateways",
         inst.label(&p.cfg),
         engine.gateway_count()
-    );
+    )?;
 
     let (mut step_ns, mut max_ns, mut max_resolved, mut frac_sum) = (0.0, 0.0f64, 0, 0.0);
     let wall = Instant::now();
@@ -133,14 +140,15 @@ pub fn run(inst: &Instance, p: &ChurnParams, rng: &mut impl Rng) -> Result<Row, 
         (step_ns, max_ns) = (step_ns + ns, max_ns.max(ns));
         max_resolved = max_resolved.max(stats.resolved_tiles);
         frac_sum += stats.resolved_tiles as f64 / tiles.max(1) as f64;
-        println!(
+        writeln!(
+            out,
             "step {step:>3}: {} events, {}/{} tiles re-solved, {} gateway flips, {} gateways",
             stats.events,
             stats.resolved_tiles,
             stats.total_tiles,
             stats.gateway_flips,
             engine.gateway_count(),
-        );
+        )?;
         if p.check_every_step || step == p.steps {
             scratch_identity(&engine, bounds, radius).map_err(|e| format!("step {step}: {e}"))?;
         }
@@ -155,7 +163,8 @@ pub fn run(inst: &Instance, p: &ChurnParams, rng: &mut impl Rng) -> Result<Row, 
     let (mean_frac, mean_step_ns) = (frac_sum / steps, step_ns / steps);
     let events_per_s = events as f64 * 1e9 / f64::max(step_ns, 1.0);
     let flips_per_event = flips as f64 / events.max(1) as f64;
-    println!(
+    writeln!(
+        out,
         "totals: {events} events in {wall_s:.3}s ({events_per_s:.0} events/s), {refreshes} \
          refreshes, {:.1} tiles re-solved/refresh (mean frac {mean_frac:.3}), \
          {flips_per_event:.2} gateway flips/event; bit-identical to the from-scratch recompute \
@@ -166,7 +175,7 @@ pub fn run(inst: &Instance, p: &ChurnParams, rng: &mut impl Rng) -> Result<Row, 
         } else {
             "at the end"
         },
-    );
+    )?;
     if mean_frac > p.max_resolved_frac {
         return Err(format!(
             "max resolved frac {}: mean re-solved tile fraction was {mean_frac:.3} — churn is \
@@ -215,7 +224,12 @@ mod tests {
             max_resolved_frac,
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        run(&crate::tests::instance(300, 25.0), &p, &mut rng)
+        run(
+            &crate::tests::instance(300, 25.0),
+            &p,
+            &mut rng,
+            &mut std::io::sink(),
+        )
     }
 
     #[test]

@@ -19,6 +19,7 @@ use pacds_dataplane::{ChurnNet, Dataplane};
 use pacds_graph::{CsrGraph, NodeId};
 use pacds_shard::ShardSpec;
 use rand::Rng;
+use std::io::Write;
 use std::time::Instant;
 
 /// Which broadcasts each wave sends: `(blind, gateway-relayed)`.
@@ -179,7 +180,7 @@ impl Traffic {
 
     /// Routed hop counts of the first `pairs` flows against BFS
     /// shortest paths.
-    fn stretch(&mut self, pairs: usize) -> Result<Row, Error> {
+    fn stretch(&mut self, pairs: usize, out: &mut dyn Write) -> Result<Row, Error> {
         let (mut extra, mut ratio, mut max_extra) = (0, 0.0, 0);
         for k in 0..pairs {
             let (_, src, dst) = self.flows[k];
@@ -190,7 +191,10 @@ impl Traffic {
             ratio += f64::from(routed) / f64::from(shortest.max(1));
         }
         let (extra, ratio) = (f64::from(extra) / pairs as f64, ratio / pairs as f64);
-        println!("stretch: +{extra:.2} hops ({ratio:.3}x) over BFS on {pairs} flows");
+        writeln!(
+            out,
+            "stretch: +{extra:.2} hops ({ratio:.3}x) over BFS on {pairs} flows"
+        )?;
         Ok(Row::new()
             .with("stretch_sampled_pairs", pairs)
             .fixed("stretch_mean_extra_hops", extra, 3)
@@ -201,7 +205,7 @@ impl Traffic {
     /// A flood comparison at full coverage, then a kill of the first
     /// unprotected interior hop on a live route, whose reroute must
     /// repair trees and rebuild none.
-    fn drill(&mut self, packets: usize) -> Result<Row, Error> {
+    fn drill(&mut self, packets: usize, out: &mut dyn Write) -> Result<Row, Error> {
         let reached = self.floods.map(|f| f.1);
         self.wave(None, 0, (true, true))?;
         if self.floods[0].1 - reached[0] != self.floods[1].1 - reached[1] {
@@ -233,13 +237,14 @@ impl Traffic {
                 format!("the reroute repaired {repaired} trees and rebuilt {built}").into(),
             );
         }
-        println!(
+        writeln!(
+            out,
             "drill: {} NACKed, rerouted in {:.1} ms (adjacency {:.2} ms), {repaired} trees \
              repaired",
             after.nacked - before.nacked,
             r.ns / 1e6,
             r.adjacency_ns / 1e6
-        );
+        )?;
         Ok(Row::new()
             .with("kill_nacked", after.nacked - before.nacked)
             .with("kill_retransmits", r.requeued)
@@ -270,9 +275,15 @@ fn bfs_hops(g: &CsrGraph, src: NodeId, dst: NodeId) -> Option<u32> {
 }
 
 /// Opens the network on `inst` and drives the traffic, with flow and
-/// kill picks drawn from `rng`; prints a summary and applies the gates.
-/// Packet, kill and refresh counts in the row cover the timed waves.
-pub fn run(inst: &Instance, p: &DpParams, rng: &mut impl Rng) -> Result<Row, Error> {
+/// kill picks drawn from `rng`; writes a summary to `out` and applies the
+/// gates. Packet, kill and refresh counts in the row cover the timed
+/// waves.
+pub fn run(
+    inst: &Instance,
+    p: &DpParams,
+    rng: &mut impl Rng,
+    out: &mut dyn Write,
+) -> Result<Row, Error> {
     let n = inst.n();
     let t = Instant::now();
     let (bounds, radius) = (inst.bounds, inst.radius);
@@ -300,14 +311,15 @@ pub fn run(inst: &Instance, p: &DpParams, rng: &mut impl Rng) -> Result<Row, Err
         tr.protected[dst as usize] = true;
         tr.flows.push((tr.dp.add_flow(src, dst), src, dst));
     }
-    println!(
+    writeln!(
+        out,
         "dataplane: {} — {} gateways, {} flows x {} packets x {} waves",
         inst.label(&p.cfg),
         tr.net.gateway_count(),
         p.flows,
         p.packets,
         p.waves
-    );
+    )?;
 
     // Warm wave: resolve every flow's route, grow every retained buffer.
     tr.wave(None, 1, (false, false))?;
@@ -330,12 +342,13 @@ pub fn run(inst: &Instance, p: &DpParams, rng: &mut impl Rng) -> Result<Row, Err
             false => None,
         };
         if let Some(r) = tr.wave(victim, p.packets, p.broadcast)? {
-            println!(
+            writeln!(
+                out,
                 "wave {wave:>3}: {} packets NACKed on stale routes, redelivered after refresh \
                  ({} gateways)",
                 r.requeued,
                 tr.net.gateway_count()
-            );
+            )?;
         }
     }
     let wall_s = t.elapsed().as_secs_f64();
@@ -349,31 +362,34 @@ pub fn run(inst: &Instance, p: &DpParams, rng: &mut impl Rng) -> Result<Row, Err
     let (trees, kills, reroutes) = (tr.trees(), tr.kills, tr.reroutes);
     let mean_reroute_ms = tr.reroute_ns / 1e6 / reroutes.max(1) as f64;
     let pairs = p.stretch_pairs.min(p.flows);
-    let stretch = (pairs > 0).then(|| tr.stretch(pairs)).transpose()?;
-    let drill = p.drill.then(|| tr.drill(p.packets)).transpose()?;
+    let stretch = (pairs > 0).then(|| tr.stretch(pairs, out)).transpose()?;
+    let drill = p.drill.then(|| tr.drill(p.packets, out)).transpose()?;
     let misroutes = tr.dp.stats().misroutes;
     let [(blind, reached), (gateway, _)] = tr.floods;
     let reduction = match (blind, gateway) {
         (0, _) | (_, 0) => f64::NAN,
         (b, g) => 1.0 - g as f64 / b as f64,
     };
-    println!(
+    writeln!(
+        out,
         "totals: {injected} injected, {delivered} delivered, {dropped} dropped, {nacked} NACKed \
          ({retransmits} retransmits), {hops} hops in {wall_s:.3}s ({hops_per_s:.0} hops/s), \
          {misroutes} misroutes"
-    );
+    )?;
     if kills > 0 {
-        println!(
+        writeln!(
+            out,
             "churn: {kills} gateway kills, {reroutes} refreshes, mean reroute \
              {mean_reroute_ms:.1} ms; destination trees: {} built in full, {} repaired",
             trees.0, trees.1
-        );
+        )?;
     }
     if !reduction.is_nan() {
         let pct = 100.0 * reduction;
-        println!(
+        writeln!(
+            out,
             "broadcast: {blind} blind vs {gateway} gateway transmissions ({pct:.1}% reduction)"
-        );
+        )?;
     }
 
     let mut errors = Vec::new();
@@ -449,7 +465,12 @@ mod tests {
 
     fn traffic(p: DpParams) -> Result<Row, Error> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        run(&crate::tests::instance(3000, 30.0), &p, &mut rng)
+        run(
+            &crate::tests::instance(3000, 30.0),
+            &p,
+            &mut rng,
+            &mut std::io::sink(),
+        )
     }
 
     /// The bench's shape at a small size.

@@ -10,6 +10,7 @@ use crate::{identical, meta, verdicts, Error, Instance};
 use pacds_core::{CdsConfig, CdsWorkspace};
 use pacds_graph::gen;
 use pacds_shard::{ShardSpec, ShardStats, ShardedCds};
+use std::io::Write;
 use std::time::Instant;
 
 /// Ceiling of the whole-graph check: its dense neighbour bitmap takes
@@ -30,10 +31,14 @@ pub struct ShardParams {
     pub expect_workers: usize,
 }
 
-/// Solves `inst` on a fresh engine of `p.spec` and prints a summary. The
-/// engine is returned with the row, holding the masks for further
-/// identity checks.
-pub fn run(inst: &Instance, p: &ShardParams) -> Result<(Row, ShardedCds), Error> {
+/// Solves `inst` on a fresh engine of `p.spec` and writes a summary to
+/// `out`. The engine is returned with the row, holding the masks for
+/// further identity checks.
+pub fn run(
+    inst: &Instance,
+    p: &ShardParams,
+    out: &mut dyn Write,
+) -> Result<(Row, ShardedCds), Error> {
     let mut engine = ShardedCds::new(p.spec)?;
     let (mut ns, mut s, mut work) = (f64::INFINITY, ShardStats::default(), Vec::new());
     for _ in 0..p.reps.max(1) {
@@ -53,33 +58,37 @@ pub fn run(inst: &Instance, p: &ShardParams) -> Result<(Row, ShardedCds), Error>
     let active = tiles.iter().filter(|&&t| t > 0).count();
     let count = |mask: &[bool]| mask.iter().filter(|&&b| b).count();
     let (marked, after_rule1) = (count(engine.marked()), count(engine.after_rule1()));
-    println!(
+    writeln!(
+        out,
         "shard: {} — {} tiles, {} halo nodes, {} cross-tile edges",
         inst.label(&p.cfg),
         s.tiles,
         s.halo_nodes,
         s.cross_tile_edges
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "result: {marked} marked, {after_rule1} after Rule 1, {} gateways, {} round(s)",
         engine.gateway_count(),
         engine.rounds()
-    );
+    )?;
     let secs = |ns: u64| ns as f64 / 1e9;
-    println!(
+    writeln!(
+        out,
         "time: {:.3}s total (partition {:.3}s, halo build {:.3}s, solve {:.3}s, merge {:.3}s)",
         ns / 1e9,
         secs(s.partition_ns),
         secs(s.halo_build_ns),
         secs(s.solve_ns),
         secs(s.merge_ns)
-    );
+    )?;
     // Work distribution: the machine-independent evidence that a parallel
     // run actually spread tiles across executors.
-    println!(
+    writeln!(
+        out,
         "workers: {active} executor(s) active, tiles {tiles:?}, {} stolen",
         s.stolen_tiles
-    );
+    )?;
     if active < p.expect_workers {
         return Err(format!(
             "expected {} workers: only {active} executor(s) solved a tile (tiles {tiles:?})",
@@ -92,13 +101,14 @@ pub fn run(inst: &Instance, p: &ShardParams) -> Result<(Row, ShardedCds), Error>
         false => None,
     };
     if let Some(w) = whole_ns {
-        println!(
+        writeln!(
+            out,
             "check: bit-identical to the whole-graph pipeline ({:.3}s vs sharded {:.3}s — \
              {:.2}x)",
             w / 1e9,
             ns / 1e9,
             w / ns
-        );
+        )?;
     }
     let row = meta(inst, &p.cfg)
         .with("shards", p.spec.shards)
@@ -178,7 +188,7 @@ mod tests {
             check: true,
             expect_workers,
         };
-        run(&crate::tests::instance(600, 25.0), &p)
+        run(&crate::tests::instance(600, 25.0), &p, &mut std::io::sink())
     }
 
     #[test]

@@ -7,7 +7,7 @@ use pacds_energy::DrainModel;
 use pacds_geom::Rect;
 use pacds_graph::{algo, gen, io, mask_to_vec, Graph};
 use pacds_routing::BackboneRoutes;
-use pacds_shard::{ShardSpec, ShardedCds};
+use pacds_shard::ShardSpec;
 use pacds_sim::{SimConfig, Simulation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -575,13 +575,17 @@ pub fn obs_report(args: &Args) -> CliResult {
         }
         "shard" => {
             let n: usize = args.get_or("n", 2000)?;
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let energy = energy_levels(args, n)?;
-            let inst = Instance::uniform(&mut rng, pacds_bench::density_side(n), 25.0, energy);
-            let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
-            let mut engine = ShardedCds::new(spec_of(args, pacds_shard::REQUIRED_HALO)?)?;
-            let (bounds, points) = (inst.bounds, &inst.points);
-            engine.compute_unit_disk(bounds, 25.0, points, Some(&inst.energy), &cfg)?;
+            let (inst, cfg, _) = large_instance(args, n, "el1")?;
+            let p = pacds_bench::shard::ShardParams {
+                spec: spec_of(args, pacds_shard::REQUIRED_HALO)?,
+                cfg,
+                reps: 1,
+                check: false,
+                expect_workers: 0,
+            };
+            // The driver's summary would corrupt the jsonl and prometheus
+            // formats; the report prints its own header.
+            let (_, engine) = pacds_bench::shard::run(&inst, &p, &mut std::io::sink())?;
             format!(
                 "obs-report: n={n} policy={} seed={seed} — sharded compute, \
                  {} tiles, {} gateways",
@@ -770,16 +774,17 @@ const LARGE_OPTS: &str = "n seed radius side shards threads policy semantics ene
 
 /// The instance, configuration and RNG the large-scale commands share:
 /// `n` hosts placed by `--seed` on a `--side` square (default: the
-/// paper's density), `--radius`, `--energy-seed`, `--policy` and
-/// `--semantics`. The RNG continues the placement stream.
+/// paper's density), `--radius`, `--energy-seed`, `--policy` (default
+/// `policy`) and `--semantics`. The RNG continues the placement stream.
 fn large_instance(
     args: &Args,
     n: usize,
+    policy: &str,
 ) -> Result<(Instance, CdsConfig, ChaCha8Rng), Box<dyn std::error::Error>> {
     let seed: u64 = args.get_or("seed", 1)?;
     let radius: f64 = args.get_or("radius", 25.0)?;
     let side: f64 = args.get_or("side", pacds_bench::density_side(n))?;
-    let policy = policy_of(args.get("policy").unwrap_or("nd"))?;
+    let policy = policy_of(args.get("policy").unwrap_or(policy))?;
     let cfg = cds_config_of(policy, args.get("semantics").unwrap_or("safe"))?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let inst = Instance::uniform(&mut rng, side, radius, energy_levels(args, n)?);
@@ -850,7 +855,7 @@ pub fn shard(args: &Args) -> CliResult {
         }
         eprintln!("warning: {msg}; skipped");
     }
-    let (inst, cfg, _) = large_instance(args, n)?;
+    let (inst, cfg, _) = large_instance(args, n, "nd")?;
     let p = ShardParams {
         spec: spec_of(args, args.get_or("halo", pacds_shard::REQUIRED_HALO)?)?,
         cfg,
@@ -860,7 +865,7 @@ pub fn shard(args: &Args) -> CliResult {
     };
     // An identity failure is always fatal (the over-sized skip was
     // handled above).
-    let (row, _) = pacds_bench::shard::run(&inst, &p)?;
+    let (row, _) = pacds_bench::shard::run(&inst, &p, &mut std::io::stdout())?;
     write_json(args, &row)
 }
 
@@ -869,7 +874,7 @@ pub fn churn(args: &Args) -> CliResult {
     let known = "steps events check max-resolved-frac trace-jsonl trace-sample";
     args.check_known(&format!("{LARGE_OPTS} {known}"))?;
     let n: usize = args.get_or("n", 5000)?;
-    let (inst, cfg, mut rng) = large_instance(args, n)?;
+    let (inst, cfg, mut rng) = large_instance(args, n, "nd")?;
     let p = pacds_bench::churn::ChurnParams {
         spec: spec_of(args, pacds_shard::REQUIRED_HALO)?,
         cfg,
@@ -879,7 +884,7 @@ pub fn churn(args: &Args) -> CliResult {
         max_resolved_frac: args.get_or("max-resolved-frac", 1.0)?,
     };
     let trace = trace_start(args)?;
-    let row = pacds_bench::churn::run(&inst, &p, &mut rng);
+    let row = pacds_bench::churn::run(&inst, &p, &mut rng, &mut std::io::stdout());
     trace_finish(trace)?;
     write_json(args, &row?)
 }
@@ -891,7 +896,7 @@ pub fn dataplane(args: &Args) -> CliResult {
     args.check_known(&format!("{LARGE_OPTS} {known}"))?;
     let broadcast = broadcast_of(args.get("broadcast").unwrap_or("both"))?;
     let n: usize = args.get_or("n", 5000)?;
-    let (inst, cfg, mut rng) = large_instance(args, n)?;
+    let (inst, cfg, mut rng) = large_instance(args, n, "nd")?;
     let p = DpParams {
         spec: spec_of(args, pacds_shard::REQUIRED_HALO)?,
         cfg,
@@ -907,7 +912,7 @@ pub fn dataplane(args: &Args) -> CliResult {
         fail_on_errors: args.flag("fail-on-errors"),
     };
     let trace = trace_start(args)?;
-    let row = pacds_bench::dataplane::run(&inst, &p, &mut rng);
+    let row = pacds_bench::dataplane::run(&inst, &p, &mut rng, &mut std::io::stdout());
     trace_finish(trace)?;
     write_json(args, &row?)
 }
@@ -1464,6 +1469,16 @@ mod tests {
             let snap = pacds_obs::Snapshot::capture();
             assert!(!snap.phases.is_empty(), "obs build must report phases");
             assert!(snap.counter("sim.intervals") >= 1);
+        }
+        // The shard workload runs the shared driver, whose summary must
+        // stay out of the report.
+        obs_report(&args("obs-report --workload shard --n 2000")).unwrap();
+        obs_report(&args("obs-report --workload shard --n 2000 --format jsonl")).unwrap();
+        #[cfg(feature = "obs")]
+        {
+            let snap = pacds_obs::Snapshot::capture();
+            assert_eq!(snap.counter("shard.computes"), 1);
+            assert_eq!(snap.counter("shard.owned_nodes"), 2000);
         }
     }
 
