@@ -50,7 +50,10 @@ metric_enum! {
     /// counters follow the pre-filter cascade of `pacds-core::rules`: a
     /// candidate is *examined*, may be *rejected by the pre-filter*
     /// (degree/marker/priority gate), then *witness-probed* (single-bit
-    /// test), and only survivors reach the full *subset scan*.
+    /// test), and only survivors reach the full *subset scan*. A pass
+    /// counts only the vertices it decides: every vertex in a whole-graph
+    /// compute, but only the owned hosts in a shard tile's solve, while
+    /// the marking counters still cover the tile's whole window.
     pub enum Counter / COUNTER_NAMES / NUM_COUNTERS {
         /// Vertices scanned by the marking process.
         MarkingScanned => "marking.vertices_scanned",
@@ -68,7 +71,7 @@ metric_enum! {
         Rule1SubsetScans => "rule1.subset_scans",
         /// Rule 1: vertices unmarked.
         Rule1Unmarked => "rule1.unmarked",
-        /// Rule 2: marked vertices with enough candidates to form a pair.
+        /// Rule 2: marked vertices examined.
         Rule2Vertices => "rule2.vertices",
         /// Rule 2: candidate neighbours collected across those vertices.
         Rule2Candidates => "rule2.candidates",
