@@ -47,10 +47,10 @@ pub fn mpr_set(g: &Graph, v: NodeId) -> Vec<NodeId> {
     let mut chosen = vec![false; g.n()];
 
     let cover_with = |u: NodeId,
-                          covered: &mut Vec<bool>,
-                          uncovered: &mut usize,
-                          relays: &mut Vec<NodeId>,
-                          chosen: &mut Vec<bool>| {
+                      covered: &mut Vec<bool>,
+                      uncovered: &mut usize,
+                      relays: &mut Vec<NodeId>,
+                      chosen: &mut Vec<bool>| {
         if chosen[u as usize] {
             return;
         }

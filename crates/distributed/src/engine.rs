@@ -104,8 +104,7 @@ pub fn run_distributed_counted(
             let results = &results;
             let sent = &sent;
             scope.spawn(move || {
-                let (marked, count) =
-                    host_main(v, my_neighbors, my_energy, inbox, &outboxes, &cfg);
+                let (marked, count) = host_main(v, my_neighbors, my_energy, inbox, &outboxes, &cfg);
                 sent.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
                 results.lock().expect("no host panics")[v as usize] = marked;
             });
@@ -334,7 +333,9 @@ mod tests {
     use rand::SeedableRng;
 
     fn energies(n: usize, seed: u64) -> Vec<u64> {
-        (0..n).map(|i| (seed.wrapping_mul(i as u64 + 1) >> 11) % 10).collect()
+        (0..n)
+            .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 11) % 10)
+            .collect()
     }
 
     #[test]
@@ -361,7 +362,12 @@ mod tests {
             let n = 20 + trial * 10;
             let g = gen::connected_gnp(&mut rng, n, 0.12, 8);
             let e = energies(n, trial as u64);
-            for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+            for policy in [
+                Policy::Id,
+                Policy::Degree,
+                Policy::Energy,
+                Policy::EnergyDegree,
+            ] {
                 let cfg = CdsConfig::paper(policy);
                 let central = compute_cds(&CdsInput::with_energy(&g, &e), &cfg);
                 let dist = run_distributed(&g, Some(&e), &cfg);

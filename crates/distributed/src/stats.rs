@@ -112,13 +112,8 @@ mod tests {
             ] {
                 let expected = protocol_stats(&g, &cfg);
                 let energy = vec![5u64; n];
-                let (_, sent) =
-                    crate::engine::run_distributed_counted(&g, Some(&energy), &cfg);
-                assert_eq!(
-                    sent,
-                    expected.total_messages(),
-                    "n={n} cfg={cfg:?}"
-                );
+                let (_, sent) = crate::engine::run_distributed_counted(&g, Some(&energy), &cfg);
+                assert_eq!(sent, expected.total_messages(), "n={n} cfg={cfg:?}");
             }
         }
     }

@@ -35,7 +35,8 @@ pub fn backbone_robustness(g: &Graph, gateways: &[bool]) -> RobustnessReport {
     let backbone_cut_vertices: Vec<NodeId> = cuts
         .iter()
         .enumerate()
-        .filter(|&(_i, &c)| c).map(|(i, &_c)| old_of[i])
+        .filter(|&(_i, &c)| c)
+        .map(|(i, &_c)| old_of[i])
         .collect();
     let backbone_bridges = algo::bridges(&backbone).len();
 

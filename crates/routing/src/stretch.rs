@@ -97,7 +97,10 @@ mod tests {
         let m = marking(&g);
         let s = stretch_summary(&g, &mut installed(&m));
         assert_eq!(s.failures, 0);
-        assert_eq!(s.max_extra_hops, 0, "path marking keeps all interior vertices");
+        assert_eq!(
+            s.max_extra_hops, 0,
+            "path marking keeps all interior vertices"
+        );
         assert_eq!(s.optimal_fraction, 1.0);
     }
 

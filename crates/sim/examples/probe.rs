@@ -14,7 +14,11 @@ use pacds_sim::{SimConfig, Simulation, Summary};
 
 fn main() {
     let n = 40;
-    for model in [DrainModel::ConstantTotal, DrainModel::LinearInN, DrainModel::QuadraticInN] {
+    for model in [
+        DrainModel::ConstantTotal,
+        DrainModel::LinearInN,
+        DrainModel::QuadraticInN,
+    ] {
         println!("== model {} n={n}", model.label());
         for (name, cds) in [
             ("NR", CdsConfig::policy(Policy::NoPruning)),
@@ -33,7 +37,9 @@ fn main() {
             let mut cfg = SimConfig::paper(n, Policy::Id, model);
             cfg.cds = cds;
             cfg.energy.additive_gateway_drain = std::env::var("ADDITIVE").is_ok();
-            if let Ok(q) = std::env::var("QUANTUM") { cfg.energy.quantum = q.parse().unwrap(); }
+            if let Ok(q) = std::env::var("QUANTUM") {
+                cfg.energy.quantum = q.parse().unwrap();
+            }
             let out = run_trials(0xFEED ^ n as u64, 24, |_, rng| {
                 let sim = Simulation::new(cfg, rng).without_verification();
                 let o = sim.run_lifetime(rng);
@@ -41,8 +47,12 @@ fn main() {
             });
             let lives: Vec<f64> = out.iter().map(|o| o.0).collect();
             let gws: Vec<f64> = out.iter().map(|o| o.1).collect();
-            println!("{:>10}: life {}  |G'| {}", name,
-                Summary::from_slice(&lives), Summary::from_slice(&gws));
+            println!(
+                "{:>10}: life {}  |G'| {}",
+                name,
+                Summary::from_slice(&lives),
+                Summary::from_slice(&gws)
+            );
         }
     }
 }

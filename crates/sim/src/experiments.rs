@@ -177,11 +177,7 @@ pub fn locality_experiment(sweep: &SweepConfig) -> Vec<Series> {
                             for _ in 0..intervals {
                                 state.advance_topology(rng);
                                 state.compute_gateways_into(&mut cur);
-                                changed += prev
-                                    .iter()
-                                    .zip(&cur)
-                                    .filter(|(a, b)| a != b)
-                                    .count();
+                                changed += prev.iter().zip(&cur).filter(|(a, b)| a != b).count();
                                 std::mem::swap(&mut prev, &mut cur);
                             }
                             changed as f64 / (f64::from(intervals) * n as f64)

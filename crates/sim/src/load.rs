@@ -99,9 +99,8 @@ pub fn load_aware_lifetime<R: Rng + ?Sized>(
         }
 
         // Drain: idle cost plus the measured forwarding load.
-        let first_death = state.drain_custom(|v| {
-            load.idle_drain + load.per_forward_cost * f64::from(forwards[v])
-        });
+        let first_death = state
+            .drain_custom(|v| load.idle_drain + load.per_forward_cost * f64::from(forwards[v]));
         intervals += 1;
         if first_death {
             died = true;
@@ -210,6 +209,9 @@ mod tests {
         let seeds = [1u64, 2, 3, 4, 5];
         let id: u32 = seeds.iter().map(|&s| run(Policy::Id, s)).sum();
         let el: u32 = seeds.iter().map(|&s| run(Policy::Energy, s)).sum();
-        assert!(el * 10 >= id * 9, "EL1 ({el}) should be competitive with ID ({id})");
+        assert!(
+            el * 10 >= id * 9,
+            "EL1 ({el}) should be competitive with ID ({id})"
+        );
     }
 }

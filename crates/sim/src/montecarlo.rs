@@ -26,8 +26,7 @@ where
 /// The deterministic RNG of trial `i` under `master_seed`.
 pub fn trial_rng(master_seed: u64, i: usize) -> ChaCha8Rng {
     // SplitMix64-style mixing keeps nearby (seed, index) pairs uncorrelated.
-    let mut z = master_seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
+    let mut z = master_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;

@@ -74,7 +74,7 @@ mod tests {
     fn corners_map_to_grid_corners() {
         let bounds = Rect::square(100.0);
         let pts = vec![
-            Point2::new(0.0, 0.0),    // south-west -> bottom-left
+            Point2::new(0.0, 0.0),     // south-west -> bottom-left
             Point2::new(100.0, 100.0), // north-east -> top-right
         ];
         let s = render_ascii(bounds, &pts, &[false, true], None, 10, 5);

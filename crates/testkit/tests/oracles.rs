@@ -55,7 +55,10 @@ fn verifier_verdicts_agree_on_random_masks() {
             }
         }
     }
-    assert!(accepts > 0 && rejects > 0, "one-sided sample: {accepts} ok / {rejects} err");
+    assert!(
+        accepts > 0 && rejects > 0,
+        "one-sided sample: {accepts} ok / {rejects} err"
+    );
 }
 
 #[test]
@@ -68,7 +71,11 @@ fn computed_cds_is_never_smaller_than_the_exhaustive_minimum() {
         .into_iter()
         .filter(|c| c.connected && c.graph.n() >= 2 && c.graph.n() <= 12)
         .collect();
-    assert!(cases.len() >= 8, "need small connected families, have {}", cases.len());
+    assert!(
+        cases.len() >= 8,
+        "need small connected families, have {}",
+        cases.len()
+    );
     for case in &cases {
         let Some((min_size, _)) = oracle::min_cds_exhaustive(&case.graph) else {
             panic!("{}: connected case has no CDS?", case.name);

@@ -100,8 +100,7 @@ fn main() {
         mobility.step(&mut rng, bounds, &mut positions);
     };
 
-    let mean_backbone =
-        backbone_sizes.iter().sum::<usize>() as f64 / backbone_sizes.len() as f64;
+    let mean_backbone = backbone_sizes.iter().sum::<usize>() as f64 / backbone_sizes.len() as f64;
     println!("first responder battery exhausted at interval {first_death}");
     println!(
         "traffic: {delivered} status updates delivered, {undeliverable} undeliverable \

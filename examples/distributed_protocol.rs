@@ -24,7 +24,12 @@ fn main() {
     );
     println!("std::sync::mpsc channels — no host ever sees the global topology.\n");
 
-    for policy in [Policy::Id, Policy::Degree, Policy::Energy, Policy::EnergyDegree] {
+    for policy in [
+        Policy::Id,
+        Policy::Degree,
+        Policy::Energy,
+        Policy::EnergyDegree,
+    ] {
         let cfg = CdsConfig::paper(policy);
         let distributed = run_distributed(&graph, Some(&energy), &cfg);
         let centralized = compute_cds(&CdsInput::with_energy(&graph, &energy), &cfg);

@@ -34,7 +34,11 @@ fn run(policy: Policy, seed: u64) -> (u32, Vec<u32>, f64) {
     // Spread of remaining energy = how (un)balanced consumption was.
     let energies: Vec<f64> = (0..cfg.n).map(|v| state.fleet().energy(v)).collect();
     let mean = energies.iter().sum::<f64>() / cfg.n as f64;
-    let var = energies.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / cfg.n as f64;
+    let var = energies
+        .iter()
+        .map(|e| (e - mean) * (e - mean))
+        .sum::<f64>()
+        / cfg.n as f64;
     (intervals, duty, var.sqrt())
 }
 

@@ -34,7 +34,10 @@ fn main() {
     let energy: Vec<u64> = (0..graph.n() as u64).map(|i| 50 + (i * 13) % 50).collect();
     let input = CdsInput::with_energy(&graph, &energy);
 
-    println!("{:>6} {:>9} {:>8} {:>8}  gateways", "policy", "marked", "rule1", "final");
+    println!(
+        "{:>6} {:>9} {:>8} {:>8}  gateways",
+        "policy", "marked", "rule1", "final"
+    );
     for policy in Policy::ALL {
         let trace = compute_cds_trace(&input, &CdsConfig::paper(policy));
         let count = |m: &[bool]| m.iter().filter(|&&b| b).count();

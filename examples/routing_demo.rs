@@ -38,7 +38,10 @@ fn main() {
     let at = gateways[0];
     let mut path = Vec::new();
     println!("gateway routing table at host {at}:");
-    println!("{:>8} {:>9} {:>9}  domain members", "gateway", "distance", "next hop");
+    println!(
+        "{:>8} {:>9} {:>9}  domain members",
+        "gateway", "distance", "next hop"
+    );
     for &h in &gateways {
         if routes.assemble(&graph, at, h, &mut path).is_err() {
             continue;

@@ -107,7 +107,10 @@ fn baselines_compare_sanely_with_marking() {
 
     // Lowest-ID clusterheads dominate; with borders the overlay dominates.
     let clustering = pacds::baselines::lowest_id_clusters(&g);
-    assert!(pacds::core::verify::is_dominating_set(&g, &clustering.is_head));
+    assert!(pacds::core::verify::is_dominating_set(
+        &g,
+        &clustering.is_head
+    ));
     let overlay = pacds::baselines::cluster_gateways(&g, &clustering);
     assert!(pacds::core::verify::is_dominating_set(&g, &overlay));
 }

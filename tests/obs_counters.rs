@@ -37,7 +37,9 @@ fn instrumented_reference_run_ticks_counters_and_exports() {
     assert!(delta(Counter::Rule1Candidates) > 0);
     assert!(delta(Counter::Rule2Vertices) > 0);
     for phase in ["marking", "rule1", "rule2", "bitmap_rebuild", "key_rebuild"] {
-        let p = snap.phase(phase).unwrap_or_else(|| panic!("missing phase {phase}"));
+        let p = snap
+            .phase(phase)
+            .unwrap_or_else(|| panic!("missing phase {phase}"));
         assert!(p.count >= 1, "phase {phase} never timed");
     }
 

@@ -121,7 +121,10 @@ fn section33_rule2a_unmarks_node_9_not_node_2() {
     let key = PriorityKey::build(Policy::Degree, &g, None);
     let marked = marking(&g);
     let out = rule2_pass(&g, &bm, &marked, &key, Rule2Semantics::CaseAnalysis, None);
-    assert!(!out[9], "node 9 has the smaller degree among the covered pair");
+    assert!(
+        !out[9],
+        "node 9 has the smaller degree among the covered pair"
+    );
     assert!(out[2], "node 2 outdegrees node 9 and must stay");
     assert!(out[4], "node 4 is not covered");
 }
