@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacds_geom::{placement, Rect};
-use pacds_graph::{algo, gen, CsrGraph, NeighborBitmap};
+use pacds_graph::{algo, gen, Graph, NeighborBitmap};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -38,7 +38,7 @@ fn bench_unit_disk_csr(c: &mut Criterion) {
     let mut group = c.benchmark_group("unit_disk_csr");
     let pts = points(2000, 450.0, 8);
     let bounds = Rect::square(450.0);
-    let (mut out, mut scratch) = (CsrGraph::new(), gen::UnitDiskScratch::new());
+    let (mut out, mut scratch) = (Graph::default(), gen::UnitDiskScratch::new());
     gen::unit_disk_csr(bounds, 25.0, &pts, None, &mut out, &mut scratch);
     group.bench_function("warm/2000", |b| {
         b.iter(|| {

@@ -1,13 +1,14 @@
 //! The tentpole benchmark: one Monte-Carlo interval (mobility step +
 //! topology rebuild + CDS recomputation) with the allocating per-call
-//! pipeline versus the retained [`CdsWorkspace`] + in-place CSR rebuild.
+//! pipeline versus the retained [`CdsWorkspace`] + in-place graph rebuild.
 //!
 //! `alloc_per_interval` is what the simulator did before the workspace
-//! refactor: build a fresh adjacency-list `Graph` and run the frozen v0
-//! pipeline ([`pacds_bench::seed_baseline`]), allocating every
-//! intermediate mask, key table and bitmap. `reuse` is the current hot
-//! path: `gen::unit_disk_csr` writes edges straight into retained CSR
-//! arrays and the workspace reuses every buffer. Both sides verify the
+//! refactor: build a fresh `Graph` and run the frozen v0 pipeline
+//! ([`pacds_bench::seed_baseline`]), allocating every intermediate mask,
+//! key table and bitmap (v0's adjacency-list graph copy is no longer part
+//! of it). `reuse` is the current hot path: `gen::unit_disk_csr` writes
+//! edges straight into a retained graph's arrays and the workspace reuses
+//! every buffer. Both sides verify the
 //! resulting CDS, matching one full simulator interval.
 //! `BENCH_workspace.json` (emitted by the `bench_workspace` binary)
 //! records the same comparison as a committed artifact.
@@ -16,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacds_bench::seed_baseline::compute_cds_seed;
 use pacds_core::{verify_cds, CdsConfig, CdsWorkspace, Policy};
 use pacds_geom::{Point2, Rect};
-use pacds_graph::{gen, CsrGraph};
+use pacds_graph::{gen, Graph};
 use pacds_mobility::{MobilityModel, PaperWalk};
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -75,7 +76,7 @@ fn bench_workspace(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("reuse", n), &n, |b, &n| {
             let mut iv = Interval::new(n, 42);
-            let mut csr = CsrGraph::new();
+            let mut csr = Graph::default();
             let mut scratch = gen::UnitDiskScratch::new();
             let mut ws = CdsWorkspace::with_capacity(n);
             b.iter(|| {

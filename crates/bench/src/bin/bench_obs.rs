@@ -30,7 +30,7 @@ use pacds_bench::row::{self, Row};
 use pacds_bench::{time_ns, Error, Interval};
 use pacds_core::{CdsConfig, CdsWorkspace, Policy};
 use pacds_geom::Point2;
-use pacds_graph::{gen, CsrGraph};
+use pacds_graph::{gen, Graph};
 use pacds_shard::{ChurnEngine, ChurnEvent, ShardSpec, ShardedCds};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -85,7 +85,7 @@ fn inline() -> ShardSpec {
 /// verification.
 fn measure(n: usize) -> f64 {
     best_of_reps(n, |mut iv, iters| {
-        let (mut csr, mut scratch) = (CsrGraph::new(), gen::UnitDiskScratch::new());
+        let (mut csr, mut scratch) = (Graph::default(), gen::UnitDiskScratch::new());
         let (mut ws, cfg) = (CdsWorkspace::with_capacity(n), energy_degree());
         time_ns(2, iters, || {
             iv.step();
@@ -166,7 +166,7 @@ fn measure_dataplane(n: usize) -> f64 {
     const FLOWS: usize = 64;
     const PACKETS: usize = 32;
     best_of_reps(n, |iv, iters| {
-        let (mut csr, mut scratch) = (CsrGraph::new(), gen::UnitDiskScratch::new());
+        let (mut csr, mut scratch) = (Graph::default(), gen::UnitDiskScratch::new());
         gen::unit_disk_csr(
             iv.bounds,
             RADIUS,

@@ -3,8 +3,8 @@
 //! Times one Monte-Carlo interval (mobility step + topology rebuild + CDS
 //! recomputation + verification) under the v0 allocate-per-call pipeline
 //! ([`pacds_bench::seed_baseline`]: fresh Graph/bitmap/key/masks, full-word
-//! coverage scans) and under the retained [`CdsWorkspace`] + in-place CSR
-//! hot path, at n in {100, 1000, 10000}, and writes `BENCH_workspace.json`
+//! coverage scans) and under the retained [`CdsWorkspace`] + in-place graph
+//! rebuild hot path, at n in {100, 1000, 10000}, and writes `BENCH_workspace.json`
 //! (override the path with `PACDS_BENCH_OUT`). Run with `--release`; the
 //! acceptance target is a >= 2x speedup at n >= 1000.
 
@@ -12,7 +12,7 @@ use pacds_bench::row::{self, Row};
 use pacds_bench::seed_baseline::compute_cds_seed;
 use pacds_bench::{time_ns, Interval};
 use pacds_core::{verify_cds, CdsConfig, CdsWorkspace, Policy};
-use pacds_graph::{gen, CsrGraph};
+use pacds_graph::{gen, Graph};
 use std::hint::black_box;
 
 const RADIUS: f64 = 25.0;
@@ -35,7 +35,7 @@ fn main() {
         });
 
         let mut iv = Interval::new(n, 42);
-        let mut csr = CsrGraph::new();
+        let mut csr = Graph::default();
         let mut scratch = gen::UnitDiskScratch::new();
         let mut ws = CdsWorkspace::with_capacity(n);
         let reuse_ns = time_ns(5, iters, || {
@@ -71,8 +71,9 @@ fn main() {
     let text = row::file(
         "workspace",
         "one Monte-Carlo interval: mobility step + topology rebuild + CDS (EnergyDegree, \
-         single-pass) + verification; alloc = v0 pipeline (fresh Graph + full-word-scan \
-         passes), reuse = in-place CSR + CdsWorkspace",
+         single-pass) + verification; alloc = v0 passes (fresh CSR Graph, bitmap, key and \
+         masks + full-word-scan passes; rows before the one-graph-type change also copied \
+         the graph into adjacency lists), reuse = in-place graph rebuild + CdsWorkspace",
         "ns/interval",
         Row::new(),
         rows,

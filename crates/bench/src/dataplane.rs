@@ -16,7 +16,7 @@ use crate::row::Row;
 use crate::{meta, Error, Instance};
 use pacds_core::CdsConfig;
 use pacds_dataplane::{ChurnNet, Dataplane};
-use pacds_graph::{CsrGraph, NodeId};
+use pacds_graph::{Graph, NodeId};
 use pacds_shard::ShardSpec;
 use rand::Rng;
 use std::io::Write;
@@ -257,7 +257,7 @@ impl Traffic {
 }
 
 /// BFS hop count from `src` to `dst` over the CSR adjacency.
-fn bfs_hops(g: &CsrGraph, src: NodeId, dst: NodeId) -> Option<u32> {
+fn bfs_hops(g: &Graph, src: NodeId, dst: NodeId) -> Option<u32> {
     let mut dist = vec![u32::MAX; g.n()];
     let mut queue = vec![src];
     dist[src as usize] = 0;

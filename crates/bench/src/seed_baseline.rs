@@ -11,6 +11,12 @@
 //! as the library's own passes evolve. Do not "fix" or speed these up —
 //! equivalence with the current passes is pinned by a test below, but their
 //! cost profile is the point.
+//!
+//! One part of the v0 cost is gone: v0 built its fresh `Graph` as
+//! per-vertex adjacency lists, while `Graph` is now one compressed-sparse-
+//! row layout, so the fresh graph is a `gen::unit_disk` into two new flat
+//! arrays. `alloc` rows recorded before that change paid for the
+//! adjacency-list copy as well and are not comparable with later ones.
 
 use pacds_core::{marking, CdsConfig, PriorityKey, Rule2Semantics};
 use pacds_graph::{Graph, NeighborBitmap, NodeId, VertexMask};

@@ -256,7 +256,11 @@ pub fn gen(args: &Args) -> CliResult {
     match args.get("format").unwrap_or("edges") {
         "edges" => print!("{}", io::to_edge_list(&g)),
         "dot" => print!("{}", io::to_dot(&g, None)),
-        "json" => println!("{}", serde_json::to_string(&g)?),
+        "json" => {
+            let edges: Vec<_> = g.edges().collect();
+            let edges = serde_json::to_string(&edges)?;
+            println!("{{\"n\":{},\"edges\":{edges}}}", g.n());
+        }
         other => return Err(format!("unknown format '{other}' (edges|dot|json)").into()),
     }
     Ok(())
@@ -1391,6 +1395,7 @@ mod tests {
     #[test]
     fn commands_run_end_to_end() {
         gen(&args("gen --n 15 --seed 3")).unwrap();
+        gen(&args("gen --n 15 --seed 3 --format json")).unwrap();
         cds(&args(
             "cds --n 25 --seed 3 --connected --policy el2 --energy-seed 1",
         ))

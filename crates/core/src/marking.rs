@@ -1,6 +1,6 @@
 //! The Wu-Li marking process.
 
-use pacds_graph::{Neighbors, NodeId, VertexMask};
+use pacds_graph::{Graph, NodeId, VertexMask};
 
 /// Runs the marking process on `g` and returns the marker mask.
 ///
@@ -21,7 +21,7 @@ use pacds_graph::{Neighbors, NodeId, VertexMask};
 /// graph that is not complete; Property 2 guarantees the induced subgraph is
 /// connected. (On a complete graph nothing is marked: every pair of
 /// neighbours is connected.)
-pub fn marking<G: Neighbors + ?Sized>(g: &G) -> VertexMask {
+pub fn marking(g: &Graph) -> VertexMask {
     let mut marked = Vec::new();
     marking_into(g, &mut marked);
     marked
@@ -29,7 +29,7 @@ pub fn marking<G: Neighbors + ?Sized>(g: &G) -> VertexMask {
 
 /// [`marking`] writing into a caller-provided mask (cleared and refilled),
 /// so the hot path can reuse the allocation across update intervals.
-pub fn marking_into<G: Neighbors + ?Sized>(g: &G, marked: &mut VertexMask) {
+pub fn marking_into(g: &Graph, marked: &mut VertexMask) {
     let _t = pacds_obs::phase_timer(pacds_obs::Phase::Marking);
     marked.clear();
     marked.extend(g.vertices().map(|v| has_unconnected_neighbors(g, v)));
@@ -45,7 +45,7 @@ pub fn marking_into<G: Neighbors + ?Sized>(g: &G, marked: &mut VertexMask) {
 /// Scans neighbour pairs but bails out on the first witness; for unit-disk
 /// graphs the first few pairs almost always decide, so the quadratic worst
 /// case is rarely reached.
-pub fn has_unconnected_neighbors<G: Neighbors + ?Sized>(g: &G, v: NodeId) -> bool {
+pub fn has_unconnected_neighbors(g: &Graph, v: NodeId) -> bool {
     let nbrs = g.neighbors(v);
     for (i, &x) in nbrs.iter().enumerate() {
         for &y in &nbrs[i + 1..] {

@@ -12,7 +12,7 @@
 //! order; this is what makes simultaneous rule application safe (exactly
 //! one node of a coverage-equivalent pair removes itself).
 
-use pacds_graph::{Neighbors, NodeId, ReserveLike};
+use pacds_graph::{Graph, NodeId, ReserveLike};
 use serde::{Deserialize, Serialize};
 
 /// Discrete energy level, as the rules compare it.
@@ -104,11 +104,7 @@ impl PriorityKey {
     /// # Panics
     /// Panics if `policy.needs_energy()` and `energy` is `None` or of the
     /// wrong length.
-    pub fn build<G: Neighbors + ?Sized>(
-        policy: Policy,
-        g: &G,
-        energy: Option<&[EnergyLevel]>,
-    ) -> Self {
+    pub fn build(policy: Policy, g: &Graph, energy: Option<&[EnergyLevel]>) -> Self {
         let mut key = Self::new();
         key.rebuild(policy, g, energy);
         key
@@ -116,12 +112,7 @@ impl PriorityKey {
 
     /// Recomputes the table in place, reusing the key storage (allocation
     /// free once warm). Same contract as [`PriorityKey::build`].
-    pub fn rebuild<G: Neighbors + ?Sized>(
-        &mut self,
-        policy: Policy,
-        g: &G,
-        energy: Option<&[EnergyLevel]>,
-    ) {
+    pub fn rebuild(&mut self, policy: Policy, g: &Graph, energy: Option<&[EnergyLevel]>) {
         let n = g.n();
         if policy.needs_energy() {
             let e = energy.expect("energy-aware policy requires energy levels");

@@ -9,7 +9,7 @@
 //! determined).
 
 use crate::priority::PriorityKey;
-use pacds_graph::{NeighborBitmap, Neighbors, NodeId, ReserveLike, VertexMask};
+use pacds_graph::{Graph, NeighborBitmap, NodeId, ReserveLike, VertexMask};
 use pacds_obs::{Counter, Phase, Tally};
 
 /// How Rule 2 combines the coverage tests with the priority order.
@@ -134,8 +134,8 @@ impl RuleScratch {
 ///
 /// Returns the new marked mask; `removed` (if provided) collects the
 /// unmarked vertices.
-pub fn rule1_pass<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn rule1_pass(
+    g: &Graph,
     bm: &NeighborBitmap,
     marked: &[bool],
     key: &PriorityKey,
@@ -154,8 +154,8 @@ pub fn rule1_pass<G: Neighbors + ?Sized>(
 /// tile solve passes the hosts it owns (see
 /// [`CdsWorkspace::compute_owned`](crate::CdsWorkspace::compute_owned)).
 /// `removed` lists the unmarked vertices in `decide` order.
-pub fn rule1_pass_into<G: Neighbors + ?Sized, I: IntoIterator<Item = NodeId>>(
-    g: &G,
+pub fn rule1_pass_into<I: IntoIterator<Item = NodeId>>(
+    g: &Graph,
     decide: I,
     bm: &NeighborBitmap,
     marked: &[bool],
@@ -209,8 +209,8 @@ pub fn rule1_pass_into<G: Neighbors + ?Sized, I: IntoIterator<Item = NodeId>>(
 /// coverage condition implies `u` and `w` are adjacent (every neighbour of
 /// `v`, in particular `u`, lies in `N(u) ∪ N(w)`; `u ∉ N(u)`, so `u ∈ N(w)`),
 /// so the surviving pair keeps the pruned set connected.
-pub fn rule2_pass<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn rule2_pass(
+    g: &Graph,
     bm: &NeighborBitmap,
     marked: &[bool],
     key: &PriorityKey,
@@ -237,8 +237,8 @@ pub fn rule2_pass<G: Neighbors + ?Sized>(
 /// result (cleared and refilled). As in [`rule1_pass_into`], only the
 /// vertices in `decide` are decided and the rest keep their input bit.
 #[allow(clippy::too_many_arguments)]
-pub fn rule2_pass_into<G: Neighbors + ?Sized, I: IntoIterator<Item = NodeId>>(
-    g: &G,
+pub fn rule2_pass_into<I: IntoIterator<Item = NodeId>>(
+    g: &Graph,
     decide: I,
     bm: &NeighborBitmap,
     marked: &[bool],
@@ -281,8 +281,8 @@ pub fn rule2_pass_into<G: Neighbors + ?Sized, I: IntoIterator<Item = NodeId>>(
 /// any priority order — this is the natural way a sequential simulation
 /// loop implements the rules, and the variant whose behaviour best matches
 /// the paper's reported Figure 10 set sizes (see EXPERIMENTS.md).
-pub fn rule1_pass_sequential<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn rule1_pass_sequential(
+    g: &Graph,
     bm: &NeighborBitmap,
     marked: &[bool],
     key: &PriorityKey,
@@ -294,8 +294,8 @@ pub fn rule1_pass_sequential<G: Neighbors + ?Sized>(
 }
 
 /// [`rule1_pass_sequential`] writing into a caller-provided mask.
-pub fn rule1_pass_sequential_into<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn rule1_pass_sequential_into(
+    g: &Graph,
     bm: &NeighborBitmap,
     marked: &[bool],
     key: &PriorityKey,
@@ -342,8 +342,8 @@ pub fn rule1_pass_sequential_into<G: Neighbors + ?Sized>(
 }
 
 /// Sequential (in-place) Rule 2 sweep; see [`rule1_pass_sequential`].
-pub fn rule2_pass_sequential<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn rule2_pass_sequential(
+    g: &Graph,
     bm: &NeighborBitmap,
     marked: &[bool],
     key: &PriorityKey,
@@ -367,8 +367,8 @@ pub fn rule2_pass_sequential<G: Neighbors + ?Sized>(
 /// [`rule2_pass_sequential`] writing into caller-provided buffers; see
 /// [`rule2_pass_into`].
 #[allow(clippy::too_many_arguments)]
-pub fn rule2_pass_sequential_into<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn rule2_pass_sequential_into(
+    g: &Graph,
     bm: &NeighborBitmap,
     marked: &[bool],
     key: &PriorityKey,
@@ -407,8 +407,8 @@ pub fn rule2_pass_sequential_into<G: Neighbors + ?Sized>(
 /// min-of-three — there, coverage and priority are a pure conjunction, so a
 /// lower-priority neighbour can never be half of a removing pair. Returns
 /// `false` when fewer than two remain (no pair is possible).
-fn fill_rule2_candidates<G: Neighbors + ?Sized>(
-    g: &G,
+fn fill_rule2_candidates(
+    g: &Graph,
     marked: &[bool],
     key: &PriorityKey,
     semantics: Rule2Semantics,

@@ -1,6 +1,6 @@
 //! Verification of the CDS properties the paper proves.
 
-use pacds_graph::{algo, Graph, Neighbors, NodeId};
+use pacds_graph::{algo, Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Why a vertex set fails to be a connected dominating set.
@@ -27,12 +27,12 @@ impl std::fmt::Display for CdsViolation {
 }
 
 /// Whether `mask` is a dominating set of `g`.
-pub fn is_dominating_set<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> bool {
+pub fn is_dominating_set(g: &Graph, mask: &[bool]) -> bool {
     dominating_witness(g, mask).is_none()
 }
 
 /// A vertex not dominated by `mask`, if any.
-fn dominating_witness<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> Option<NodeId> {
+fn dominating_witness(g: &Graph, mask: &[bool]) -> Option<NodeId> {
     for v in g.vertices() {
         if mask[v as usize] {
             continue;
@@ -45,7 +45,7 @@ fn dominating_witness<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> Option<Nod
 }
 
 /// Whether `mask` is a *connected* dominating set of `g`.
-pub fn is_connected_dominating_set<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> bool {
+pub fn is_connected_dominating_set(g: &Graph, mask: &[bool]) -> bool {
     verify_cds(g, mask).is_ok()
 }
 
@@ -54,15 +54,15 @@ pub fn is_connected_dominating_set<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) 
 /// The complete graph is special-cased to match the paper: the marking
 /// process marks nothing on `K_n`, and routing needs no gateways there, so
 /// an empty set on a complete graph verifies.
-pub fn verify_cds<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> Result<(), CdsViolation> {
+pub fn verify_cds(g: &Graph, mask: &[bool]) -> Result<(), CdsViolation> {
     verify_cds_scratch(g, mask, &mut Vec::new(), &mut VecDeque::new())
 }
 
 /// [`verify_cds`] with caller-provided BFS scratch (visited flags + queue),
 /// so the steady-state interval loop can verify every computed set without
 /// heap allocation. Buffer contents on entry are ignored.
-pub fn verify_cds_scratch<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn verify_cds_scratch(
+    g: &Graph,
     mask: &[bool],
     seen: &mut Vec<bool>,
     queue: &mut VecDeque<NodeId>,
@@ -76,8 +76,8 @@ pub fn verify_cds_scratch<G: Neighbors + ?Sized>(
     result
 }
 
-fn verify_cds_scratch_inner<G: Neighbors + ?Sized>(
-    g: &G,
+fn verify_cds_scratch_inner(
+    g: &Graph,
     mask: &[bool],
     seen: &mut Vec<bool>,
     queue: &mut VecDeque<NodeId>,

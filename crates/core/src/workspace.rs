@@ -10,10 +10,9 @@
 //! `tests/zero_alloc.rs` at the workspace root pins this with a counting
 //! global allocator.
 //!
-//! The workspace is generic over [`Neighbors`], so it runs identically on the
-//! adjacency-list [`pacds_graph::Graph`] and the flat [`pacds_graph::CsrGraph`]
-//! — `crates/core/tests/csr_equiv.rs` pins both to bit-identical outputs of
-//! the allocating pipeline across all policies, semantics, and schedules.
+//! `crates/core/tests/workspace_equiv.rs` pins it to bit-identical outputs
+//! of the allocating pipeline across all policies, semantics, and
+//! schedules.
 
 use crate::pipeline::{Application, CdsConfig, CdsTrace, PruneSchedule};
 use crate::priority::{EnergyLevel, PriorityKey};
@@ -22,7 +21,7 @@ use crate::rules::{
     Rule2Semantics, RuleScratch,
 };
 use crate::verify::{verify_cds_scratch, CdsViolation};
-use pacds_graph::{NeighborBitmap, Neighbors, NodeId, ReserveLike, VertexMask};
+use pacds_graph::{Graph, NeighborBitmap, NodeId, ReserveLike, VertexMask};
 use std::collections::VecDeque;
 
 /// Owned scratch for repeated CDS computations (and verifications).
@@ -104,9 +103,9 @@ impl CdsWorkspace {
     /// # Panics
     /// Panics if `cfg.policy.needs_energy()` and `energy` is `None` or of
     /// the wrong length (same contract as [`PriorityKey::build`]).
-    pub fn compute<G: Neighbors + ?Sized>(
+    pub fn compute(
         &mut self,
-        g: &G,
+        g: &Graph,
         energy: Option<&[EnergyLevel]>,
         cfg: &CdsConfig,
     ) -> &VertexMask {
@@ -227,9 +226,9 @@ impl CdsWorkspace {
     /// non-pruning policy runs no rule, so its `rule2` field is not
     /// checked. Also panics under the [`CdsWorkspace::compute`] energy
     /// contract.
-    pub fn compute_owned<G: Neighbors + ?Sized>(
+    pub fn compute_owned(
         &mut self,
-        g: &G,
+        g: &Graph,
         owned: &[NodeId],
         energy: Option<&[EnergyLevel]>,
         cfg: &CdsConfig,
@@ -251,12 +250,7 @@ impl CdsWorkspace {
     /// Runs marking and resets the round state; for a pruning policy also
     /// rebuilds the bitmap and key and returns `true`. A non-pruning policy
     /// copies the marking into both rule outputs and returns `false`.
-    fn prepare<G: Neighbors + ?Sized>(
-        &mut self,
-        g: &G,
-        energy: Option<&[EnergyLevel]>,
-        cfg: &CdsConfig,
-    ) -> bool {
+    fn prepare(&mut self, g: &Graph, energy: Option<&[EnergyLevel]>, cfg: &CdsConfig) -> bool {
         pacds_obs::inc(pacds_obs::Counter::WorkspaceComputes);
         crate::marking::marking_into(g, &mut self.marked);
         self.removed1.clear();
@@ -282,9 +276,8 @@ impl CdsWorkspace {
 
     /// The first simultaneous (Rule 1; Rule 2) round over the vertices in
     /// `decide`, into `after1`/`after2` and the removal lists.
-    fn simultaneous_round<G, I>(&mut self, g: &G, decide: I, semantics: Rule2Semantics)
+    fn simultaneous_round<I>(&mut self, g: &Graph, decide: I, semantics: Rule2Semantics)
     where
-        G: Neighbors + ?Sized,
         I: IntoIterator<Item = NodeId> + Clone,
     {
         rule1_pass_into(
@@ -353,16 +346,12 @@ impl CdsWorkspace {
     /// Verifies that `mask` is a connected dominating set of `g`, using the
     /// workspace's BFS scratch (allocation-free once warm). Same semantics
     /// as [`crate::verify_cds`], including the complete-graph special case.
-    pub fn verify<G: Neighbors + ?Sized>(
-        &mut self,
-        g: &G,
-        mask: &[bool],
-    ) -> Result<(), CdsViolation> {
+    pub fn verify(&mut self, g: &Graph, mask: &[bool]) -> Result<(), CdsViolation> {
         verify_cds_scratch(g, mask, &mut self.seen, &mut self.queue)
     }
 
     /// Verifies the latest computed gateway set against `g`.
-    pub fn verify_last<G: Neighbors + ?Sized>(&mut self, g: &G) -> Result<(), CdsViolation> {
+    pub fn verify_last(&mut self, g: &Graph) -> Result<(), CdsViolation> {
         verify_cds_scratch(g, &self.after2, &mut self.seen, &mut self.queue)
     }
 
@@ -387,7 +376,7 @@ mod tests {
     use crate::pipeline::{compute_cds_trace, CdsInput};
     use crate::priority::Policy;
     use crate::rules::Rule2Semantics;
-    use pacds_graph::{gen, CsrGraph, Graph};
+    use pacds_graph::{gen, Graph};
     use rand::SeedableRng;
 
     fn all_configs() -> Vec<CdsConfig> {
@@ -426,20 +415,6 @@ mod tests {
                 assert_eq!(ws.removed_by_rule2(), trace.removed_by_rule2, "n={n}");
                 assert_eq!(ws.rounds(), trace.rounds, "n={n} cfg={cfg:?}");
             }
-        }
-    }
-
-    #[test]
-    fn workspace_runs_identically_on_csr() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
-        let mut ws = CdsWorkspace::new();
-        let g = gen::gnp(&mut rng, 60, 0.12);
-        let csr = CsrGraph::from(&g);
-        let energy: Vec<u64> = (0..60u64).map(|v| v % 9).collect();
-        for cfg in all_configs() {
-            let on_graph = ws.compute(&g, Some(&energy), &cfg).clone();
-            let on_csr = ws.compute(&csr, Some(&energy), &cfg).clone();
-            assert_eq!(on_graph, on_csr, "cfg={cfg:?}");
         }
     }
 

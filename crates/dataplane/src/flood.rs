@@ -9,7 +9,7 @@
 //! identical `(transmissions, reached, depth)` on the whole testkit
 //! corpus.
 
-use pacds_graph::{Neighbors, NodeId};
+use pacds_graph::{Graph, NodeId};
 use pacds_routing::FloodCost;
 
 /// Retained flood state. One instance serves any number of floods over
@@ -46,9 +46,9 @@ impl FloodEngine {
     /// blind flooding); `alive` masks dead hosts out entirely — they
     /// neither receive nor relay (`None` = everyone is up). The source
     /// must be in range and alive.
-    pub fn run<G: Neighbors>(
+    pub fn run(
         &mut self,
-        g: &G,
+        g: &Graph,
         source: NodeId,
         relays: Option<&[bool]>,
         alive: Option<&[bool]>,

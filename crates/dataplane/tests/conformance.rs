@@ -24,7 +24,7 @@
 use pacds_core::{compute_cds, CdsConfig, CdsInput, Policy};
 use pacds_dataplane::{ChurnNet, Dataplane};
 use pacds_geom::{Point2, Rect};
-use pacds_graph::{CsrGraph, Graph, NodeId};
+use pacds_graph::{Graph, NodeId};
 use pacds_routing::{flood_cost, hop_count, BackboneRoutes, RouteError};
 use pacds_shard::ShardSpec;
 use pacds_testkit::oracle::DenseTables;
@@ -148,7 +148,7 @@ fn broadcasts_match_flood_cost_on_the_corpus() {
 /// distances. Returns the (built, repaired) tree counts of this install.
 fn check_tables(
     routes: &mut BackboneRoutes,
-    g: &CsrGraph,
+    g: &Graph,
     gateway: &[bool],
     alive: &[bool],
     label: &str,
@@ -315,7 +315,7 @@ fn ladder() -> Graph {
     Graph::from_edges(12, &edges)
 }
 
-fn isolate(g: &Graph, dead: &[NodeId]) -> CsrGraph {
+fn isolate(g: &Graph, dead: &[NodeId]) -> Graph {
     let mut edges = Vec::new();
     for v in 0..g.n() as NodeId {
         for &u in g.neighbors(v) {
@@ -324,13 +324,13 @@ fn isolate(g: &Graph, dead: &[NodeId]) -> CsrGraph {
             }
         }
     }
-    CsrGraph::from(&Graph::from_edges(g.n(), &edges))
+    Graph::from_edges(g.n(), &edges)
 }
 
 #[test]
 fn destination_gateway_demoted_or_killed() {
     for kill in [false, true] {
-        let g = CsrGraph::from(&ladder());
+        let g = ladder();
         // The top row carries the backbone; 11's gateway is 5.
         let mut gw = vec![false; 12];
         gw[..6].fill(true);
@@ -369,7 +369,7 @@ fn joining_gateway_shortens_distances_outside_the_cut_subtree() {
     // Path 0..=9 plus host 10 adjacent to 0 and 7.
     let mut edges: Vec<(NodeId, NodeId)> = (0..9).map(|i| (i, i + 1)).collect();
     edges.extend([(0, 10), (7, 10)]);
-    let g = CsrGraph::from(&Graph::from_edges(11, &edges));
+    let g = Graph::from_edges(11, &edges);
     let mut gw = vec![true; 11];
     gw[10] = false;
     let alive = vec![true; 11];

@@ -1,6 +1,6 @@
 //! Connectivity queries.
 
-use crate::{Graph, Neighbors, NodeId};
+use crate::{Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Component label of each vertex (labels are dense, in discovery order).
@@ -45,7 +45,7 @@ pub fn is_connected(g: &Graph) -> bool {
 
 /// Whether the sub-vertex-set `mask` induces a connected subgraph of `g`.
 /// An empty set is considered connected.
-pub fn is_connected_within<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> bool {
+pub fn is_connected_within(g: &Graph, mask: &[bool]) -> bool {
     let mut seen = vec![false; g.n()];
     let mut queue = VecDeque::new();
     is_connected_within_scratch(g, mask, &mut seen, &mut queue)
@@ -54,8 +54,8 @@ pub fn is_connected_within<G: Neighbors + ?Sized>(g: &G, mask: &[bool]) -> bool 
 /// [`is_connected_within`] with caller-provided scratch (BFS visited flags
 /// and queue), so hot loops can run the check allocation-free. The buffers
 /// are cleared and resized internally; their contents on entry are ignored.
-pub fn is_connected_within_scratch<G: Neighbors + ?Sized>(
-    g: &G,
+pub fn is_connected_within_scratch(
+    g: &Graph,
     mask: &[bool],
     seen: &mut Vec<bool>,
     queue: &mut VecDeque<NodeId>,

@@ -150,8 +150,7 @@ mod tests {
     #[test]
     fn diameter_values() {
         assert_eq!(diameter(&path5()), Some(4));
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
+        let g = Graph::from_edges(3, &[(0, 1)]);
         assert_eq!(diameter(&g), None); // disconnected
         assert_eq!(diameter(&Graph::new(0)), None);
         assert_eq!(diameter(&Graph::new(1)), Some(0));

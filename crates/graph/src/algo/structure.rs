@@ -120,7 +120,7 @@ mod tests {
         (0..g.n() as NodeId)
             .map(|v| {
                 let mut h = g.clone();
-                h.isolate(v);
+                h.isolate_in_place(&mut vec![v]);
                 // Removing v leaves it as its own isolated component.
                 let comps_without_v = crate::algo::num_components(&h) - 1;
                 comps_without_v > base - usize::from(g.degree(v) == 0)

@@ -7,7 +7,7 @@
 //! — executed 4 words at a time by the [`crate::kernels`] module, with an
 //! early exit per 256-bit chunk.
 
-use crate::{kernels, Neighbors, NodeId, ReserveLike};
+use crate::{kernels, Graph, NodeId, ReserveLike};
 
 const WORD_BITS: usize = 64;
 
@@ -38,7 +38,7 @@ impl NeighborBitmap {
     }
 
     /// Builds the neighbourhood bitmap of `g`.
-    pub fn build<G: Neighbors + ?Sized>(g: &G) -> Self {
+    pub fn build(g: &Graph) -> Self {
         let mut bm = Self::new();
         bm.rebuild_into(g);
         bm
@@ -51,7 +51,7 @@ impl NeighborBitmap {
     /// Monte-Carlo interval loop allocation-free. Rows are filled through a
     /// single mutable chunk borrow per vertex ([`slice::chunks_exact_mut`]),
     /// not by re-slicing `rows[v * words..]` inside the neighbour loop.
-    pub fn rebuild_into<G: Neighbors + ?Sized>(&mut self, g: &G) {
+    pub fn rebuild_into(&mut self, g: &Graph) {
         let n = g.n();
         let words = words_for(n);
         self.n = n;
@@ -193,11 +193,7 @@ impl NeighborBitmap {
     ///
     /// # Panics
     /// Panics if `g` has a different vertex count than the bitmap.
-    pub fn refresh_rows<G: Neighbors + ?Sized>(
-        &mut self,
-        g: &G,
-        verts: impl IntoIterator<Item = NodeId>,
-    ) {
+    pub fn refresh_rows(&mut self, g: &Graph, verts: impl IntoIterator<Item = NodeId>) {
         assert_eq!(g.n(), self.n, "vertex count is fixed");
         for v in verts {
             let row = &mut self.rows[v as usize * self.words..(v as usize + 1) * self.words];
@@ -226,7 +222,7 @@ impl NeighborBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gen, CsrGraph, Graph};
+    use crate::{gen, Graph};
     use rand::SeedableRng;
 
     fn naive_closed_subset(g: &Graph, v: NodeId, u: NodeId) -> bool {
@@ -293,10 +289,9 @@ mod tests {
 
     #[test]
     fn refresh_rows_tracks_edge_changes() {
-        let mut g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]);
-        let mut bm = NeighborBitmap::build(&g);
-        g.add_edge(2, 5);
-        g.remove_edge(0, 1);
+        let mut bm = NeighborBitmap::build(&Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]));
+        // Edge 2-5 added, 0-1 removed.
+        let g = Graph::from_edges(6, &[(1, 2), (3, 4), (2, 5)]);
         bm.refresh_rows(&g, [0u32, 1, 2, 5]);
         let fresh = NeighborBitmap::build(&g);
         for v in 0..6u32 {
@@ -341,33 +336,13 @@ mod tests {
     #[test]
     fn word_boundary_vertices() {
         // Vertices 63, 64, 65 straddle the u64 boundary.
-        let mut g = Graph::new(130);
-        g.add_edge(63, 64);
-        g.add_edge(64, 65);
-        g.add_edge(63, 65);
-        g.add_edge(64, 129);
+        let g = Graph::from_edges(130, &[(63, 64), (64, 65), (63, 65), (64, 129)]);
         let bm = NeighborBitmap::build(&g);
         assert!(bm.contains(63, 64));
         assert!(bm.contains(129, 64));
         // N[63]={63,64,65} ⊆ N[64]={63,64,65,129}
         assert!(bm.closed_subset(63, 64));
         assert!(!bm.closed_subset(64, 63));
-    }
-
-    #[test]
-    fn build_from_csr_matches_build_from_graph() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        for n in [0usize, 1, 9, 70, 130] {
-            let g = gen::gnp(&mut rng, n, 0.2);
-            let csr = CsrGraph::from(&g);
-            let a = NeighborBitmap::build(&g);
-            let b = NeighborBitmap::build(&csr);
-            for v in 0..n as NodeId {
-                for u in 0..n as NodeId {
-                    assert_eq!(a.contains(v, u), b.contains(v, u), "n={n} {v},{u}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub fn to_edge_list(g: &Graph) -> String {
     out
 }
 
-/// Parses an edge list produced by [`to_edge_list`].
+/// Parses an edge list produced by [`to_edge_list`]. A pair repeated in
+/// either orientation is one edge, and the header's `m` must count the
+/// edges after that deduplication.
 pub fn from_edge_list(s: &str) -> Result<Graph, String> {
     let mut lines = s.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty input")?;
@@ -47,7 +49,7 @@ pub fn from_edge_list(s: &str) -> Result<Graph, String> {
         .ok_or("missing m")?
         .parse()
         .map_err(|e| format!("bad m: {e}"))?;
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     for line in lines {
         let mut it = line.split_whitespace();
         let u: NodeId = it
@@ -66,8 +68,9 @@ pub fn from_edge_list(s: &str) -> Result<Graph, String> {
         if u == v {
             return Err(format!("self-loop at {u}"));
         }
-        g.add_edge(u, v);
+        edges.push((u, v));
     }
+    let g = Graph::from_edges(n, &edges);
     if g.m() != m {
         return Err(format!("header claims {m} edges, parsed {}", g.m()));
     }
@@ -97,6 +100,14 @@ mod tests {
         assert!(from_edge_list("2 1\n0 0").is_err());
         assert!(from_edge_list("3 2\n0 1").is_err()); // wrong edge count
         assert!(from_edge_list("x y").is_err());
+    }
+
+    #[test]
+    fn edge_list_header_counts_deduplicated_edges() {
+        let g = from_edge_list("3 2\n0 1\n1 0\n2 1\n0 1").unwrap();
+        assert_eq!(g, Graph::from_edges(3, &[(0, 1), (1, 2)]));
+        // Four lines, but only two distinct edges.
+        assert!(from_edge_list("3 4\n0 1\n1 0\n2 1\n0 1").is_err());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `G = (V, E)` whose edges connect hosts within mutual transmission range.
 //! This crate provides everything the algorithm layers need:
 //!
-//! * [`Graph`] — a mutable adjacency-list graph with sorted neighbour lists.
-//! * [`CsrGraph`] — an immutable compressed-sparse-row view for hot loops.
+//! * [`Graph`] — a compressed-sparse-row graph with sorted neighbour rows,
+//!   rebuilt and patched in place by the hot loops.
 //! * [`NeighborBitmap`] — per-node neighbourhood bitsets; the coverage tests
 //!   at the heart of Rules 1/2 (`N[v] ⊆ N[u]`, `N(v) ⊆ N(u) ∪ N(w)`) become
 //!   a handful of word-wise operations.
@@ -20,19 +20,15 @@
 
 pub mod algo;
 pub mod bitmap;
-pub mod csr;
 pub mod digest;
 pub mod gen;
 pub mod graph;
 pub mod io;
 pub mod kernels;
-pub mod neighbors;
 
 pub use bitmap::NeighborBitmap;
-pub use csr::CsrGraph;
 pub use digest::{canonicalize_edges, graph_digest};
 pub use graph::{Graph, NodeId};
-pub use neighbors::Neighbors;
 
 /// A set of vertices represented as a boolean mask over `0..n`.
 ///

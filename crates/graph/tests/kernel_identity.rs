@@ -4,7 +4,7 @@
 //! The kernel module's own unit suite checks each scan against its scalar
 //! reference on raw words; this test closes the loop one level up — the
 //! bitmap predicates (which the rule passes call) against the naive
-//! adjacency-list predicates on `Graph` — at vertex counts chosen to land
+//! sorted-row predicates on `Graph` — at vertex counts chosen to land
 //! the row width on every adversarial boundary: empty, one-under /
 //! exactly / one-over a `u64` word, and the same around a full 4-lane
 //! chunk (256 bits).
@@ -101,13 +101,11 @@ fn closed_subset_exception_bits_hold_on_cliques() {
     }
     // And the near-clique: remove one edge and the coverage must break
     // exactly for the affected pairs.
-    let mut g = Graph::new(257);
-    for a in 0..257u32 {
-        for b in a + 1..257 {
-            g.add_edge(a, b);
-        }
-    }
-    g.remove_edge(0, 256);
+    let edges: Vec<_> = gen::complete(257)
+        .edges()
+        .filter(|&e| e != (0, 256))
+        .collect();
+    let g = Graph::from_edges(257, &edges);
     let bm = NeighborBitmap::build(&g);
     // N[1] contains 0 and 256; N[0] no longer contains 256.
     assert!(!bm.closed_subset(1, 0), "missing 256 must be excess");

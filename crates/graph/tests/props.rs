@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use pacds_geom::{placement, Point2, Rect};
-use pacds_graph::{algo, gen, CsrGraph, Graph, NeighborBitmap, NodeId};
+use pacds_graph::{algo, gen, Graph, NeighborBitmap, NodeId};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -72,7 +72,7 @@ proptest! {
         // The induced-subgraph build bins over the subset's own bounding
         // box; it must agree with the whole graph restricted to the subset.
         let subset: Vec<u32> = (0..pts.len() as u32).step_by(stride).collect();
-        let mut sub = CsrGraph::new();
+        let mut sub = Graph::default();
         gen::unit_disk_csr_subset(radius, &pts, &subset, &mut sub, &mut gen::UnitDiskScratch::new());
         for (li, &g) in subset.iter().enumerate() {
             let row: Vec<u32> = sub.neighbors(li as NodeId).iter().map(|&lj| subset[lj as usize]).collect();
@@ -166,26 +166,13 @@ proptest! {
     }
 
     #[test]
-    fn csr_matches_graph(g in random_graph()) {
-        let c = pacds_graph::CsrGraph::from(&g);
-        prop_assert_eq!(c.n(), g.n());
-        prop_assert_eq!(c.m(), g.m());
-        for v in 0..g.n() as NodeId {
-            prop_assert_eq!(c.neighbors(v), g.neighbors(v));
-        }
-    }
-
-    #[test]
-    fn remove_edge_inverts_add(g in random_graph()) {
-        let mut h = g.clone();
-        let edges: Vec<_> = g.edges().collect();
-        for &(u, v) in &edges {
-            prop_assert!(h.remove_edge(u, v));
-        }
-        prop_assert_eq!(h.m(), 0);
-        for &(u, v) in &edges {
-            prop_assert!(h.add_edge(u, v));
-        }
+    fn from_edges_ignores_order_orientation_and_duplicates(g in random_graph()) {
+        let mut edges: Vec<_> = g.edges().collect();
+        edges.reverse();
+        let flipped: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+        edges.extend(flipped);
+        let h = Graph::from_edges(g.n(), &edges);
+        prop_assert_eq!(h.m(), g.m());
         prop_assert_eq!(h, g);
     }
 }

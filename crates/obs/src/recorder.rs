@@ -212,7 +212,7 @@ metric_enum! {
         Verify => "verify",
         /// Simulator: mobility / placement step.
         SimPlacement => "sim.placement",
-        /// Simulator: unit-disk CSR (+ adjacency view) rebuild.
+        /// Simulator: in-place unit-disk topology rebuild.
         SimCsrRebuild => "sim.csr_rebuild",
         /// Simulator: full gateway-set computation.
         SimCds => "sim.cds",

@@ -43,7 +43,7 @@
 //! destination left the backbone. (A destination that left is not routed
 //! to until it returns, by which time its array is two installs old.)
 
-use pacds_graph::{Neighbors, NodeId};
+use pacds_graph::{Graph, NodeId};
 use pacds_obs::{obs_count, obs_time, Counter, Phase};
 
 /// Errors from the routing procedure.
@@ -85,7 +85,7 @@ impl std::fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// Validates that `path` is a walk in `g` (each consecutive pair adjacent).
-pub fn is_valid_walk<G: Neighbors>(g: &G, path: &[NodeId]) -> bool {
+pub fn is_valid_walk(g: &Graph, path: &[NodeId]) -> bool {
     path.windows(2).all(|w| g.has_edge(w[0], w[1]))
 }
 
@@ -121,7 +121,7 @@ struct DestTree {
 impl DestTree {
     /// The next host from on-tree `u` (not `dest`) toward `dest`: its
     /// smallest-id neighbour one hop closer.
-    fn next_hop<G: Neighbors>(&self, g: &G, u: NodeId) -> NodeId {
+    fn next_hop(&self, g: &Graph, u: NodeId) -> NodeId {
         let closer = self.dist[u as usize] - 1;
         *g.neighbors(u)
             .iter()
@@ -131,7 +131,7 @@ impl DestTree {
 
     /// Whether on-tree `u` (not `dest`) still has a neighbour one hop
     /// closer.
-    fn supported<G: Neighbors>(&self, g: &G, u: NodeId) -> bool {
+    fn supported(&self, g: &Graph, u: NodeId) -> bool {
         let closer = self.dist[u as usize] - 1;
         g.neighbors(u)
             .iter()
@@ -149,7 +149,7 @@ impl DestTree {
     /// hop closer is cut too, so each host is checked when a closer
     /// neighbour goes and cut at most once. Returns `false` as soon as
     /// `region` passes `limit`.
-    fn invalidate<G: Neighbors>(&mut self, g: &G, region: &mut Vec<Entry>, limit: usize) -> bool {
+    fn invalidate(&mut self, g: &Graph, region: &mut Vec<Entry>, limit: usize) -> bool {
         let mut i = 0;
         while let Some(&(d, v)) = region.get(i) {
             i += 1;
@@ -167,7 +167,7 @@ impl DestTree {
 
     /// Enters the off-tree live gateway `v` one hop below its closest
     /// on-tree neighbour, if it has one, and seeds the settle with it.
-    fn attach<G: Neighbors>(&mut self, g: &G, v: NodeId, seeds: &mut Vec<Entry>) {
+    fn attach(&mut self, g: &Graph, v: NodeId, seeds: &mut Vec<Entry>) {
         // Every on-tree host is a live gateway: invalidation took the rest.
         let best = g
             .neighbors(v)
@@ -187,13 +187,7 @@ impl DestTree {
     /// since, whose distances never decrease. Every live neighbour whose
     /// `dist` a shorter path reaches is lowered and queued. A full build
     /// is the case `seeds = [(0, dest)]`.
-    fn settle<G: Neighbors>(
-        &mut self,
-        g: &G,
-        live: &[bool],
-        seeds: &mut [Entry],
-        queue: &mut Vec<Entry>,
-    ) {
+    fn settle(&mut self, g: &Graph, live: &[bool], seeds: &mut [Entry], queue: &mut Vec<Entry>) {
         seeds.sort_unstable();
         queue.clear();
         let (mut head, mut s) = (0, 0);
@@ -399,7 +393,7 @@ impl BackboneRoutes {
     /// installed live backbone (`u32::MAX`: off the backbone or cut off
     /// from `dg`), from `dg`'s tree — repaired or built first if stale.
     /// `None` if `dg` is not a live gateway.
-    pub fn distances<G: Neighbors>(&mut self, g: &G, dg: NodeId) -> Option<&[u32]> {
+    pub fn distances(&mut self, g: &Graph, dg: NodeId) -> Option<&[u32]> {
         if !self.live.get(dg as usize).copied().unwrap_or(false) {
             return None;
         }
@@ -409,7 +403,7 @@ impl BackboneRoutes {
 
     /// The gateway whose domain contains `v`: itself for gateways, else
     /// the smallest-id adjacent gateway; `None` if `v` is undominated.
-    pub fn gateway_of<G: Neighbors>(&self, g: &G, v: NodeId) -> Option<NodeId> {
+    pub fn gateway_of(&self, g: &Graph, v: NodeId) -> Option<NodeId> {
         if self.gateway[v as usize] {
             return Some(v);
         }
@@ -422,7 +416,7 @@ impl BackboneRoutes {
     /// Returns the tree slot for destination gateway `dg`, current for
     /// this install: cached, repaired, or built. `dg` must be a live
     /// gateway.
-    fn tree_slot<G: Neighbors>(&mut self, g: &G, dg: NodeId) -> usize {
+    fn tree_slot(&mut self, g: &Graph, dg: NodeId) -> usize {
         self.observe(g);
         let slot = match self.slot_of[dg as usize] {
             NONE => {
@@ -447,7 +441,7 @@ impl BackboneRoutes {
     /// fell since the install last observed (a repair's only way to the
     /// neighbours of a host that died: its row is empty now) and takes
     /// the degrees for this one.
-    fn observe<G: Neighbors>(&mut self, g: &G) {
+    fn observe(&mut self, g: &Graph) {
         if self.observed == self.installs {
             return;
         }
@@ -491,7 +485,7 @@ impl BackboneRoutes {
     }
 
     /// Builds `slot`'s tree from scratch over the live backbone.
-    fn build<G: Neighbors>(&mut self, g: &G, slot: usize) {
+    fn build(&mut self, g: &Graph, slot: usize) {
         obs_time!(_t, Phase::DpRouteBuild);
         obs_count!(Counter::DpRouteBuilds);
         self.built += 1;
@@ -511,7 +505,7 @@ impl BackboneRoutes {
     /// half-repaired for [`Self::build`], when the destination left the
     /// backbone or the invalidated region passes `1 / REBUILD_DIVISOR` of
     /// the live backbone.
-    fn repair<G: Neighbors>(&mut self, g: &G, slot: usize) -> bool {
+    fn repair(&mut self, g: &Graph, slot: usize) -> bool {
         obs_time!(_t, Phase::DpRouteRepair);
         let t = &mut self.trees[slot];
         let Scratch {
@@ -568,9 +562,9 @@ impl BackboneRoutes {
     /// or dead chosen gateways yield [`RouteError::StaleGateway`]; a live
     /// backbone with no path between the two gateways yields
     /// [`RouteError::GatewayPathMissing`].
-    pub fn assemble<G: Neighbors>(
+    pub fn assemble(
         &mut self,
-        g: &G,
+        g: &Graph,
         src: NodeId,
         dst: NodeId,
         out: &mut Vec<NodeId>,

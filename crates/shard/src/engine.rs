@@ -8,7 +8,7 @@ use crate::REQUIRED_HALO;
 use pacds_core::{CdsConfig, CdsWorkspace};
 use pacds_geom::{Point2, Rect};
 use pacds_graph::gen::UnitDiskScratch;
-use pacds_graph::{CsrGraph, Neighbors, NodeId, ReserveLike, VertexMask};
+use pacds_graph::{Graph, NodeId, ReserveLike, VertexMask};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -130,7 +130,7 @@ pub struct ThreadWork {
 #[derive(Debug, Default)]
 pub(crate) struct WorkerSlot {
     pub(crate) ws: CdsWorkspace,
-    pub(crate) csr: CsrGraph,
+    pub(crate) csr: Graph,
     pub(crate) locals: Vec<u32>,
     /// Local ids of the hosts the current tile owns, ascending: the only
     /// hosts whose Rule 1 and Rule 2 verdicts the tile decides and keeps.
@@ -380,9 +380,9 @@ impl ShardedCds {
     ///
     /// # Panics
     /// Same contract as [`ShardedCds::compute_unit_disk`] for `energy`.
-    pub fn compute_graph<G: Neighbors + Sync + ?Sized>(
+    pub fn compute_graph(
         &mut self,
-        g: &G,
+        g: &Graph,
         energy: Option<&[u64]>,
         cfg: &CdsConfig,
     ) -> Result<&VertexMask, ShardError> {
@@ -623,13 +623,7 @@ pub(crate) fn solve_locals(slot: &mut WorkerSlot, energy: Option<&[u64]>, cfg: &
 
 /// Collects into `slot.locals` (ascending) every vertex within `halo` hops
 /// of the id block `[lo, hi)`, using the slot's retained BFS scratch.
-fn gather_bfs_halo<G: Neighbors + ?Sized>(
-    slot: &mut WorkerSlot,
-    g: &G,
-    lo: u32,
-    hi: u32,
-    halo: usize,
-) {
+fn gather_bfs_halo(slot: &mut WorkerSlot, g: &Graph, lo: u32, hi: u32, halo: usize) {
     if slot.seen.len() < g.n() {
         slot.seen.resize(g.n(), false);
     }
@@ -969,12 +963,8 @@ mod tests {
         for i in [0usize, 17, 63, 118, 179] {
             off[i] = true;
         }
-        let mut whole = gen::unit_disk(Rect::paper_arena(), 25.0, &pts);
-        for (i, &o) in off.iter().enumerate() {
-            if o {
-                whole.isolate(i as NodeId);
-            }
-        }
+        let mut whole = Graph::default();
+        whole.rebuild_from_masked(&gen::unit_disk(Rect::paper_arena(), 25.0, &pts), &off);
         let mut ws = CdsWorkspace::new();
         for shards in [1usize, 4, 16] {
             let mut eng = ShardedCds::new(ShardSpec::new(shards)).unwrap();

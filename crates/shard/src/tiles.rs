@@ -275,7 +275,7 @@ mod tests {
     use super::*;
     use pacds_geom::placement;
     use pacds_graph::gen::{unit_disk_csr, UnitDiskScratch};
-    use pacds_graph::{CsrGraph, NodeId};
+    use pacds_graph::{Graph, NodeId};
     use rand::{Rng, SeedableRng};
 
     fn filled(bounds: Rect, grid: (usize, usize), pts: &[Point2]) -> TileGrid {
@@ -373,7 +373,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(54);
         for n in [40usize, 300, 800] {
             let pts = placement::uniform_points(&mut rng, Rect::paper_arena(), n);
-            let mut whole = CsrGraph::new();
+            let mut whole = Graph::default();
             let mut scratch = UnitDiskScratch::new();
             unit_disk_csr(
                 Rect::paper_arena(),
@@ -384,7 +384,7 @@ mod tests {
                 &mut scratch,
             );
             let tiles = filled(Rect::paper_arena(), (2, 2), &pts);
-            let (mut locals, mut tile_csr) = (Vec::new(), CsrGraph::new());
+            let (mut locals, mut tile_csr) = (Vec::new(), Graph::default());
             for t in 0..tiles.tiles() {
                 tiles.gather(t, hop_margin(1, 25.0), &pts, &mut locals);
                 unit_disk_csr_subset(25.0, &pts, &locals, &mut tile_csr, &mut scratch);

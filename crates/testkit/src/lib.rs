@@ -2,8 +2,8 @@
 //!
 //! The workspace ships several ways of computing the same gateway set
 //! (the frozen seed baseline, the allocating pipeline, the zero-allocation
-//! workspace over adjacency and CSR graphs, and the distributed engine in
-//! its sequential and threaded forms; the sharded churn engine has its own
+//! workspace, and the distributed engine in its sequential and threaded
+//! forms; the sharded churn engine has its own
 //! event-trace harness in [`churn`]). This crate pins all of them to a
 //! single ground truth:
 //!
