@@ -3,8 +3,10 @@
 //! For each size in `PACDS_BENCH_SIZES` (default `100000,1000000`) the
 //! binary places a constant-density unit-disk instance and runs
 //! [`pacds_bench::dataplane::run`] — the driver behind `pacds dataplane`
-//! — with [`FLOWS`] routable unicast flows and [`WAVES`] timed waves of
-//! [`PACKETS`] packets per flow after a warm wave. It measures:
+//! — with [`FLOWS`] routable unicast flows and at least [`WAVES`] timed
+//! waves of [`PACKETS`] packets per flow after a warm wave, more until
+//! [`MIN_TIMED_S`](pacds_bench::dataplane::MIN_TIMED_S) has passed (the
+//! row's `timed_waves`). It measures:
 //!
 //! * **hops/s** — aggregate per-hop forwarding operations per second over
 //!   the timed waves, gated at [`MIN_HOPS_PER_S`],
@@ -30,7 +32,7 @@
 //!
 //! Writes `BENCH_dataplane.json` (override: `PACDS_BENCH_OUT`).
 
-use pacds_bench::dataplane::{self, DpParams};
+use pacds_bench::dataplane::{self, DpParams, MIN_TIMED_S};
 use pacds_bench::row::{self, Row};
 use pacds_bench::{density_side, spread_energy, Error, Instance};
 use pacds_core::{CdsConfig, Policy};
@@ -86,8 +88,8 @@ fn bench() -> Result<(), Error> {
     let description = format!(
         "pacds-dataplane vector-dispatch forwarding engine on constant-density unit-disk \
          instances (radius 30, ~28.3 expected neighbours), Degree-rule backbone: {FLOWS} \
-         unicast flows x {PACKETS} packets x {WAVES} timed waves with routes cached after a \
-         warm wave. Schema per result: hops_per_s counts per-hop forwarding operations (the \
+         unicast flows x {PACKETS} packets x at least {WAVES} timed waves (timed_waves: \
+         more until {MIN_TIMED_S} s have passed) with routes cached after a warm wave. Schema per result: hops_per_s counts per-hop forwarding operations (the \
          aggregate rate the >=1e6 gate applies to); stretch_* compare routed hop counts to a \
          shortest-path BFS oracle on sampled flows; flood_reduction = 1 - gateway/blind \
          transmissions from the same source at full coverage; kill_* time the gateway-death \

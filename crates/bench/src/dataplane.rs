@@ -3,7 +3,8 @@
 //!
 //! [`run`] opens a [`ChurnNet`] on the instance, registers routable
 //! unicast flows whose endpoints are protected from every kill, sends one
-//! warm wave, then `waves` timed waves. A wave may first kill a gateway;
+//! warm wave, then `waves` timed waves, and more waves without kills until
+//! [`MIN_TIMED_S`] has passed. A wave may first kill a gateway;
 //! packets on routes through it NACK, and the wave then reroutes them:
 //! churn refresh → table install → requeue → pump. Broadcasts compare a
 //! blind flood with a gateway-relayed one from the first flow's source.
@@ -21,6 +22,11 @@ use pacds_shard::ShardSpec;
 use rand::Rng;
 use std::io::Write;
 use std::time::Instant;
+
+/// The shortest timed window: waves past `waves` (without kills) are sent
+/// until it has passed, so the forwarding rate at small sizes is not a
+/// few milliseconds of noise.
+pub const MIN_TIMED_S: f64 = 0.2;
 
 /// Which broadcasts each wave sends: `(blind, gateway-relayed)`.
 pub type Broadcast = (bool, bool);
@@ -48,6 +54,7 @@ pub struct DpParams {
     pub flows: usize,
     /// Packets per flow per wave.
     pub packets: usize,
+    /// Timed waves at least; the kill schedule covers these.
     pub waves: usize,
     /// Kill one random unprotected gateway every this many waves (0:
     /// never).
@@ -277,7 +284,7 @@ fn bfs_hops(g: &Graph, src: NodeId, dst: NodeId) -> Option<u32> {
 /// Opens the network on `inst` and drives the traffic, with flow and
 /// kill picks drawn from `rng`; writes a summary to `out` and applies the
 /// gates. Packet, kill and refresh counts in the row cover the timed
-/// waves.
+/// waves, `timed_waves` of them.
 pub fn run(
     inst: &Instance,
     p: &DpParams,
@@ -328,8 +335,12 @@ pub fn run(
         return Err("the warm wave did not deliver fully".into());
     }
     let t = Instant::now();
-    for wave in 1..=p.waves {
-        let kill = p.kill_every > 0 && wave > 1 && (wave - 1) % p.kill_every == 0;
+    let mut timed_waves = 0;
+    while timed_waves < p.waves || (p.waves > 0 && t.elapsed().as_secs_f64() < MIN_TIMED_S) {
+        timed_waves += 1;
+        let wave = timed_waves;
+        let kill =
+            p.kill_every > 0 && wave > 1 && wave <= p.waves && (wave - 1) % p.kill_every == 0;
         let (alive, gateway) = (tr.net.alive(), tr.net.gateway());
         let live_gateway = |&v: &NodeId| {
             let v = v as usize;
@@ -430,6 +441,7 @@ pub fn run(
         .with("packets_per_flow", p.packets)
         .with("packets_per_flow_per_wave", p.packets)
         .with("waves", p.waves)
+        .with("timed_waves", timed_waves)
         .with("injected", injected)
         .with("delivered", delivered)
         .with("dropped", dropped)
@@ -496,8 +508,13 @@ mod tests {
 
     #[test]
     fn the_drill_and_a_kill_schedule_reroute_every_stranded_packet() {
-        let json = traffic(bench()).unwrap().json();
-        assert!(json.contains("\"delivered\":192,") && json.contains("\"misroutes\":0,"));
+        let row = traffic(bench()).unwrap();
+        // 16 flows x 4 packets per timed wave, at least the 3 asked for.
+        let waves = row.num("timed_waves");
+        assert!(waves >= 3.0 && row.num("delivered") == 64.0 * waves);
+        assert!(row.num("forward_ns") >= MIN_TIMED_S * 1e9);
+        let json = row.json();
+        assert!(json.contains("\"misroutes\":0,"));
         assert!(json.contains("\"kill_nacked\":") && json.contains("\"stretch_mean_ratio\":"));
         let p = DpParams {
             kill_every: 1,

@@ -106,21 +106,36 @@ impl PriorityKey {
     /// wrong length.
     pub fn build(policy: Policy, g: &Graph, energy: Option<&[EnergyLevel]>) -> Self {
         let mut key = Self::new();
-        key.rebuild(policy, g, energy);
+        key.rebuild(policy, g, energy, None);
         key
     }
 
     /// Recomputes the table in place, reusing the key storage (allocation
-    /// free once warm). Same contract as [`PriorityKey::build`].
-    pub fn rebuild(&mut self, policy: Policy, g: &Graph, energy: Option<&[EnergyLevel]>) {
+    /// free once warm). Same contract as [`PriorityKey::build`], plus the
+    /// id tie-break: with `ids`, vertex `v` breaks ties on `ids[v]` (its
+    /// id in the caller's labelling, for a subgraph stored in another
+    /// order), without it on `v` itself.
+    ///
+    /// # Panics
+    /// Also panics if `ids` is present and its length is not `g.n()`.
+    pub fn rebuild(
+        &mut self,
+        policy: Policy,
+        g: &Graph,
+        energy: Option<&[EnergyLevel]>,
+        ids: Option<&[NodeId]>,
+    ) {
         let n = g.n();
         if policy.needs_energy() {
             let e = energy.expect("energy-aware policy requires energy levels");
             assert_eq!(e.len(), n, "energy table length must equal n");
         }
+        if let Some(ids) = ids {
+            assert_eq!(ids.len(), n, "id table length must equal n");
+        }
         self.keys.clear();
         self.keys.extend((0..n as NodeId).map(|v| {
-            let id = v as u64;
+            let id = ids.map_or(v, |ids| ids[v as usize]) as u64;
             let nd = g.degree(v) as u64;
             let el = energy.map_or(0, |e| e[v as usize]);
             match policy {

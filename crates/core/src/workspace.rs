@@ -10,9 +10,10 @@
 //! `tests/zero_alloc.rs` at the workspace root pins this with a counting
 //! global allocator.
 //!
-//! `crates/core/tests/workspace_equiv.rs` pins it to bit-identical outputs
-//! of the allocating pipeline across all policies, semantics, and
-//! schedules.
+//! `crates/testkit/tests/workspace_oracle.rs` pins it to the independent
+//! oracle across all policies, semantics, application orders and
+//! schedules; `crates/core/tests/workspace_equiv.rs` pins the standalone
+//! rule passes to its single-pass round.
 
 use crate::pipeline::{Application, CdsConfig, CdsTrace, PruneSchedule};
 use crate::priority::{EnergyLevel, PriorityKey};
@@ -109,7 +110,7 @@ impl CdsWorkspace {
         energy: Option<&[EnergyLevel]>,
         cfg: &CdsConfig,
     ) -> &VertexMask {
-        if !self.prepare(g, energy, cfg) {
+        if !self.prepare(g, None, energy, cfg) {
             return &self.after2;
         }
         let semantics = cfg.rule2_semantics();
@@ -201,10 +202,13 @@ impl CdsWorkspace {
 
     /// Computes the verdicts of the vertices in `owned` only: marking, the
     /// neighbour bitmap and the priority key cover all of `g`, but Rule 1
-    /// and Rule 2 decide just the `owned` vertices. Every other vertex keeps
-    /// its marking bit in [`CdsWorkspace::after_rule1`] and
+    /// and Rule 2 decide just the `owned` vertices. Every other vertex
+    /// keeps its marking bit in [`CdsWorkspace::after_rule1`] and
     /// [`CdsWorkspace::gateways`], and the removal lists name owned
-    /// vertices only (in `owned` order).
+    /// vertices only (in `owned` order). `ids[v]` is vertex `v`'s id in
+    /// the caller's labelling, and every priority key ends on it instead
+    /// of `v`: a window stored in any order decides as if it were
+    /// labelled by `ids`.
     ///
     /// This is how a tile of the sharded engine solves its window: it keeps
     /// only the verdicts of the hosts it owns, and on owned vertices these
@@ -225,10 +229,11 @@ impl CdsWorkspace {
     /// pass with min-of-three Rule 2: the lemma above needs all three. A
     /// non-pruning policy runs no rule, so its `rule2` field is not
     /// checked. Also panics under the [`CdsWorkspace::compute`] energy
-    /// contract.
+    /// contract, or if `ids` does not hold one id per vertex.
     pub fn compute_owned(
         &mut self,
         g: &Graph,
+        ids: &[NodeId],
         owned: &[NodeId],
         energy: Option<&[EnergyLevel]>,
         cfg: &CdsConfig,
@@ -239,7 +244,8 @@ impl CdsWorkspace {
                 && (!cfg.policy.prunes() || cfg.rule2_semantics() == Rule2Semantics::MinOfThree),
             "owned-only rules need simultaneous, single-pass, min-of-three: {cfg:?}"
         );
-        if self.prepare(g, energy, cfg) {
+        assert_eq!(ids.len(), g.n(), "id table length must equal n");
+        if self.prepare(g, Some(ids), energy, cfg) {
             self.simultaneous_round(g, owned.iter().copied(), Rule2Semantics::MinOfThree);
             self.rounds = 1;
             pacds_obs::add(pacds_obs::Counter::WorkspaceRounds, 1);
@@ -248,9 +254,16 @@ impl CdsWorkspace {
     }
 
     /// Runs marking and resets the round state; for a pruning policy also
-    /// rebuilds the bitmap and key and returns `true`. A non-pruning policy
+    /// rebuilds the bitmap and key (tie-breaking on `ids`, see
+    /// [`PriorityKey::rebuild`]) and returns `true`. A non-pruning policy
     /// copies the marking into both rule outputs and returns `false`.
-    fn prepare(&mut self, g: &Graph, energy: Option<&[EnergyLevel]>, cfg: &CdsConfig) -> bool {
+    fn prepare(
+        &mut self,
+        g: &Graph,
+        ids: Option<&[NodeId]>,
+        energy: Option<&[EnergyLevel]>,
+        cfg: &CdsConfig,
+    ) -> bool {
         pacds_obs::inc(pacds_obs::Counter::WorkspaceComputes);
         crate::marking::marking_into(g, &mut self.marked);
         self.removed1.clear();
@@ -268,7 +281,7 @@ impl CdsWorkspace {
         }
         {
             let _t = pacds_obs::phase_timer(pacds_obs::Phase::KeyRebuild);
-            self.key.rebuild(cfg.policy, g, energy);
+            self.key.rebuild(cfg.policy, g, energy, ids);
             pacds_obs::inc(pacds_obs::Counter::WorkspaceKeyRebuilds);
         }
         true
@@ -375,48 +388,8 @@ mod tests {
     use super::*;
     use crate::pipeline::{compute_cds_trace, CdsInput};
     use crate::priority::Policy;
-    use crate::rules::Rule2Semantics;
     use pacds_graph::{gen, Graph};
     use rand::SeedableRng;
-
-    fn all_configs() -> Vec<CdsConfig> {
-        let mut cfgs = Vec::new();
-        for policy in Policy::ALL {
-            for schedule in [PruneSchedule::SinglePass, PruneSchedule::Fixpoint] {
-                for rule2 in [Rule2Semantics::MinOfThree, Rule2Semantics::CaseAnalysis] {
-                    for application in [Application::Simultaneous, Application::Sequential] {
-                        cfgs.push(CdsConfig {
-                            policy,
-                            schedule,
-                            rule2,
-                            application,
-                        });
-                    }
-                }
-            }
-        }
-        cfgs
-    }
-
-    #[test]
-    fn workspace_matches_pipeline_on_random_graphs() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let mut ws = CdsWorkspace::new();
-        for n in [0usize, 1, 2, 12, 45, 90] {
-            let g = gen::gnp(&mut rng, n, 0.18);
-            let energy: Vec<u64> = (0..n as u64).map(|v| (v * 7 + 3) % 50).collect();
-            for cfg in all_configs() {
-                let trace = compute_cds_trace(&CdsInput::with_energy(&g, &energy), &cfg);
-                let got = ws.compute(&g, Some(&energy), &cfg).clone();
-                assert_eq!(got, trace.after_rule2, "n={n} cfg={cfg:?}");
-                assert_eq!(ws.marked(), &trace.marked, "n={n} cfg={cfg:?}");
-                assert_eq!(ws.after_rule1(), &trace.after_rule1, "n={n} cfg={cfg:?}");
-                assert_eq!(ws.removed_by_rule1(), trace.removed_by_rule1, "n={n}");
-                assert_eq!(ws.removed_by_rule2(), trace.removed_by_rule2, "n={n}");
-                assert_eq!(ws.rounds(), trace.rounds, "n={n} cfg={cfg:?}");
-            }
-        }
-    }
 
     #[test]
     fn verify_last_accepts_computed_sets() {

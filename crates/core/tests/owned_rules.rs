@@ -42,10 +42,11 @@ fn random_owned<R: Rng>(rng: &mut R, n: usize, p: f64) -> Vec<NodeId> {
 fn check(g: &Graph, energy: &[u64], sets: &[Vec<NodeId>], label: &str) {
     let mut whole = CdsWorkspace::new();
     let mut part = CdsWorkspace::new();
+    let ids: Vec<NodeId> = g.vertices().collect();
     for cfg in owned_configs() {
         whole.compute(g, Some(energy), &cfg);
         for owned in sets {
-            part.compute_owned(g, owned, Some(energy), &cfg);
+            part.compute_owned(g, &ids, owned, Some(energy), &cfg);
             assert_eq!(part.marked(), whole.marked(), "{label} {cfg:?}");
             for &v in owned {
                 let i = v as usize;
@@ -132,7 +133,7 @@ fn owning_every_vertex_is_the_whole_graph_compute() {
         let all: Vec<NodeId> = g.vertices().collect();
         for cfg in owned_configs() {
             whole.compute(&g, Some(&energy), &cfg);
-            part.compute_owned(&g, &all, Some(&energy), &cfg);
+            part.compute_owned(&g, &all, &all, Some(&energy), &cfg);
             assert_eq!(part.after_rule1(), whole.after_rule1(), "{cfg:?}");
             assert_eq!(part.gateways(), whole.gateways(), "{cfg:?}");
             assert_eq!(part.removed_by_rule1(), whole.removed_by_rule1());
@@ -141,16 +142,92 @@ fn owning_every_vertex_is_the_whole_graph_compute() {
     }
 }
 
+/// `g` relabelled by `ids`: vertex `v` of `g` becomes `ids[v]`.
+fn relabel(g: &Graph, ids: &[NodeId]) -> Graph {
+    let edges: Vec<(NodeId, NodeId)> = g
+        .edges()
+        .map(|(u, v)| (ids[u as usize], ids[v as usize]))
+        .collect();
+    Graph::from_edges(g.n(), &edges)
+}
+
+/// A graph stored in one order and labelled by a permutation `ids`
+/// decides every owned vertex `v` as the whole-graph compute decides
+/// `ids[v]` on the relabelled graph: the priority key breaks ties on the
+/// caller's ids, never on the storage order. Equal energies and the
+/// regular lattice make most keys tie before the id.
+#[test]
+fn permuted_ids_decide_as_the_relabelled_graph() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1d5);
+    let mut whole = CdsWorkspace::new();
+    let mut part = CdsWorkspace::new();
+    for case in 0..200 {
+        let n = rng.random_range(2..80usize);
+        let g = match case % 3 {
+            0 => gen::grid(n / 8 + 1, rng.random_range(2..8usize)),
+            1 => gen::gnp(&mut rng, n, 0.12),
+            _ => {
+                let bounds = pacds_geom::Rect::paper_arena();
+                let pts = pacds_geom::placement::uniform_points(&mut rng, bounds, n);
+                gen::unit_disk(bounds, 25.0, &pts)
+            }
+        };
+        let n = g.n();
+        let mut ids: Vec<NodeId> = g.vertices().collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.random_range(0..=i));
+        }
+        let energy: Vec<u64> = match case % 2 {
+            0 => vec![3; n],
+            _ => random_energy(&mut rng, n),
+        };
+        let relabelled = relabel(&g, &ids);
+        let mut energy_ext = vec![0; n];
+        for (v, &id) in ids.iter().enumerate() {
+            energy_ext[id as usize] = energy[v];
+        }
+        for owned in random_sets(&mut rng, n) {
+            for cfg in owned_configs() {
+                whole.compute(&relabelled, Some(&energy_ext), &cfg);
+                part.compute_owned(&g, &ids, &owned, Some(&energy), &cfg);
+                for &v in &owned {
+                    let (i, e) = (v as usize, ids[v as usize] as usize);
+                    assert_eq!(part.marked()[i], whole.marked()[e], "case {case} {cfg:?}");
+                    assert_eq!(
+                        part.after_rule1()[i],
+                        whole.after_rule1()[e],
+                        "case {case} {cfg:?}: after-Rule-1 bit of {v} (id {e})"
+                    );
+                    assert_eq!(
+                        part.gateways()[i],
+                        whole.gateways()[e],
+                        "case {case} {cfg:?}: gateway bit of {v} (id {e})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "owned-only rules need")]
 fn case_analysis_rule2_is_refused() {
     let g = gen::cycle(6);
-    CdsWorkspace::new().compute_owned(&g, &[0, 1], None, &CdsConfig::paper(Policy::Degree));
+    let ids: Vec<NodeId> = g.vertices().collect();
+    CdsWorkspace::new().compute_owned(&g, &ids, &[0, 1], None, &CdsConfig::paper(Policy::Degree));
 }
 
 #[test]
 #[should_panic(expected = "owned-only rules need")]
 fn the_fixpoint_schedule_is_refused() {
     let g = gen::cycle(6);
-    CdsWorkspace::new().compute_owned(&g, &[0, 1], None, &CdsConfig::fixpoint(Policy::Id));
+    let ids: Vec<NodeId> = g.vertices().collect();
+    CdsWorkspace::new().compute_owned(&g, &ids, &[0, 1], None, &CdsConfig::fixpoint(Policy::Id));
+}
+
+#[test]
+#[should_panic(expected = "id table length must equal n")]
+fn a_short_id_table_is_refused() {
+    let g = gen::cycle(6);
+    CdsWorkspace::new().compute_owned(&g, &[0, 1], &[0, 1], None, &CdsConfig::policy(Policy::Id));
 }

@@ -461,6 +461,7 @@ impl ChurnEngine {
         let run = SpatialRun {
             grid: &self.grid,
             points: &self.points,
+            ext: None,
             off: |g: usize| !alive[g],
             radius: self.radius,
             margin: self.margin_topo,

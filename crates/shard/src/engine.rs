@@ -3,7 +3,7 @@
 
 use crate::error::{check_shardable, ShardError};
 use crate::pool::WorkerPool;
-use crate::tiles::{hop_margin, SpatialRun, TileGrid};
+use crate::tiles::{hop_margin, CellOrder, SpatialRun, TileGrid};
 use crate::REQUIRED_HALO;
 use pacds_core::{CdsConfig, CdsWorkspace};
 use pacds_geom::{Point2, Rect};
@@ -95,7 +95,8 @@ pub struct ShardStats {
     pub halo_nodes: usize,
     /// Undirected edges whose endpoints are owned by different tiles.
     pub cross_tile_edges: u64,
-    /// Time partitioning the point set (spatial mode only).
+    /// Time partitioning the point set into tiles and relabelling it into
+    /// the internal order (spatial mode only).
     pub partition_ns: u64,
     /// Time gathering halos and building per-tile subgraphs.
     pub halo_build_ns: u64,
@@ -132,6 +133,8 @@ pub(crate) struct WorkerSlot {
     pub(crate) ws: CdsWorkspace,
     pub(crate) csr: Graph,
     pub(crate) locals: Vec<u32>,
+    /// The callers' ids of `locals`, when those are internal ids.
+    pub(crate) ext: Vec<u32>,
     /// Local ids of the hosts the current tile owns, ascending: the only
     /// hosts whose Rule 1 and Rule 2 verdicts the tile decides and keeps.
     pub(crate) owned: Vec<NodeId>,
@@ -156,6 +159,7 @@ impl ReserveLike for WorkerSlot {
         self.ws.reserve_like(&other.ws);
         self.csr.reserve_like(&other.csr);
         self.locals.reserve_like(&other.locals);
+        self.ext.reserve_like(&other.ext);
         self.owned.reserve_like(&other.owned);
         self.owned_flags.reserve_like(&other.owned_flags);
         self.energy.reserve_like(&other.energy);
@@ -195,10 +199,17 @@ impl WorkerSlot {
 /// existing graph into contiguous id blocks with a BFS halo (the serving
 /// path). All buffers are retained; with `threads == 1` a cache-warm
 /// computation performs zero heap allocations.
+///
+/// The spatial path stores its live hosts in an internal tile-major,
+/// cell-major order, rebuilt each call; callers only ever see their own
+/// ids. Every priority key ends on the caller's id, so the order changes
+/// no verdict.
 #[derive(Debug, Default)]
 pub struct ShardedCds {
     spec: ShardSpec,
     grid: TileGrid,
+    /// The spatial path's internal order over the grid.
+    cells: CellOrder,
     slots: Vec<WorkerSlot>,
     pool: WorkerPool,
     /// Tile ids sorted descending by estimated cost (the LPT schedule);
@@ -294,7 +305,8 @@ impl ShardedCds {
     /// from-scratch reference the churn engine is pinned against: an
     /// isolated host affects nobody's neighbourhood, degree, or priority,
     /// so excluding it from each tile's subgraph is bit-identical to the
-    /// whole-graph pipeline run with that host isolated.
+    /// whole-graph pipeline run with that host isolated. Off hosts get no
+    /// internal id at all: no tile gathers or solves them.
     ///
     /// # Panics
     /// As [`ShardedCds::compute_unit_disk`], plus `off` (when present) must
@@ -323,8 +335,9 @@ impl ShardedCds {
         {
             let _t = pacds_obs::phase_timer(pacds_obs::Phase::ShardPartition);
             let tiles = grid_for(shards, bounds.width(), bounds.height());
+            let domain = TileGrid::domain(bounds, points);
             self.grid
-                .fill(TileGrid::domain(bounds, points), tiles, points);
+                .fill_cell_major(domain, tiles, radius, points, off, &mut self.cells);
         }
         let partition_ns = pt.elapsed().as_nanos() as u64;
 
@@ -337,13 +350,14 @@ impl ShardedCds {
         let grid = &self.grid;
         self.weights.clear();
         self.weights
-            .extend((0..ntiles).map(|t| grid.owned(t).len() as u64));
+            .extend((0..ntiles).map(|t| grid.owned_count(t) as u64));
         schedule_order(&mut self.order, &self.weights);
 
         let run = SpatialRun {
             grid,
-            points,
-            off: |g: usize| off.is_some_and(|o| o[g]),
+            points: &self.cells.points,
+            ext: Some(&self.cells.ext),
+            off: |_: usize| false,
             radius,
             margin: hop_margin(self.spec.halo, radius),
             energy,
@@ -366,7 +380,9 @@ impl ShardedCds {
 
         // The single-pass schedule runs exactly one (Rule 1; Rule 2) round
         // when the policy prunes — same as the whole-graph workspace.
-        self.finish(n, ntiles, partition_ns, usize::from(cfg.policy.prunes()))
+        let off_hosts = n - self.cells.ext.len();
+        let rounds = usize::from(cfg.policy.prunes());
+        self.finish(n, off_hosts, ntiles, partition_ns, rounds)
     }
 
     /// Sharded CDS of an existing graph: vertices are split into
@@ -434,12 +450,12 @@ impl ShardedCds {
                 let first = slot.locals.partition_point(|&v| v < lo) as NodeId;
                 slot.owned.clear();
                 slot.owned.extend(first..first + (hi - lo));
-                solve_locals(slot, energy, cfg_ref);
+                solve_locals(slot, None, energy, cfg_ref);
             },
         );
         drop(_dispatch);
 
-        self.finish(n, nblocks, 0, usize::from(cfg.policy.prunes()))
+        self.finish(n, 0, nblocks, 0, usize::from(cfg.policy.prunes()))
     }
 
     /// Readies `nthreads` executors' slots for a run over `n` nodes. Each
@@ -452,11 +468,14 @@ impl ShardedCds {
         }
     }
 
-    /// Ownership-filtered merge + stats/obs flush; every node is owned by
-    /// exactly one tile, so the scatter covers each index exactly once.
+    /// Ownership-filtered merge + stats/obs flush; every node but the
+    /// `off_hosts` no tile solved is owned by exactly one tile, so the
+    /// scatter covers each of them exactly once (the off hosts keep
+    /// all-false bits).
     fn finish(
         &mut self,
         n: usize,
+        off_hosts: usize,
         tiles: usize,
         partition_ns: u64,
         rounds: usize,
@@ -485,7 +504,8 @@ impl ShardedCds {
             merged
         };
         assert_eq!(
-            merged, n,
+            merged + off_hosts,
+            n,
             "ownership merge must cover every node exactly once"
         );
 
@@ -576,7 +596,17 @@ impl ShardedCds {
 /// The per-tile solve tail shared by both modes: slice energy, run the
 /// retained workspace on the local subgraph deciding only the owned hosts
 /// (`slot.owned`), collect their verdicts and the halo/cross-edge tallies.
-pub(crate) fn solve_locals(slot: &mut WorkerSlot, energy: Option<&[u64]>, cfg: &CdsConfig) {
+///
+/// `ext` maps the ids in `slot.locals` to the callers' ids; `None` when
+/// they are the callers' ids already (graph blocks, churn tiles). Energy,
+/// the priority key's id tie-break and the pushed verdicts all use the
+/// callers' ids, so a tile decides the same whatever order stores it.
+pub(crate) fn solve_locals(
+    slot: &mut WorkerSlot,
+    ext: Option<&[u32]>,
+    energy: Option<&[u64]>,
+    cfg: &CdsConfig,
+) {
     slot.owned_flags.clear();
     slot.owned_flags.resize(slot.locals.len(), false);
     for &li in &slot.owned {
@@ -585,33 +615,41 @@ pub(crate) fn solve_locals(slot: &mut WorkerSlot, energy: Option<&[u64]>, cfg: &
     let sv = Instant::now();
     {
         let _t = pacds_obs::phase_timer(pacds_obs::Phase::ShardSolve);
+        let ids: &[u32] = match ext {
+            Some(ext) => {
+                slot.ext.clear();
+                slot.ext
+                    .extend(slot.locals.iter().map(|&l| ext[l as usize]));
+                &slot.ext
+            }
+            None => &slot.locals,
+        };
         let energy_local = match energy {
             Some(e) if cfg.policy.needs_energy() => {
                 slot.energy.clear();
-                slot.energy
-                    .extend(slot.locals.iter().map(|&g| e[g as usize]));
+                slot.energy.extend(ids.iter().map(|&g| e[g as usize]));
                 Some(slot.energy.as_slice())
             }
             _ => None,
         };
         slot.ws
-            .compute_owned(&slot.csr, &slot.owned, energy_local, cfg);
+            .compute_owned(&slot.csr, ids, &slot.owned, energy_local, cfg);
 
         let (marked, after1, gw) = (slot.ws.marked(), slot.ws.after_rule1(), slot.ws.gateways());
         for &li in &slot.owned {
             let i = li as usize;
             let bits = u8::from(marked[i]) | (u8::from(after1[i]) << 1) | (u8::from(gw[i]) << 2);
-            slot.results.push((slot.locals[i], bits));
+            slot.results.push((ids[i], bits));
         }
 
         slot.halo_nodes += slot.locals.len() - slot.owned.len();
         let mut cross = 0u64;
         for &li in &slot.owned {
-            let g = slot.locals[li as usize];
+            let g = ids[li as usize];
             for &lu in slot.csr.neighbors(li) {
                 // Count each cross-ownership edge once: from the tile
                 // owning the smaller-id endpoint.
-                if !slot.owned_flags[lu as usize] && slot.locals[lu as usize] > g {
+                if !slot.owned_flags[lu as usize] && ids[lu as usize] > g {
                     cross += 1;
                 }
             }

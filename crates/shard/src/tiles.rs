@@ -1,9 +1,11 @@
 //! The spatial tile grid and the per-tile step both spatial engines run.
 //!
 //! The batch [`ShardedCds`](crate::ShardedCds) refills one [`TileGrid`] per
-//! computation; the [`ChurnEngine`](crate::ChurnEngine) fixes its grid at
-//! open and edits the ownership lists as hosts appear and move. Either way
-//! a tile is solved by [`SpatialRun::solve_tile`].
+//! computation, relabelling the live hosts into a tile-major, cell-major
+//! internal order ([`TileGrid::fill_cell_major`]); the
+//! [`ChurnEngine`](crate::ChurnEngine) fixes its grid at open over the
+//! callers' ids and edits the ownership lists as hosts appear and move.
+//! Either way a tile is solved by [`SpatialRun::solve_tile`].
 
 use crate::engine::{solve_locals, WorkerSlot};
 use pacds_core::CdsConfig;
@@ -13,7 +15,8 @@ use pacds_graph::NodeId;
 use std::time::Instant;
 
 /// A `tx × ty` grid of equal rectangular tiles over a domain, with the
-/// ascending list of point ids each tile owns.
+/// point ids each tile owns: an ascending list per tile, or after
+/// [`TileGrid::fill_cell_major`] a contiguous range per tile.
 ///
 /// The domain is the engine's `bounds` expanded to the points' bounding
 /// box ([`TileGrid::domain`]), so out-of-bounds points (which the unit-disk
@@ -29,8 +32,11 @@ pub(crate) struct TileGrid {
     h: f64,
     /// Per-tile owned ids, each list ascending; together a partition of the
     /// point ids. Lists past [`TileGrid::tiles`] are spare capacity left by
-    /// an earlier, larger grid.
+    /// an earlier, larger grid. Empty after [`TileGrid::fill_cell_major`].
     owned: Vec<Vec<u32>>,
+    /// After [`TileGrid::fill_cell_major`], tile `t` owns the internal ids
+    /// `starts[t]..starts[t + 1]`; empty for a grid with lists.
+    starts: Vec<u32>,
 }
 
 /// A tile rectangle as `(x0, y0, x1, y1)`.
@@ -85,9 +91,119 @@ impl TileGrid {
         for list in &mut self.owned {
             list.clear();
         }
+        self.starts.clear();
         for (i, &p) in points.iter().enumerate() {
             let t = self.tile_of(p);
             self.owned[t].push(i as u32);
+        }
+    }
+
+    /// Lays `tx × ty` tiles over `domain` and relabels the points not
+    /// flagged in `off` into internal ids, tile-major and, within a tile,
+    /// row-major over cells about `radius` wide, stable in external id:
+    /// a counting sort by tile, then one by cell within each tile. Off
+    /// hosts get no internal id. Fills `order` (`order.ext[i]` is internal
+    /// id `i`'s external id, `order.points[i]` its position) and gives each
+    /// tile a contiguous range of internal ids in place of a list, so a
+    /// tile's window is a few runs of nearby memory and
+    /// [`TileGrid::gather`] comes out ascending without a sort. Tile
+    /// membership is [`TileGrid::fill`]'s up to round-off at a tile edge.
+    /// Allocation-free once warm.
+    ///
+    /// # Panics
+    /// Panics if `tx` or `ty` is zero.
+    pub(crate) fn fill_cell_major(
+        &mut self,
+        domain: Rect,
+        (tx, ty): (usize, usize),
+        radius: f64,
+        points: &[Point2],
+        off: Option<&[bool]>,
+        order: &mut CellOrder,
+    ) {
+        self.fill(domain, (tx, ty), &[]);
+        let tiles = tx * ty;
+        // Cells per tile along each axis, about `radius` wide; halved
+        // until the cells number at most twice the points, so a radius
+        // tiny next to the domain cannot blow up the count table.
+        let per_axis =
+            |len: f64, k: usize| ((len / k as f64 / radius).ceil() as usize).clamp(1, 1 << 16);
+        let (x0, y0, w, h) = (self.x0, self.y0, self.w, self.h);
+        let (mut kx, mut ky) = (per_axis(w, tx), per_axis(h, ty));
+        while kx * ky > 1 && kx * ky * tiles > (2 * points.len()).max(tiles) {
+            kx = kx.div_ceil(2);
+            ky = ky.div_ceil(2);
+        }
+        // A point's (tile, cell) is its global column's part plus its
+        // global row's, both from small tables: column `g` lies in tile
+        // column `g / kx` (up to round-off at a tile edge, which the
+        // gather margin's inflation absorbs) at cell `g % kx` within it.
+        let (nx, ny) = (tx * kx, ty * ky);
+        order.axes.clear();
+        order
+            .axes
+            .extend((0..nx).map(|g| ((g / kx) as u32, (g % kx) as u32)));
+        order
+            .axes
+            .extend((0..ny).map(|g| (((g / ky) * tx) as u32, ((g % ky) * kx) as u32)));
+        let (cols, rows) = order.axes.split_at(nx);
+        let (sx, sy) = (nx as f64 / w, ny as f64 / h);
+        let bucket = |p: Point2| {
+            // Casting a negative f64 to usize saturates to 0.
+            let (tc, cc) = cols[(((p.x - x0) * sx) as usize).min(nx - 1)];
+            let (tr, cr) = rows[(((p.y - y0) * sy) as usize).min(ny - 1)];
+            ((tr + tc) as usize, (cr + cc) as usize)
+        };
+        let live = |&(i, _): &(usize, &Point2)| off.is_none_or(|o| !o[i]);
+
+        // By tile: `starts` becomes the tiles' ranges, and `counts` the
+        // cursors of one stream of ids and one of positions per tile.
+        self.starts.resize(tiles + 1, 0);
+        for (_, &p) in points.iter().enumerate().filter(live) {
+            self.starts[bucket(p).0 + 1] += 1;
+        }
+        for t in 1..=tiles {
+            self.starts[t] += self.starts[t - 1];
+        }
+        let counts = &mut order.counts;
+        counts.clear();
+        counts.extend_from_slice(&self.starts[..tiles]);
+        let n_live = self.starts[tiles] as usize;
+        order.ext.clear();
+        order.ext.resize(n_live, 0);
+        order.points.clear();
+        order.points.resize(n_live, Point2::new(0.0, 0.0));
+        for (i, &p) in points.iter().enumerate().filter(live) {
+            let cursor = &mut counts[bucket(p).0];
+            order.ext[*cursor as usize] = i as u32;
+            order.points[*cursor as usize] = p;
+            *cursor += 1;
+        }
+
+        // By cell within each tile, from a copy of the tile's run: the
+        // whole sort stays inside one tile's worth of memory.
+        for t in 0..tiles {
+            let range = self.starts[t] as usize..self.starts[t + 1] as usize;
+            let (run, run_points) = (&mut order.run, &mut order.run_points);
+            run.clear();
+            run.extend_from_slice(&order.ext[range.clone()]);
+            run_points.clear();
+            run_points.extend_from_slice(&order.points[range.clone()]);
+            counts.clear();
+            counts.resize(kx * ky + 1, 0);
+            for &p in run_points.iter() {
+                counts[bucket(p).1 + 1] += 1;
+            }
+            for c in 1..counts.len() {
+                counts[c] += counts[c - 1];
+            }
+            for (&i, &p) in run.iter().zip(run_points.iter()) {
+                let cursor = &mut counts[bucket(p).1];
+                let slot = range.start + *cursor as usize;
+                order.ext[slot] = i;
+                order.points[slot] = p;
+                *cursor += 1;
+            }
         }
     }
 
@@ -97,10 +213,31 @@ impl TileGrid {
         self.tx * self.ty
     }
 
-    /// The point ids tile `t` owns, ascending.
+    /// The point ids tile `t` owns, ascending, of a grid with lists.
     #[inline]
     pub(crate) fn owned(&self, t: usize) -> &[u32] {
+        debug_assert!(self.starts.is_empty(), "a cell-major grid has no lists");
         &self.owned[t]
+    }
+
+    /// The point ids tile `t` owns, ascending: its range after
+    /// [`TileGrid::fill_cell_major`], its list otherwise.
+    #[inline]
+    pub(crate) fn members(&self, t: usize) -> impl Iterator<Item = u32> + '_ {
+        let range = match self.starts.as_slice() {
+            [] => 0..0,
+            s => s[t]..s[t + 1],
+        };
+        range.chain(self.owned[t].iter().copied())
+    }
+
+    /// How many points tile `t` owns.
+    #[inline]
+    pub(crate) fn owned_count(&self, t: usize) -> usize {
+        match self.starts.as_slice() {
+            [] => self.owned[t].len(),
+            s => (s[t + 1] - s[t]) as usize,
+        }
     }
 
     /// Tile index along one axis, saturating at the edges. The domain
@@ -171,22 +308,29 @@ impl TileGrid {
     /// not widened: round-off can only drop a point within an ulp of
     /// distance `m`, which the margin's inflation already keeps beyond `h`
     /// hops. Each widened side would scan a whole extra row of tiles.
+    ///
+    /// The window's tiles are visited in ascending tile order, so after
+    /// [`TileGrid::fill_cell_major`] (ascending contiguous ranges) the
+    /// output is already ascending; only lists over external ids, which
+    /// interleave across tiles, need the sort.
     pub(crate) fn gather(&self, t: usize, m: f64, points: &[Point2], out: &mut Vec<u32>) {
         out.clear();
         let span = self.tile_span(t);
         self.for_window(span, m, 0, |c| {
             out.extend(
-                self.owned[c]
-                    .iter()
-                    .filter(|&&i| dist2(span, points[i as usize]) <= m * m),
+                self.members(c)
+                    .filter(|&i| dist2(span, points[i as usize]) <= m * m),
             );
         });
-        out.sort_unstable();
+        if !out.is_sorted() {
+            out.sort_unstable();
+        }
     }
 
     /// Gives new point `id` at `p` to its tile. `id` must exceed every id
     /// already owned, so appending keeps the list ascending.
     pub(crate) fn add(&mut self, id: u32, p: Point2) {
+        debug_assert!(self.starts.is_empty(), "a cell-major grid has no lists");
         let t = self.tile_of(p);
         debug_assert!(self.owned[t].last().is_none_or(|&l| l < id));
         self.owned[t].push(id);
@@ -195,6 +339,7 @@ impl TileGrid {
     /// Moves the ownership of point `id` from the tile of `from` to the
     /// tile of `to`, keeping both lists ascending.
     pub(crate) fn relocate(&mut self, id: u32, from: Point2, to: Point2) {
+        debug_assert!(self.starts.is_empty(), "a cell-major grid has no lists");
         let (old_t, new_t) = (self.tile_of(from), self.tile_of(to));
         if old_t != new_t {
             let i = self.owned[old_t]
@@ -209,11 +354,34 @@ impl TileGrid {
     }
 }
 
+/// The internal order [`TileGrid::fill_cell_major`] builds: retained
+/// buffers, so a warm refill allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct CellOrder {
+    /// Internal id → external (caller's) id; live hosts only.
+    pub(crate) ext: Vec<u32>,
+    /// Positions in internal order.
+    pub(crate) points: Vec<Point2>,
+    /// The (tile, cell) parts of the global cell columns, then of the
+    /// rows.
+    axes: Vec<(u32, u32)>,
+    /// Counting-sort cursors: per tile, then per cell of one tile.
+    counts: Vec<u32>,
+    /// One tile's run of external ids and of positions, sorted by cell
+    /// back into `ext` and `points`.
+    run: Vec<u32>,
+    run_points: Vec<Point2>,
+}
+
 /// What every tile of one spatial solve shares: the grid, the instance,
 /// which hosts are off, and the gather margin.
 pub(crate) struct SpatialRun<'a, F> {
     pub(crate) grid: &'a TileGrid,
+    /// Positions, indexed by the grid's ids.
     pub(crate) points: &'a [Point2],
+    /// The grid's ids → the callers' ids ([`CellOrder::ext`]); `None`
+    /// when the grid's ids are the callers' already.
+    pub(crate) ext: Option<&'a [u32]>,
     /// `off(i)`: host `i` is switched off (no edges, all-false verdicts).
     pub(crate) off: F,
     pub(crate) radius: f64,
@@ -228,8 +396,8 @@ impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
     /// the tile, drops the off hosts, builds the induced unit-disk
     /// subgraph, lists the live locals the tile owns and runs
     /// [`solve_locals`]. Every owned host's verdict is pushed to
-    /// `slot.results`: off hosts' (all false) first, then the live ones,
-    /// each group ascending.
+    /// `slot.results` under its external id: off hosts' (all false)
+    /// first, then the live ones.
     pub(crate) fn solve_tile(&self, slot: &mut WorkerSlot, t: usize) {
         let hb = Instant::now();
         {
@@ -238,7 +406,7 @@ impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
                 .gather(t, self.margin, self.points, &mut slot.locals);
             // Off hosts contribute no edges anywhere, so the induced live
             // subgraph equals the full subgraph with them isolated (and
-            // local ids still ascend in global id order — `retain`
+            // local ids still ascend in the grid's id order — `retain`
             // preserves order).
             slot.locals.retain(|&g| !(self.off)(g as usize));
             unit_disk_csr_subset(
@@ -254,7 +422,7 @@ impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
         // Ascending-list merge walk: list the live locals this tile owns.
         slot.owned.clear();
         let mut li = 0;
-        for &g in self.grid.owned(t) {
+        for g in self.grid.members(t) {
             if (self.off)(g as usize) {
                 slot.results.push((g, 0));
                 continue;
@@ -266,7 +434,7 @@ impl<F: Fn(usize) -> bool> SpatialRun<'_, F> {
             slot.owned.push(li as NodeId);
             li += 1;
         }
-        solve_locals(slot, self.energy, self.cfg);
+        solve_locals(slot, self.ext, self.energy, self.cfg);
     }
 }
 
@@ -333,6 +501,43 @@ mod tests {
         let tiles = filled(Rect::new(6.9, 6.9, 7.1, 7.1), (3, 3), &same);
         assert_partition(&tiles, 5);
         assert_eq!(tiles.owned(4), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn cell_major_fill_gives_each_tile_a_contiguous_range_of_live_points() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(56);
+        let bounds = Rect::paper_arena();
+        let pts = placement::uniform_points(&mut rng, bounds, 400);
+        let off: Vec<bool> = (0..400).map(|_| rng.random_bool(0.2)).collect();
+        let (mut tiles, mut order, mut out) =
+            (TileGrid::default(), CellOrder::default(), Vec::new());
+        for (tx, ty) in [(4, 4), (1, 1), (3, 2)] {
+            for mask in [None, Some(off.as_slice())] {
+                let domain = TileGrid::domain(bounds, &pts);
+                tiles.fill_cell_major(domain, (tx, ty), 25.0, &pts, mask, &mut order);
+                let mut ext = order.ext.clone();
+                ext.sort_unstable();
+                let live: Vec<u32> = (0..400u32)
+                    .filter(|&i| mask.is_none_or(|o| !o[i as usize]))
+                    .collect();
+                assert_eq!(ext, live, "every live point gets one internal id");
+                for (i, &g) in order.ext.iter().enumerate() {
+                    assert_eq!(order.points[i], pts[g as usize]);
+                }
+                let mut next = 0u32;
+                for t in 0..tiles.tiles() {
+                    let count = tiles.owned_count(t) as u32;
+                    assert!(tiles.members(t).eq(next..next + count));
+                    next += count;
+                    for i in tiles.members(t) {
+                        assert_eq!(tiles.tile_of(order.points[i as usize]), t);
+                    }
+                    tiles.gather(t, 50.0, &order.points, &mut out);
+                    assert!(out.windows(2).all(|w| w[0] < w[1]), "gathered ascending");
+                }
+                assert_eq!(next as usize, live.len());
+            }
+        }
     }
 
     #[test]
