@@ -379,7 +379,9 @@ mod tests {
     use std::sync::Arc;
 
     fn val(key: u128, len: usize) -> Vec<u8> {
-        (0..len).map(|i| (key as u8).wrapping_add(i as u8)).collect()
+        (0..len)
+            .map(|i| (key as u8).wrapping_add(i as u8))
+            .collect()
     }
 
     #[test]
@@ -473,7 +475,9 @@ mod tests {
                 let mut local_gets = 0u64;
                 let mut state = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 for _ in 0..ops {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     let key = u128::from(state >> 32) % keyspace;
                     if state & 1 == 0 {
                         c.insert(key, &val(key, 64));

@@ -203,12 +203,25 @@ impl Client {
         points: &[(f64, f64)],
         energy: &[u64],
     ) -> Result<GraphOpened, ClientError> {
-        protocol::encode_open_graph(&mut self.req, name, cfg, shards, radius, bounds, points, energy);
+        protocol::encode_open_graph(
+            &mut self.req,
+            name,
+            cfg,
+            shards,
+            radius,
+            bounds,
+            points,
+            energy,
+        );
         self.call(ResponseKind::GraphOpened, decode_graph_opened)
     }
 
     /// Applies a batch of mutation events to an open graph.
-    pub fn mutate(&mut self, name: &str, events: &[WireEvent]) -> Result<MutateResult, ClientError> {
+    pub fn mutate(
+        &mut self,
+        name: &str,
+        events: &[WireEvent],
+    ) -> Result<MutateResult, ClientError> {
         protocol::encode_mutate(&mut self.req, name, events);
         self.call(ResponseKind::MutateResult, decode_mutate_result)
     }

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use pacds_core::{CdsConfig, CdsWorkspace};
 use pacds_geom::{Point2, Rect};
-use pacds_shard::{check_shardable, ChurnEngine, ChurnEvent, ShardSpec, ShardedCds, REQUIRED_HALO};
 use pacds_graph::digest::{DigestSink, Fnv1a128};
+use pacds_shard::{check_shardable, ChurnEngine, ChurnEvent, ShardSpec, ShardedCds, REQUIRED_HALO};
 
 use crate::keys;
 use pacds_graph::{algo, gen, Graph, NodeId};
@@ -430,7 +430,10 @@ fn deadline_of(received: Instant, deadline_ms: u32) -> Option<Instant> {
 
 fn deadline_hit(state: &ServeState, resp: &mut Vec<u8>, deadline: Option<Instant>) -> bool {
     if deadline.is_some_and(|d| Instant::now() > d) {
-        state.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        state
+            .stats
+            .deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
         pacds_obs::inc(pacds_obs::Counter::ServeDeadlineExceeded);
         encode_error(resp, ErrorCode::DeadlineExceeded, "deadline elapsed");
         true
@@ -473,8 +476,20 @@ fn handle_compute(
     if let Some(levels) = req.energies() {
         scratch.energy.extend(levels);
     }
-    let energy = req.energy_raw.is_some().then_some(scratch.energy.as_slice());
-    Ok(compute_and_encode(state, scratch, &req.cfg, energy.is_some(), resp, deadline, claim, trace))
+    let energy = req
+        .energy_raw
+        .is_some()
+        .then_some(scratch.energy.as_slice());
+    Ok(compute_and_encode(
+        state,
+        scratch,
+        &req.cfg,
+        energy.is_some(),
+        resp,
+        deadline,
+        claim,
+        trace,
+    ))
 }
 
 fn handle_gen(
@@ -517,10 +532,14 @@ fn handle_gen(
         None => scratch.energy.extend(std::iter::repeat_n(10u64, n)),
         Some(seed) => {
             let mut erng = ChaCha8Rng::seed_from_u64(seed);
-            scratch.energy.extend((0..n).map(|_| erng.random_range(0..=10u64)));
+            scratch
+                .energy
+                .extend((0..n).map(|_| erng.random_range(0..=10u64)));
         }
     }
-    Ok(compute_and_encode(state, scratch, &req.cfg, true, resp, deadline, claim, trace))
+    Ok(compute_and_encode(
+        state, scratch, &req.cfg, true, resp, deadline, claim, trace,
+    ))
 }
 
 /// The single-flight cache step of a compute request. `Err` means `resp`
@@ -588,7 +607,11 @@ fn compute_and_encode(
 ) -> HandleOutcome {
     let use_shard = use_shard(state, cfg, scratch.graph.n());
     {
-        let _s = pacds_obs::span(trace, pacds_obs::SpanKind::Compute, scratch.graph.n() as u32);
+        let _s = pacds_obs::span(
+            trace,
+            pacds_obs::SpanKind::Compute,
+            scratch.graph.n() as u32,
+        );
         let _t = pacds_obs::phase_timer(pacds_obs::Phase::ServeCompute);
         let energy = with_energy.then_some(scratch.energy.as_slice());
         if use_shard {
@@ -609,12 +632,31 @@ fn compute_and_encode(
     let count = |mask: &[bool]| mask.iter().filter(|&&b| b).count() as u32;
     let (marked, after1, gateway_count, rounds, mask) = if use_shard {
         let e = &scratch.sharded;
-        (count(e.marked()), count(e.after_rule1()), e.gateway_count(), e.rounds(), e.gateways())
+        (
+            count(e.marked()),
+            count(e.after_rule1()),
+            e.gateway_count(),
+            e.rounds(),
+            e.gateways(),
+        )
     } else {
         let w = &scratch.ws;
-        (count(w.marked()), count(w.after_rule1()), w.gateway_count(), w.rounds(), w.gateways())
+        (
+            count(w.marked()),
+            count(w.after_rule1()),
+            w.gateway_count(),
+            w.rounds(),
+            w.gateways(),
+        )
     };
-    protocol::encode_cds_result(resp, marked, after1, gateway_count as u32, rounds as u32, mask);
+    protocol::encode_cds_result(
+        resp,
+        marked,
+        after1,
+        gateway_count as u32,
+        rounds as u32,
+        mask,
+    );
     if let Some(claim) = claim {
         claim.insert(resp);
     }
@@ -638,7 +680,12 @@ fn handle_open_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     };
     let mut graphs = state.graphs.inner.lock().expect("registry poisoned");
     if graphs.contains_key(req.name) {
-        return Ok(input_error(state, resp, ErrorCode::GraphExists, "graph already open"));
+        return Ok(input_error(
+            state,
+            resp,
+            ErrorCode::GraphExists,
+            "graph already open",
+        ));
     }
     if graphs.len() >= MAX_OPEN_GRAPHS {
         state.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -680,7 +727,12 @@ fn handle_mutate(
     state.stats.mutations.fetch_add(1, Ordering::Relaxed);
     let mut graphs = state.graphs.inner.lock().expect("registry poisoned");
     let Some(open) = graphs.get_mut(name) else {
-        return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
+        return Ok(input_error(
+            state,
+            resp,
+            ErrorCode::UnknownGraph,
+            "graph not open",
+        ));
     };
     let mut applied = 0u32;
     let mut rejection = None;
@@ -733,7 +785,10 @@ fn handle_mutate(
         .mutation_events
         .fetch_add(u64::from(applied), Ordering::Relaxed);
     if let Some(msg) = rejection {
-        state.stats.mutation_rejected.fetch_add(1, Ordering::Relaxed);
+        state
+            .stats
+            .mutation_rejected
+            .fetch_add(1, Ordering::Relaxed);
         encode_error(resp, ErrorCode::MutationRejected, &msg);
         return Ok(HandleOutcome::KeepOpen);
     }
@@ -759,7 +814,12 @@ fn handle_close_graph(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Ha
         .expect("registry poisoned")
         .remove(name);
     if removed.is_none() {
-        return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
+        return Ok(input_error(
+            state,
+            resp,
+            ErrorCode::UnknownGraph,
+            "graph not open",
+        ));
     }
     state.stats.graphs_closed.fetch_add(1, Ordering::Relaxed);
     protocol::encode_graph_closed(resp);
@@ -771,7 +831,12 @@ fn handle_query_tile(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     state.stats.tile_queries.fetch_add(1, Ordering::Relaxed);
     let graphs = state.graphs.inner.lock().expect("registry poisoned");
     let Some(open) = graphs.get(name) else {
-        return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
+        return Ok(input_error(
+            state,
+            resp,
+            ErrorCode::UnknownGraph,
+            "graph not open",
+        ));
     };
     if tile as usize >= open.engine.tiles() {
         return Ok(bad_input(state, resp, "tile out of range"));
@@ -805,7 +870,12 @@ fn handle_subscribe(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Hand
         if let Some(name) = req.graph {
             let graphs = state.graphs.inner.lock().expect("registry poisoned");
             if !graphs.contains_key(name) {
-                return Ok(input_error(state, resp, ErrorCode::UnknownGraph, "graph not open"));
+                return Ok(input_error(
+                    state,
+                    resp,
+                    ErrorCode::UnknownGraph,
+                    "graph not open",
+                ));
             }
         }
     }
@@ -878,7 +948,13 @@ mod tests {
         let mut frame = Vec::new();
         protocol::encode_compute_cds(&mut frame, flags, 0, cfg, n, edges, energy);
         let mut resp = Vec::new();
-        let outcome = handle_payload(state, scratch, &frame[LEN_PREFIX..], &mut resp, Instant::now());
+        let outcome = handle_payload(
+            state,
+            scratch,
+            &frame[LEN_PREFIX..],
+            &mut resp,
+            Instant::now(),
+        );
         (resp, outcome)
     }
 
@@ -894,8 +970,7 @@ mod tests {
         let mut scratch = WorkerScratch::new();
         let edges = [(0u32, 1), (1, 2), (2, 3), (3, 4), (1, 3)];
         let cfg = CdsConfig::sequential(Policy::Degree);
-        let (resp, outcome) =
-            compute_via_handler(&state, &mut scratch, &cfg, 5, &edges, None, 0);
+        let (resp, outcome) = compute_via_handler(&state, &mut scratch, &cfg, 5, &edges, None, 0);
         assert_eq!(outcome, HandleOutcome::KeepOpen);
         let p = resp_payload(&resp);
         assert_eq!(ResponseKind::from_wire(p[1]), Some(ResponseKind::CdsResult));
@@ -922,13 +997,19 @@ mod tests {
         let a = protocol::decode_cds_result(&resp_payload(&first)[2..]).unwrap();
         let b = protocol::decode_cds_result(&resp_payload(&second)[2..]).unwrap();
         assert!(!a.cache_hit);
-        assert!(b.cache_hit, "permuted wire order must share the cache entry");
+        assert!(
+            b.cache_hit,
+            "permuted wire order must share the cache entry"
+        );
         assert_eq!(a.mask, b.mask);
         assert_eq!(state.cache.stats().hits, 1);
         // Identical except the cache flag byte.
         let mut patched = first.clone();
         protocol::mark_cache_hit(&mut patched);
-        assert_eq!(patched, second, "cached bytes identical modulo the hit flag");
+        assert_eq!(
+            patched, second,
+            "cached bytes identical modulo the hit flag"
+        );
     }
 
     #[test]
@@ -938,15 +1019,8 @@ mod tests {
         let cfg = CdsConfig::policy(Policy::Degree);
         let edges = [(0u32, 1), (1, 2)];
         for _ in 0..2 {
-            let (resp, _) = compute_via_handler(
-                &state,
-                &mut scratch,
-                &cfg,
-                3,
-                &edges,
-                None,
-                FLAG_NO_CACHE,
-            );
+            let (resp, _) =
+                compute_via_handler(&state, &mut scratch, &cfg, 3, &edges, None, FLAG_NO_CACHE);
             let r = protocol::decode_cds_result(&resp_payload(&resp)[2..]).unwrap();
             assert!(!r.cache_hit);
         }
@@ -993,7 +1067,11 @@ mod tests {
         ] {
             let (resp, outcome) =
                 compute_via_handler(&state, &mut scratch, &cfg, 3, edges, None, 0);
-            assert_eq!(outcome, HandleOutcome::KeepOpen, "{what}: BadInput keeps the connection");
+            assert_eq!(
+                outcome,
+                HandleOutcome::KeepOpen,
+                "{what}: BadInput keeps the connection"
+            );
             let p = resp_payload(&resp);
             assert_eq!(ResponseKind::from_wire(p[1]), Some(ResponseKind::Error));
             let e = protocol::decode_error(&p[2..]).unwrap();
@@ -1008,8 +1086,7 @@ mod tests {
         let mut scratch = WorkerScratch::new();
         let mut resp = Vec::new();
         for payload in [&[99u8, 1][..], &[PROTOCOL_VERSION, 0x7E][..], &[1u8][..]] {
-            let outcome =
-                handle_payload(&state, &mut scratch, payload, &mut resp, Instant::now());
+            let outcome = handle_payload(&state, &mut scratch, payload, &mut resp, Instant::now());
             assert_eq!(outcome, HandleOutcome::Close);
             let p = resp_payload(&resp);
             let e = protocol::decode_error(&p[2..]).unwrap();
@@ -1037,8 +1114,20 @@ mod tests {
         req.encode(&mut frame);
         let mut first = Vec::new();
         let mut second = Vec::new();
-        handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut first, Instant::now());
-        handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut second, Instant::now());
+        handle_payload(
+            &state,
+            &mut scratch,
+            &frame[LEN_PREFIX..],
+            &mut first,
+            Instant::now(),
+        );
+        handle_payload(
+            &state,
+            &mut scratch,
+            &frame[LEN_PREFIX..],
+            &mut second,
+            Instant::now(),
+        );
         let a = protocol::decode_cds_result(&resp_payload(&first)[2..]).unwrap();
         let b = protocol::decode_cds_result(&resp_payload(&second)[2..]).unwrap();
         assert!(!a.cache_hit);
@@ -1071,17 +1160,36 @@ mod tests {
         let mut frame = Vec::new();
         protocol::encode_ping(&mut frame);
         let mut resp = Vec::new();
-        handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut resp, Instant::now());
+        handle_payload(
+            &state,
+            &mut scratch,
+            &frame[LEN_PREFIX..],
+            &mut resp,
+            Instant::now(),
+        );
         assert_eq!(resp_payload(&resp)[1], ResponseKind::Pong as u8);
 
         // One compute so the counters are non-trivial.
         let cfg = CdsConfig::policy(Policy::Degree);
         compute_via_handler(&state, &mut scratch, &cfg, 3, &[(0, 1), (1, 2)], None, 0);
-        for format in [StatsFormat::Table, StatsFormat::Jsonl, StatsFormat::Prometheus] {
+        for format in [
+            StatsFormat::Table,
+            StatsFormat::Jsonl,
+            StatsFormat::Prometheus,
+        ] {
             protocol::encode_stats_request(&mut frame, format);
-            handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut resp, Instant::now());
+            handle_payload(
+                &state,
+                &mut scratch,
+                &frame[LEN_PREFIX..],
+                &mut resp,
+                Instant::now(),
+            );
             let p = resp_payload(&resp);
-            assert_eq!(ResponseKind::from_wire(p[1]), Some(ResponseKind::StatsResult));
+            assert_eq!(
+                ResponseKind::from_wire(p[1]),
+                Some(ResponseKind::StatsResult)
+            );
             let s = protocol::decode_stats_result(&p[2..]).unwrap();
             assert_eq!(s.counter("compute"), Some(1));
             assert_eq!(s.counter("cache_misses"), Some(1));
@@ -1110,10 +1218,22 @@ mod tests {
             let mut ws_scratch = WorkerScratch::new();
             let mut sh_scratch = WorkerScratch::new();
             let (a, _) = compute_via_handler(
-                &never, &mut ws_scratch, &cfg, 80, &edges, Some(&energy), FLAG_NO_CACHE,
+                &never,
+                &mut ws_scratch,
+                &cfg,
+                80,
+                &edges,
+                Some(&energy),
+                FLAG_NO_CACHE,
             );
             let (b, _) = compute_via_handler(
-                &always, &mut sh_scratch, &cfg, 80, &edges, Some(&energy), FLAG_NO_CACHE,
+                &always,
+                &mut sh_scratch,
+                &cfg,
+                80,
+                &edges,
+                Some(&energy),
+                FLAG_NO_CACHE,
             );
             assert_eq!(a, b, "{policy:?}: response frames must be byte-identical");
             // The sharded engine really ran (its stats are per-compute).
@@ -1131,8 +1251,7 @@ mod tests {
         // answered, by the whole-graph workspace.
         let cfg = CdsConfig::sequential(Policy::Degree);
         let edges = [(0u32, 1), (1, 2), (2, 3), (1, 3), (3, 4)];
-        let (resp, outcome) =
-            compute_via_handler(&state, &mut scratch, &cfg, 5, &edges, None, 0);
+        let (resp, outcome) = compute_via_handler(&state, &mut scratch, &cfg, 5, &edges, None, 0);
         assert_eq!(outcome, HandleOutcome::KeepOpen);
         let r = protocol::decode_cds_result(&resp_payload(&resp)[2..]).unwrap();
         let g = Graph::from_edges(5, &edges);
@@ -1149,7 +1268,11 @@ mod tests {
         let cfg = CdsConfig::policy(Policy::Degree);
         let small = [(0u32, 1), (1, 2)];
         compute_via_handler(&state, &mut scratch, &cfg, 3, &small, None, FLAG_NO_CACHE);
-        assert_eq!(scratch.sharded.stats().tiles, 0, "below threshold: whole-graph");
+        assert_eq!(
+            scratch.sharded.stats().tiles,
+            0,
+            "below threshold: whole-graph"
+        );
         let big = [(0u32, 1), (1, 2), (2, 3), (3, 4)];
         compute_via_handler(&state, &mut scratch, &cfg, 5, &big, None, FLAG_NO_CACHE);
         assert!(scratch.sharded.stats().tiles > 0, "at threshold: sharded");
@@ -1159,7 +1282,10 @@ mod tests {
         let mut scratch = WorkerScratch::new();
         let n = MAX_WORKSPACE_NODES + 1;
         compute_via_handler(&state, &mut scratch, &cfg, n, &[], None, FLAG_NO_CACHE);
-        assert!(scratch.sharded.stats().tiles > 0, "past MAX_WORKSPACE_NODES: sharded");
+        assert!(
+            scratch.sharded.stats().tiles > 0,
+            "past MAX_WORKSPACE_NODES: sharded"
+        );
     }
 
     #[test]
@@ -1179,9 +1305,24 @@ mod tests {
         let cfg = CdsConfig::policy(Policy::Degree);
         let mut frame = Vec::new();
         let bounds = (0.0, 0.0, 100.0, 100.0);
-        protocol::encode_open_graph(&mut frame, "g", &cfg, u32::MAX, 25.0, bounds, &[(1.0, 1.0)], &[10]);
+        protocol::encode_open_graph(
+            &mut frame,
+            "g",
+            &cfg,
+            u32::MAX,
+            25.0,
+            bounds,
+            &[(1.0, 1.0)],
+            &[10],
+        );
         let mut resp = Vec::new();
-        let outcome = handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut resp, Instant::now());
+        let outcome = handle_payload(
+            &state,
+            &mut scratch,
+            &frame[LEN_PREFIX..],
+            &mut resp,
+            Instant::now(),
+        );
         assert_eq!(outcome, HandleOutcome::KeepOpen);
         let e = protocol::decode_error(&resp_payload(&resp)[2..]).unwrap();
         assert_eq!(e.code, ErrorCode::BadInput);
@@ -1199,11 +1340,27 @@ mod tests {
         let mut frame = Vec::new();
         protocol::encode_compute_cds(&mut frame, 0, 0, &cfg, 5, &edges, None);
         let mut resp = Vec::with_capacity(4096);
-        handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut resp, Instant::now());
+        handle_payload(
+            &state,
+            &mut scratch,
+            &frame[LEN_PREFIX..],
+            &mut resp,
+            Instant::now(),
+        );
         let ptr = resp.as_ptr();
         for _ in 0..10 {
-            handle_payload(&state, &mut scratch, &frame[LEN_PREFIX..], &mut resp, Instant::now());
-            assert_eq!(resp.as_ptr(), ptr, "warm hit must reuse the response buffer");
+            handle_payload(
+                &state,
+                &mut scratch,
+                &frame[LEN_PREFIX..],
+                &mut resp,
+                Instant::now(),
+            );
+            assert_eq!(
+                resp.as_ptr(),
+                ptr,
+                "warm hit must reuse the response buffer"
+            );
         }
         assert_eq!(state.cache.stats().hits, 10);
     }

@@ -148,9 +148,7 @@ impl SubscriberHub {
         let subs = self.inner.lock().expect("hub poisoned");
         let mut frame: Option<Arc<Vec<u8>>> = None;
         for sub in subs.iter() {
-            if sub.flags & SUB_FLIPS == 0
-                || sub.graph.as_deref().is_some_and(|g| g != name)
-            {
+            if sub.flags & SUB_FLIPS == 0 || sub.graph.as_deref().is_some_and(|g| g != name) {
                 continue;
             }
             let frame = frame.get_or_insert_with(|| {

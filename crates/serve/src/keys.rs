@@ -37,7 +37,12 @@ pub fn put_config_key<D: DigestSink>(d: &mut D, cfg: &CdsConfig) {
 /// `u < v`, sorted, deduplicated) and `energy_raw` is the raw `n × 8`-byte
 /// little-endian energy block from the wire, if present — exactly what the
 /// server folds, so coordinator and backend derive identical keys.
-pub fn compute_key(cfg: &CdsConfig, energy_raw: Option<&[u8]>, n: u32, edges: &[(u32, u32)]) -> u128 {
+pub fn compute_key(
+    cfg: &CdsConfig,
+    energy_raw: Option<&[u8]>,
+    n: u32,
+    edges: &[(u32, u32)],
+) -> u128 {
     let mut d = Fnv1a128::new();
     d.write(KEY_TAG_COMPUTE);
     put_config_key(&mut d, cfg);

@@ -347,8 +347,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, ClientError> {
             started.fetch_add(1, Ordering::SeqCst);
             let mut seq = 0usize;
             // Spread open-loop ticks across workers.
-            let mut next_tick = per_conn_interval
-                .map(|iv| Instant::now() + iv.mul_f64(w as f64 / workers as f64));
+            let mut next_tick =
+                per_conn_interval.map(|iv| Instant::now() + iv.mul_f64(w as f64 / workers as f64));
             while !stop.load(Ordering::Relaxed) {
                 let scheduled = match next_tick {
                     None => Instant::now(),
@@ -386,7 +386,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, ClientError> {
                 let mut cache_hit = false;
                 let sent = match kind {
                     ReqKind::Compute if gen_seeds > 0 => {
-                        let mut req = gen_request(&gen_cfg, seed0 + (seq % gen_seeds) as u64, flags);
+                        let mut req =
+                            gen_request(&gen_cfg, seed0 + (seq % gen_seeds) as u64, flags);
                         req.deadline_ms = deadline_ms;
                         c.gen_compute(&req).map(|r| cache_hit = r.cache_hit)
                     }
@@ -576,12 +577,23 @@ mod tests {
 
     #[test]
     fn kind_stats_handles_empty_and_computes_percentiles() {
-        assert_eq!(KindStats::from_latencies(&mut Vec::new()), KindStats::default());
+        assert_eq!(
+            KindStats::from_latencies(&mut Vec::new()),
+            KindStats::default()
+        );
         let mut lat: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
         let s = KindStats::from_latencies(&mut lat);
         assert_eq!(s.requests, 100);
-        assert!((s.p50_us - 51.0).abs() < 1.5, "p50 ~ median, got {}", s.p50_us);
-        assert!((s.p99_us - 99.0).abs() < 1.5, "p99 near top, got {}", s.p99_us);
+        assert!(
+            (s.p50_us - 51.0).abs() < 1.5,
+            "p50 ~ median, got {}",
+            s.p50_us
+        );
+        assert!(
+            (s.p99_us - 99.0).abs() < 1.5,
+            "p99 near top, got {}",
+            s.p99_us
+        );
         assert_eq!(s.max_us, 100.0);
     }
 }

@@ -310,7 +310,9 @@ fn protocol_abuse_gets_typed_recoverable_errors() {
     let payload = client.send_raw(&frame).unwrap();
     let e = decode_error(&payload[2..]).unwrap();
     assert_eq!(e.code, ErrorCode::BadInput);
-    client.ping().expect("connection survived the bad event kind");
+    client
+        .ping()
+        .expect("connection survived the bad event kind");
 
     // All of the above left the server consistent.
     let stats = client.stats(StatsFormat::Table).unwrap();

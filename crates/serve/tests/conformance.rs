@@ -17,12 +17,7 @@ use pacds_testkit::{named_families, random_unit_disk_cases};
 
 /// Issues the instance twice against the live server, asserting the
 /// cold/warm cache contract, and returns the (shared) mask.
-fn served_mask(
-    client: &mut Client,
-    g: &Graph,
-    energy: &[u64],
-    cfg: &CdsConfig,
-) -> VertexMask {
+fn served_mask(client: &mut Client, g: &Graph, energy: &[u64], cfg: &CdsConfig) -> VertexMask {
     let edges: Vec<(u32, u32)> = g.edges().collect();
     let n = g.n() as u32;
     let cold = client
@@ -31,8 +26,14 @@ fn served_mask(
     let warm = client
         .compute_cds(cfg, n, &edges, Some(energy), 0, 0)
         .expect("served compute (warm)");
-    assert!(warm.cache_hit, "second identical request must hit the cache");
-    assert_eq!(cold.mask, warm.mask, "cache-warm answer must be bit-identical");
+    assert!(
+        warm.cache_hit,
+        "second identical request must hit the cache"
+    );
+    assert_eq!(
+        cold.mask, warm.mask,
+        "cache-warm answer must be bit-identical"
+    );
     assert_eq!(
         (cold.marked, cold.after_rule1, cold.gateways, cold.rounds),
         (warm.marked, warm.after_rule1, warm.gateways, warm.rounds),

@@ -116,8 +116,14 @@ fn digests_separate_every_input_axis() {
     let base = compute_key(&cfg, None, 6, &edges);
 
     // Config axis.
-    assert_ne!(base, compute_key(&CdsConfig::sequential(Policy::Degree), None, 6, &edges));
-    assert_ne!(base, compute_key(&CdsConfig::policy(Policy::Id), None, 6, &edges));
+    assert_ne!(
+        base,
+        compute_key(&CdsConfig::sequential(Policy::Degree), None, 6, &edges)
+    );
+    assert_ne!(
+        base,
+        compute_key(&CdsConfig::policy(Policy::Id), None, 6, &edges)
+    );
     // Vertex-count axis (same edges, extra isolated vertex).
     assert_ne!(base, compute_key(&cfg, None, 7, &edges));
     // Energy axis: absence, presence, and content are all distinct.

@@ -120,7 +120,8 @@ fn read_frame(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 
 fn raw_conn(addr: SocketAddr) -> TcpStream {
     let conn = TcpStream::connect(addr).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     conn
 }
 
@@ -151,20 +152,30 @@ fn malformed_truncated_and_oversized_frames_get_typed_errors() {
         let mut conn = raw_conn(rig.addr());
         conn.write_all(&[2, 0, 0, 0, 99, 0x01]).unwrap();
         let payload = read_frame(&mut conn).unwrap();
-        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Error), "{what}");
+        assert_eq!(
+            ResponseKind::from_wire(payload[1]),
+            Some(ResponseKind::Error),
+            "{what}"
+        );
         let e = decode_error(&payload[2..]).unwrap();
         assert_eq!(e.code, ErrorCode::UnsupportedVersion, "{what}");
-        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "{what}: connection closed");
+        assert_eq!(
+            conn.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "{what}: connection closed"
+        );
 
         // Unknown request kind.
         let mut conn = raw_conn(rig.addr());
-        conn.write_all(&[2, 0, 0, 0, PROTOCOL_VERSION, 0x6E]).unwrap();
+        conn.write_all(&[2, 0, 0, 0, PROTOCOL_VERSION, 0x6E])
+            .unwrap();
         let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
         assert_eq!(e.code, ErrorCode::UnknownKind, "{what}");
 
         // Truncated body: a ComputeCds header whose body stops mid-field.
         let mut conn = raw_conn(rig.addr());
-        conn.write_all(&[5, 0, 0, 0, PROTOCOL_VERSION, 0x01, 1, 2, 3]).unwrap();
+        conn.write_all(&[5, 0, 0, 0, PROTOCOL_VERSION, 0x01, 1, 2, 3])
+            .unwrap();
         let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
         assert_eq!(e.code, ErrorCode::Malformed, "{what}");
 
@@ -174,7 +185,11 @@ fn malformed_truncated_and_oversized_frames_get_typed_errors() {
         conn.write_all(&huge).unwrap();
         let e = decode_error(&read_frame(&mut conn).unwrap()[2..]).unwrap();
         assert_eq!(e.code, ErrorCode::Oversized, "{what}");
-        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "{what}: connection closed");
+        assert_eq!(
+            conn.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "{what}: connection closed"
+        );
 
         // A half-written frame followed by a client hangup must not wedge a
         // worker: the server stays fully responsive afterwards.
@@ -201,7 +216,9 @@ fn bad_input_keeps_the_connection_usable() {
         other => panic!("expected BadInput, got {other}"),
     }
     // Same connection still serves valid requests.
-    let ok = client.compute_cds(&cfg, 3, &[(0, 1), (1, 2)], None, 0, 0).unwrap();
+    let ok = client
+        .compute_cds(&cfg, 3, &[(0, 1), (1, 2)], None, 0, 0)
+        .unwrap();
     assert_eq!(ok.mask.len(), 3);
 }
 
@@ -264,11 +281,19 @@ fn backpressure_rejects_with_a_typed_frame() {
 
         let mut c = raw_conn(rig.addr());
         let payload = read_frame(&mut c).expect("REJECTED arrives without any request");
-        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Error), "{what}");
+        assert_eq!(
+            ResponseKind::from_wire(payload[1]),
+            Some(ResponseKind::Error),
+            "{what}"
+        );
         let e = decode_error(&payload[2..]).unwrap();
         assert_eq!(e.code, ErrorCode::Rejected, "{what}");
         assert!(!e.code.is_connection_fatal(), "REJECTED is retryable");
-        assert_eq!(c.read(&mut [0u8; 1]).unwrap(), 0, "{what}: rejected conn closed");
+        assert_eq!(
+            c.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "{what}: rejected conn closed"
+        );
 
         // Releasing A lets the worker drain B: the queued connection is
         // served, not dropped.
@@ -276,7 +301,11 @@ fn backpressure_rejects_with_a_typed_frame() {
         let mut b = b;
         encode_frame_ping(&mut b);
         let payload = read_frame(&mut b).unwrap();
-        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Pong), "{what}");
+        assert_eq!(
+            ResponseKind::from_wire(payload[1]),
+            Some(ResponseKind::Pong),
+            "{what}"
+        );
 
         assert_eq!(rig.rejected(), 1, "{what}");
     }
@@ -309,7 +338,11 @@ fn graceful_shutdown_drains_queued_work() {
         // The idle connection A is released by the shutdown poll; the worker
         // then drains B.
         let payload = read_frame(&mut b).expect("queued request served during drain");
-        assert_eq!(ResponseKind::from_wire(payload[1]), Some(ResponseKind::Pong), "{what}");
+        assert_eq!(
+            ResponseKind::from_wire(payload[1]),
+            Some(ResponseKind::Pong),
+            "{what}"
+        );
         let rig = closer.join().unwrap();
 
         // Fully stopped: new connections are refused (or reset immediately).
@@ -388,7 +421,11 @@ fn concurrent_clients_share_the_cache_consistently() {
 
     let mut handles = Vec::new();
     for t in 0..8 {
-        let topo = if t % 2 == 0 { topo_a.clone() } else { topo_b.clone() };
+        let topo = if t % 2 == 0 {
+            topo_a.clone()
+        } else {
+            topo_b.clone()
+        };
         handles.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             let mut first_mask = None;
@@ -408,7 +445,11 @@ fn concurrent_clients_share_the_cache_consistently() {
     assert_eq!(masks[1], masks[3]);
 
     let cache = server.state().cache.stats();
-    assert_eq!(cache.hits + cache.misses, 400, "every request hit the cache path");
+    assert_eq!(
+        cache.hits + cache.misses,
+        400,
+        "every request hit the cache path"
+    );
     assert!(cache.hits >= 398, "at most one miss per distinct topology");
     assert_eq!(cache.entries, 2);
 }
@@ -445,12 +486,20 @@ fn concurrent_cold_requests_for_one_topology_compute_once() {
         })
         .collect();
     let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    assert_eq!(results.iter().filter(|r| !r.cache_hit).count(), 1, "one computed answer");
+    assert_eq!(
+        results.iter().filter(|r| !r.cache_hit).count(),
+        1,
+        "one computed answer"
+    );
     for r in &results {
         assert_eq!(r.mask, results[0].mask, "every answer is the same frame");
     }
     let cache = server.state().cache.stats();
-    assert_eq!((cache.misses, cache.hits), (1, N as u64 - 1), "one miss, the waiters hit");
+    assert_eq!(
+        (cache.misses, cache.hits),
+        (1, N as u64 - 1),
+        "one miss, the waiters hit"
+    );
     assert_eq!(cache.entries, 1);
 }
 
@@ -495,7 +544,10 @@ fn eviction_races_stay_consistent_on_a_live_server() {
         h.join().unwrap();
     }
     let stats = server.state().cache.stats();
-    assert!(stats.evictions > 0, "undersized cache must evict under load");
+    assert!(
+        stats.evictions > 0,
+        "undersized cache must evict under load"
+    );
     assert_eq!(
         server
             .state()

@@ -291,7 +291,8 @@ fn metrics_listener_answers_a_plain_http_scrape() {
     .expect("bind ephemeral ports");
     let maddr = server.metrics_addr().expect("metrics listener bound");
     let mut conn = std::net::TcpStream::connect(maddr).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
     let mut resp = String::new();
     let _ = conn.read_to_string(&mut resp);
