@@ -198,7 +198,11 @@ pub fn cluster(
     }
     let listener = TcpListener::bind(addr)?;
     let workers = if cfg.workers == 0 { 4 } else { cfg.workers };
-    let vnodes = if cfg.vnodes == 0 { DEFAULT_VNODES } else { cfg.vnodes };
+    let vnodes = if cfg.vnodes == 0 {
+        DEFAULT_VNODES
+    } else {
+        cfg.vnodes
+    };
 
     let members: Vec<Arc<Backend>> = backends
         .iter()
@@ -292,15 +296,21 @@ impl Handler for ProxyWorker {
             RequestKind::GenCompute => {
                 GenComputeRequest::decode(body).map(|req| (keys::gen_key(&req), false))
             }
-            RequestKind::OpenGraph | RequestKind::Mutate | RequestKind::CloseGraph
+            RequestKind::OpenGraph
+            | RequestKind::Mutate
+            | RequestKind::CloseGraph
             | RequestKind::QueryTile => {
                 // Every stateful body starts with the graph name — all the
                 // coordinator needs; the pinned backend performs the full
                 // decode and answers any deeper malformation itself.
                 protocol::graph_name_of(body).map(|name| (keys::graph_name_key(name), true))
             }
-            RequestKind::Subscribe => protocol::decode_subscribe(body)
-                .map(|req| (req.graph.map_or(SUBSCRIBE_STATS_KEY, keys::graph_name_key), false)),
+            RequestKind::Subscribe => protocol::decode_subscribe(body).map(|req| {
+                (
+                    req.graph.map_or(SUBSCRIBE_STATS_KEY, keys::graph_name_key),
+                    false,
+                )
+            }),
         };
         let (key, stateful) = match keyed {
             Ok(keyed) => keyed,
@@ -435,7 +445,12 @@ fn no_backend(state: &ClusterState, resp: &mut Vec<u8>) -> Outcome {
 /// subscriber by construction. A backend-side lag NACK
 /// ([`ErrorCode::SubscriberLagged`]) is just another frame here: relayed
 /// verbatim, then both sockets close (the backend closed its end).
-fn pump_pushes(upstream: TcpStream, mut client: TcpStream, state: &ClusterState, stop: &AtomicBool) {
+fn pump_pushes(
+    upstream: TcpStream,
+    mut client: TcpStream,
+    state: &ClusterState,
+    stop: &AtomicBool,
+) {
     let _ = upstream.set_read_timeout(Some(POLL_INTERVAL));
     let mut buf = Vec::new();
     // Ends when the server stops or the backend closes (incl. after a lag
@@ -475,7 +490,10 @@ fn local_stats(state: &ClusterState, body: &[u8], resp: &mut Vec<u8>) -> Outcome
             let _ = pacds_obs::write_prometheus(&pacds_obs::Snapshot::capture(), &mut text);
         }
     }
-    let entries: Vec<(&str, u64)> = entries.iter().map(|(name, v)| (name.as_str(), *v)).collect();
+    let entries: Vec<(&str, u64)> = entries
+        .iter()
+        .map(|(name, v)| (name.as_str(), *v))
+        .collect();
     protocol::encode_stats_result(resp, &entries, &text);
     Outcome::KeepOpen
 }

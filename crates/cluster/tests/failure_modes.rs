@@ -191,7 +191,9 @@ fn all_backends_down_is_a_fast_typed_rejection() {
 
     // The client connection survives the rejection (Rejected is not
     // connection-fatal) — and the coordinator itself stays alive.
-    client.ping().expect("coordinator still answers after rejecting");
+    client
+        .ping()
+        .expect("coordinator still answers after rejecting");
 }
 
 #[test]
@@ -225,7 +227,10 @@ fn stalled_subscriber_is_retired_through_the_proxy() {
         }
         compute.gen_compute(&gen_req(7)).unwrap();
     }
-    assert!(state.hub.is_empty(), "stalled proxied subscriber was retired");
+    assert!(
+        state.hub.is_empty(),
+        "stalled proxied subscriber was retired"
+    );
     assert!(state.hub.dropped() > 0 || state.hub.lagged_total() > 0);
     compute.ping().unwrap();
 }
@@ -286,7 +291,15 @@ fn stateful_graphs_pin_to_one_backend_through_the_proxy() {
         .collect();
     let energy = vec![100u64; points.len()];
     let opened = client
-        .open_graph("pinned", &cfg, 2, 40.0, (0.0, 0.0, 100.0, 100.0), &points, &energy)
+        .open_graph(
+            "pinned",
+            &cfg,
+            2,
+            40.0,
+            (0.0, 0.0, 100.0, 100.0),
+            &points,
+            &energy,
+        )
         .expect("open through the proxy");
     assert!(opened.tiles >= 1);
 
@@ -303,7 +316,10 @@ fn stateful_graphs_pin_to_one_backend_through_the_proxy() {
     );
     client.close_graph("pinned").unwrap();
     assert_eq!(
-        [&b0, &b1].iter().map(|b| b.state().graphs.len()).sum::<usize>(),
+        [&b0, &b1]
+            .iter()
+            .map(|b| b.state().graphs.len())
+            .sum::<usize>(),
         0
     );
     assert!(counter(&coord, "cluster.routed_stateful") >= 3);
