@@ -12,8 +12,8 @@
 //!   buckets plus `_sum`/`_count`.
 
 use crate::recorder::{
-    bucket_bound_ns, counter_value, enabled, shard_tiles_per_thread,
-    Counter, COUNTER_NAMES, NUM_BUCKETS, NUM_COUNTERS, NUM_PHASES,
+    bucket_bound_ns, counter_value, enabled, shard_tiles_per_thread, Counter, COUNTER_NAMES,
+    NUM_BUCKETS, NUM_COUNTERS, NUM_PHASES,
 };
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
@@ -270,15 +270,26 @@ pub fn write_prometheus<W: Write>(snap: &Snapshot, w: &mut W) -> io::Result<()> 
                     "pacds_phase_duration_ns_bucket{{phase=\"{label}\",le=\"+Inf\"}} {cumulative}"
                 )?;
             }
-            writeln!(w, "pacds_phase_duration_ns_sum{{phase=\"{label}\"}} {}", p.total_ns)?;
-            writeln!(w, "pacds_phase_duration_ns_count{{phase=\"{label}\"}} {}", p.count)?;
+            writeln!(
+                w,
+                "pacds_phase_duration_ns_sum{{phase=\"{label}\"}} {}",
+                p.total_ns
+            )?;
+            writeln!(
+                w,
+                "pacds_phase_duration_ns_count{{phase=\"{label}\"}} {}",
+                p.count
+            )?;
         }
     }
     for (i, tiles) in snap.shard_thread_tiles.iter().enumerate() {
         if i == 0 {
             writeln!(w, "# TYPE pacds_shard_thread_tiles_total counter")?;
         }
-        writeln!(w, "pacds_shard_thread_tiles_total{{thread=\"{i}\"}} {tiles}")?;
+        writeln!(
+            w,
+            "pacds_shard_thread_tiles_total{{thread=\"{i}\"}} {tiles}"
+        )?;
     }
     Ok(())
 }

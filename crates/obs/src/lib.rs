@@ -75,8 +75,8 @@ pub mod trace;
 
 pub use export::{write_jsonl, write_prometheus, PhaseSnapshot, Snapshot};
 pub use recorder::{
-    counter_value, enabled, phase_timer, record_phase_ns, reset,
-    shard_thread_tiles_tick, shard_tiles_per_thread, Counter, Phase, PhaseTimer, Tally,
+    counter_value, enabled, phase_timer, record_phase_ns, reset, shard_thread_tiles_tick,
+    shard_tiles_per_thread, Counter, Phase, PhaseTimer, Tally,
 };
 pub use series::{SeriesTracker, WindowDelta};
 pub use trace::{

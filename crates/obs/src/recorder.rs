@@ -275,12 +275,9 @@ pub const fn enabled() -> bool {
 mod storage {
     use super::*;
 
-    pub static COUNTERS: [AtomicU64; NUM_COUNTERS] =
-        [const { AtomicU64::new(0) }; NUM_COUNTERS];
-    pub static PHASE_COUNT: [AtomicU64; NUM_PHASES] =
-        [const { AtomicU64::new(0) }; NUM_PHASES];
-    pub static PHASE_TOTAL_NS: [AtomicU64; NUM_PHASES] =
-        [const { AtomicU64::new(0) }; NUM_PHASES];
+    pub static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
+    pub static PHASE_COUNT: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
+    pub static PHASE_TOTAL_NS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
     #[allow(clippy::declare_interior_mutable_const)]
     pub static PHASE_HIST: [[AtomicU64; NUM_BUCKETS]; NUM_PHASES] =
         [const { [const { AtomicU64::new(0) }; NUM_BUCKETS] }; NUM_PHASES];

@@ -141,14 +141,10 @@ mod ring {
 
     /// The ring: 4 words per record — trace id, packed
     /// `kind | detail << 8 | thread << 40`, start_ns, dur_ns.
-    pub static TRACE_W: [AtomicU64; SPAN_RING_CAP] =
-        [const { AtomicU64::new(0) }; SPAN_RING_CAP];
-    pub static META_W: [AtomicU64; SPAN_RING_CAP] =
-        [const { AtomicU64::new(0) }; SPAN_RING_CAP];
-    pub static START_W: [AtomicU64; SPAN_RING_CAP] =
-        [const { AtomicU64::new(0) }; SPAN_RING_CAP];
-    pub static DUR_W: [AtomicU64; SPAN_RING_CAP] =
-        [const { AtomicU64::new(0) }; SPAN_RING_CAP];
+    pub static TRACE_W: [AtomicU64; SPAN_RING_CAP] = [const { AtomicU64::new(0) }; SPAN_RING_CAP];
+    pub static META_W: [AtomicU64; SPAN_RING_CAP] = [const { AtomicU64::new(0) }; SPAN_RING_CAP];
+    pub static START_W: [AtomicU64; SPAN_RING_CAP] = [const { AtomicU64::new(0) }; SPAN_RING_CAP];
+    pub static DUR_W: [AtomicU64; SPAN_RING_CAP] = [const { AtomicU64::new(0) }; SPAN_RING_CAP];
 
     /// Process-wide monotonic epoch all span timestamps are relative to.
     pub fn epoch() -> Instant {
@@ -311,7 +307,9 @@ pub fn traces_jsonl() -> String {
         while j < spans.len() && spans[j].trace == trace {
             j += 1;
         }
-        out.push_str(&format!("{{\"kind\":\"trace\",\"trace\":{trace},\"spans\":["));
+        out.push_str(&format!(
+            "{{\"kind\":\"trace\",\"trace\":{trace},\"spans\":["
+        ));
         for (k, s) in spans[i..j].iter().enumerate() {
             if k > 0 {
                 out.push(',');
