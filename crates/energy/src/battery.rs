@@ -127,7 +127,11 @@ impl Fleet {
         let mut died = Vec::new();
         for (v, battery) in self.batteries.iter_mut().enumerate() {
             let amount = if gateway[v] {
-                if self.config.additive_gateway_drain { d + dp } else { d }
+                if self.config.additive_gateway_drain {
+                    d + dp
+                } else {
+                    d
+                }
             } else {
                 dp
             };
@@ -159,7 +163,11 @@ impl Fleet {
             let amount = if off[v] {
                 0.0
             } else if gateway[v] {
-                if additive { d + dp } else { d }
+                if additive {
+                    d + dp
+                } else {
+                    d
+                }
             } else {
                 dp
             };
@@ -277,10 +285,13 @@ mod tests {
 
     #[test]
     fn levels_track_quantised_energy() {
-        let mut f = Fleet::new(2, EnergyConfig {
-            quantum: 1.0,
-            ..cfg(DrainModel::LinearInN)
-        });
+        let mut f = Fleet::new(
+            2,
+            EnergyConfig {
+                quantum: 1.0,
+                ..cfg(DrainModel::LinearInN)
+            },
+        );
         // d = 2/1 = 2 for the single gateway.
         f.drain_interval(&[true, false]);
         assert_eq!(f.levels(), vec![98, 99]);
@@ -290,10 +301,8 @@ mod tests {
     fn off_hosts_pay_nothing() {
         let mut f = Fleet::new(4, cfg(DrainModel::LinearInN));
         // 1 gateway among 4 hosts: d = 4.
-        let died = f.drain_interval_with_off(
-            &[true, false, false, false],
-            &[false, false, true, true],
-        );
+        let died =
+            f.drain_interval_with_off(&[true, false, false, false], &[false, false, true, true]);
         assert!(died.is_empty());
         assert_eq!(f.energy(0), 96.0);
         assert_eq!(f.energy(1), 99.0);
