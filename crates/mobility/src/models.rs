@@ -184,7 +184,9 @@ mod tests {
         let mut pos = vec![Point2::new(50.0, 50.0); 40];
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         PaperWalk::with_stay_probability(0.0).step(&mut rng, bounds, &mut pos);
-        assert!(pos.iter().all(|p| p.distance(Point2::new(50.0, 50.0)) >= 1.0 - 1e-9));
+        assert!(pos
+            .iter()
+            .all(|p| p.distance(Point2::new(50.0, 50.0)) >= 1.0 - 1e-9));
     }
 
     #[test]
