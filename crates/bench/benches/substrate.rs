@@ -46,10 +46,31 @@ fn bench_unit_disk_csr(c: &mut Criterion) {
             black_box(out.m())
         })
     });
-    let subset: Vec<u32> = (0..2000).step_by(2).collect();
+    let mut subset: Vec<u32> = (0..2000).step_by(2).collect();
     group.bench_function("subset_warm/1000", |b| {
         b.iter(|| {
-            gen::unit_disk_csr_subset(25.0, &pts, &subset, &mut out, &mut scratch);
+            gen::unit_disk_csr_subset(25.0, &pts, &mut subset, &mut out, &mut scratch);
+            black_box(out.m())
+        })
+    });
+    // One tile window of the spatial engines: the ~370 hosts of a
+    // 200 x 200 square gathered, in id order, from a 10^5-host arena at
+    // mean degree ~18. Uniform placement makes the ids random in space,
+    // so the window's positions are scattered across the arena's memory.
+    let side = 3330.0;
+    let arena = points(100_000, side, 10);
+    let (lo, hi) = (side / 2.0 - 100.0, side / 2.0 + 100.0);
+    let window: Vec<u32> = (0..arena.len() as u32)
+        .filter(|&i| {
+            let p = arena[i as usize];
+            (lo..hi).contains(&p.x) && (lo..hi).contains(&p.y)
+        })
+        .collect();
+    let mut subset = window.clone();
+    group.bench_function("subset_tile", |b| {
+        b.iter(|| {
+            subset.copy_from_slice(&window);
+            gen::unit_disk_csr_subset(25.0, &arena, &mut subset, &mut out, &mut scratch);
             black_box(out.m())
         })
     });

@@ -69,7 +69,9 @@ fn bench() -> Result<(), Error> {
          recompute. Schema per result: open_ns is the engine open (includes the seed solve); \
          scratch_solve_ns is a fresh ShardedCds full solve on the same instance — the \
          per-step cost of not being incremental; mean/max_step_ns time apply+refresh of one \
-         whole step; resolved_tiles_per_step vs tiles is the locality headline (a handful \
+         whole step, and mean_step_halo_build_ns the part of it spent gathering tile \
+         windows and building their subgraphs (summed over worker threads); \
+         resolved_tiles_per_step vs tiles is the locality headline (a handful \
          re-solved, not all); gateway_flips_per_event is the churn a routing layer absorbs; \
          speedup_vs_scratch = scratch_solve_ns / mean_step_ns. Wall times depend on \
          machine_threads"

@@ -128,6 +128,7 @@ pub fn run(
     )?;
 
     let (mut step_ns, mut max_ns, mut max_resolved, mut frac_sum) = (0.0, 0.0f64, 0, 0.0);
+    let mut halo_ns = 0u64;
     let wall = Instant::now();
     for step in 1..=p.steps {
         let events = step_events(rng, &engine, bounds, radius.max(1e-9), p.events);
@@ -139,6 +140,7 @@ pub fn run(
         let ns = t.elapsed().as_nanos() as f64;
         (step_ns, max_ns) = (step_ns + ns, max_ns.max(ns));
         max_resolved = max_resolved.max(stats.resolved_tiles);
+        halo_ns += stats.halo_build_ns;
         frac_sum += stats.resolved_tiles as f64 / tiles.max(1) as f64;
         writeln!(
             out,
@@ -200,6 +202,7 @@ pub fn run(
         .fixed("scratch_solve_ns", scratch_ns, 0)
         .fixed("mean_step_ns", mean_step_ns, 0)
         .fixed("max_step_ns", max_ns, 0)
+        .fixed("mean_step_halo_build_ns", halo_ns as f64 / steps, 0)
         .fixed("events_per_s", events_per_s, 0)
         .fixed("speedup_vs_scratch", scratch_ns / mean_step_ns.max(1.0), 2)
         .with("wall_s", wall_s))

@@ -6,12 +6,19 @@
 //!
 //! Every unit-disk build ([`unit_disk`], [`unit_disk_csr`],
 //! [`unit_disk_csr_subset`], [`quasi_unit_disk`]) runs on one cell
-//! binning: positions counting-sorted into square cells of side `radius`,
-//! each vertex's neighbours found by scanning the 3x3 cell block around it.
+//! binning: positions counting-sorted, stably, into square cells of side
+//! `radius` (row-major), and each vertex's neighbours found by scanning the
+//! 3x3 cell block around it. The scan is branch-free: it writes every
+//! candidate and advances the row cursor by the rim test. Whole-graph
+//! builds keep the callers' vertex order and sort each row;
+//! [`unit_disk_csr_subset`] labels the subset in the binning's own cell
+//! order, so a block's three cell rows are consecutive, increasing ranges
+//! of local ids and its rows come out ascending unsorted.
 
 use crate::{Graph, NodeId, ReserveLike};
 use pacds_geom::{Point2, Rect, EPS};
 use rand::Rng;
+use std::ops::Range;
 
 /// Builds the unit-disk graph of `points` with transmission radius `radius`
 /// inside `bounds` (O(n + m) expected): [`unit_disk_csr`] into a fresh
@@ -38,13 +45,17 @@ pub fn unit_disk(bounds: Rect, radius: f64, points: &[Point2]) -> Graph {
 }
 
 /// Reusable scratch buffers of the cell binning: the counting-sort cell
-/// index (starts / cursor / item arrays). One instance amortises all grid
-/// allocations across the update intervals of a Monte-Carlo run.
+/// index (starts / cursor arrays) and the binned labels and positions.
+/// One instance amortises all grid allocations across the update
+/// intervals of a Monte-Carlo run.
 #[derive(Debug, Clone, Default)]
 pub struct UnitDiskScratch {
     starts: Vec<u32>,
     cursor: Vec<u32>,
+    /// Binned slot `k`'s vertex id, cell by cell.
     items: Vec<u32>,
+    /// Binned slot `k`'s position, cell by cell.
+    pos: Vec<Point2>,
 }
 
 impl ReserveLike for UnitDiskScratch {
@@ -52,6 +63,7 @@ impl ReserveLike for UnitDiskScratch {
         self.starts.reserve_like(&other.starts);
         self.cursor.reserve_like(&other.cursor);
         self.items.reserve_like(&other.items);
+        self.pos.reserve_like(&other.pos);
     }
 }
 
@@ -62,100 +74,139 @@ impl UnitDiskScratch {
     }
 }
 
-/// The cell binning behind every unit-disk build. Counting-sorts the live
-/// vertices of `0..len` (vertex `i` at `at(i)`) into square cells of side
-/// `radius` over the area `(x0, y0, x1, y1)`, a position outside it binned
-/// into the nearest border cell, then writes each live vertex's neighbours
-/// within `radius`
-/// (the rim-inclusive `r² + EPS` test, on true positions) into `out` as
-/// ascending rows. A vertex that is not `live` keeps an empty row and
-/// is nobody's neighbour.
-///
-/// All storage comes from `out` and `scratch`: zero heap allocations once
-/// both are warm.
-fn bin_and_scan(
-    (x0, y0, x1, y1): (f64, f64, f64, f64),
-    radius: f64,
-    len: usize,
-    at: impl Fn(usize) -> Point2,
-    live: impl Fn(usize) -> bool,
-    out: &mut Graph,
-    scratch: &mut UnitDiskScratch,
+/// Square cells of side `radius` laid row-major over an area, a position
+/// outside it binned into the nearest border cell.
+struct Cells {
+    x0: f64,
+    y0: f64,
+    side: f64,
+    nx: usize,
+    ny: usize,
+}
+
+impl Cells {
+    fn new((x0, y0, x1, y1): (f64, f64, f64, f64), radius: f64) -> Self {
+        Self {
+            x0,
+            y0,
+            side: radius,
+            nx: ((x1 - x0) / radius).ceil().max(1.0) as usize,
+            ny: ((y1 - y0) / radius).ceil().max(1.0) as usize,
+        }
+    }
+
+    /// The cell column and row of `p`. A negative offset saturates to
+    /// cell 0 in the cast, and `min` caps one past the far side.
+    #[inline]
+    fn cell_xy(&self, p: Point2) -> (usize, usize) {
+        (
+            (((p.x - self.x0) / self.side) as usize).min(self.nx - 1),
+            (((p.y - self.y0) / self.side) as usize).min(self.ny - 1),
+        )
+    }
+
+    /// Counting-sorts the live vertices of `0..len` (vertex `i` at
+    /// `at(i)`) into the cells, stable: cell `c` holds the binned slots
+    /// `starts[c]..starts[c + 1]`, slot `k` standing for vertex
+    /// `items[k] = id(i)` at `pos[k] = at(i)`.
+    fn bin(
+        &self,
+        len: usize,
+        at: impl Fn(usize) -> Point2,
+        live: impl Fn(usize) -> bool,
+        id: impl Fn(usize) -> u32,
+        scratch: &mut UnitDiskScratch,
+    ) {
+        let UnitDiskScratch {
+            starts,
+            cursor,
+            items,
+            pos,
+        } = scratch;
+        let ncells = self.nx * self.ny;
+        let cell = |p: Point2| {
+            let (cx, cy) = self.cell_xy(p);
+            cy * self.nx + cx
+        };
+        starts.clear();
+        starts.resize(ncells + 1, 0);
+        for i in (0..len).filter(|&i| live(i)) {
+            starts[cell(at(i)) + 1] += 1;
+        }
+        for c in 0..ncells {
+            starts[c + 1] += starts[c];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(starts);
+        let binned = starts[ncells] as usize;
+        items.clear();
+        items.resize(binned, 0);
+        pos.clear();
+        pos.resize(binned, Point2::new(0.0, 0.0));
+        for i in (0..len).filter(|&i| live(i)) {
+            let p = at(i);
+            let slot = &mut cursor[cell(p)];
+            items[*slot as usize] = id(i);
+            pos[*slot as usize] = p;
+            *slot += 1;
+        }
+    }
+
+    /// The binned slots of the 3x3 cell block around cell `(cx, cy)`: one
+    /// range per cell row, since the up-to-three cells of a row are
+    /// consecutive cell indices. The ranges ascend; a row off the grid is
+    /// empty.
+    #[inline]
+    fn block(&self, starts: &[u32], cx: usize, cy: usize) -> [Range<usize>; 3] {
+        let (xlo, xhi) = (cx.saturating_sub(1), (cx + 1).min(self.nx - 1));
+        let row =
+            |y: usize| starts[y * self.nx + xlo] as usize..starts[y * self.nx + xhi + 1] as usize;
+        [
+            if cy > 0 { row(cy - 1) } else { 0..0 },
+            row(cy),
+            if cy + 1 < self.ny { row(cy + 1) } else { 0..0 },
+        ]
+    }
+}
+
+/// Appends to `targets`, in slot order, `label(k)` for every binned slot
+/// `k` of `block` whose position lies within the rim-inclusive radius of
+/// `p` (`d² <= r2`), except the slot labelled `me`. Branch-free: every
+/// candidate is written, and the row cursor advances by the rim test.
+#[inline]
+fn scan_block(
+    targets: &mut Vec<u32>,
+    block: &[Range<usize>; 3],
+    pos: &[Point2],
+    label: impl Fn(usize) -> u32,
+    me: u32,
+    p: Point2,
+    r2: f64,
 ) {
-    assert!(radius > 0.0, "transmission radius must be positive");
+    let row = targets.len();
+    let candidates: usize = block.iter().map(ExactSizeIterator::len).sum();
+    targets.resize(row + candidates, 0);
+    let buf = &mut targets[row..];
+    let mut w = 0;
+    for range in block {
+        for (k, q) in range.clone().zip(&pos[range.clone()]) {
+            let j = label(k);
+            buf[w] = j;
+            w += usize::from((j != me) & (q.distance2(p) <= r2));
+        }
+    }
+    targets.truncate(row + w);
+}
+
+/// Clears `out` down to its leading 0 offset, with room for `len` rows,
+/// and hands back its offset and target arrays.
+fn reset(out: &mut Graph, len: usize) -> (&mut Vec<u32>, &mut Vec<NodeId>) {
     let (offsets, targets) = out.parts_mut();
     offsets.clear();
     targets.clear();
     offsets.reserve(len + 1);
     offsets.push(0);
-    if len == 0 {
-        return;
-    }
-
-    let cell = radius;
-    let nx = ((x1 - x0) / cell).ceil().max(1.0) as usize;
-    let ny = ((y1 - y0) / cell).ceil().max(1.0) as usize;
-    let ncells = nx * ny;
-    // A negative offset saturates to cell 0 in the cast, and `min` caps
-    // one past the far side: outside points land in the border cells.
-    let cell_xy = |p: Point2| -> (usize, usize) {
-        (
-            (((p.x - x0) / cell) as usize).min(nx - 1),
-            (((p.y - y0) / cell) as usize).min(ny - 1),
-        )
-    };
-
-    let UnitDiskScratch {
-        starts,
-        cursor,
-        items,
-    } = scratch;
-    starts.clear();
-    starts.resize(ncells + 1, 0);
-    for i in (0..len).filter(|&i| live(i)) {
-        let (cx, cy) = cell_xy(at(i));
-        starts[cy * nx + cx + 1] += 1;
-    }
-    for c in 0..ncells {
-        starts[c + 1] += starts[c];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(starts);
-    items.clear();
-    items.resize(starts[ncells] as usize, 0);
-    for i in (0..len).filter(|&i| live(i)) {
-        let (cx, cy) = cell_xy(at(i));
-        let c = cy * nx + cx;
-        items[cursor[c] as usize] = i as u32;
-        cursor[c] += 1;
-    }
-
-    // Fill pass: scan the 3x3 cell block around each live vertex, pushing
-    // hits into the shared target array, then sort that row in place
-    // (sort_unstable on a slice allocates nothing).
-    let r2 = radius * radius + EPS;
-    for i in 0..len {
-        let row_start = targets.len();
-        if live(i) {
-            let p = at(i);
-            let (cx, cy) = cell_xy(p);
-            // The up-to-three cells of each grid row are consecutive cell
-            // indices, so their binned items form one contiguous slice.
-            let (xlo, xhi) = (cx.saturating_sub(1), (cx + 1).min(nx - 1));
-            let (ylo, yhi) = (cy.saturating_sub(1), (cy + 1).min(ny - 1));
-            for y in ylo..=yhi {
-                let lo = starts[y * nx + xlo] as usize;
-                let hi = starts[y * nx + xhi + 1] as usize;
-                for &j in &items[lo..hi] {
-                    if j as usize != i && at(j as usize).distance2(p) <= r2 {
-                        targets.push(j);
-                    }
-                }
-            }
-            targets[row_start..].sort_unstable();
-        }
-        offsets.push(targets.len() as u32);
-    }
+    (offsets, targets)
 }
 
 /// Rebuilds `out` in place as the unit-disk graph of `points`.
@@ -180,6 +231,7 @@ pub fn unit_disk_csr(
     out: &mut Graph,
     scratch: &mut UnitDiskScratch,
 ) {
+    assert!(radius > 0.0, "transmission radius must be positive");
     if let Some(off) = off {
         assert_eq!(
             off.len(),
@@ -187,27 +239,46 @@ pub fn unit_disk_csr(
             "off-mask length must equal point count"
         );
     }
-    bin_and_scan(
-        (bounds.x0, bounds.y0, bounds.x1, bounds.y1),
-        radius,
-        points.len(),
-        |i| points[i],
-        |i| !off.is_some_and(|o| o[i]),
-        out,
-        scratch,
-    );
+    let live = |i: usize| !off.is_some_and(|o| o[i]);
+    let (offsets, targets) = reset(out, points.len());
+    if points.is_empty() {
+        return;
+    }
+    let cells = Cells::new((bounds.x0, bounds.y0, bounds.x1, bounds.y1), radius);
+    cells.bin(points.len(), |i| points[i], live, |i| i as u32, scratch);
+    let UnitDiskScratch {
+        starts, items, pos, ..
+    } = scratch;
+
+    // Rows in the callers' order: scan the 3x3 block around each live
+    // vertex, then sort the row in place (sort_unstable on a slice
+    // allocates nothing).
+    let r2 = radius * radius + EPS;
+    for (i, &p) in points.iter().enumerate() {
+        if live(i) {
+            let (cx, cy) = cells.cell_xy(p);
+            let row = targets.len();
+            let block = cells.block(starts, cx, cy);
+            scan_block(targets, &block, pos, |k| items[k], i as u32, p, r2);
+            targets[row..].sort_unstable();
+        }
+        offsets.push(targets.len() as u32);
+    }
 }
 
 /// Rebuilds `out` in place as the unit-disk graph **induced by `subset`**,
-/// with local vertex `i` standing for point `subset[i]`.
+/// and permutes `subset`, stably, into the row-major cell order of the
+/// build's binning: afterwards local vertex `k` stands for point
+/// `subset[k]`.
 ///
 /// Uses the same rim-inclusive `r² + EPS` test as [`unit_disk`] /
 /// [`unit_disk_csr`], binned over the subset's own bounding box, so the
 /// result is exactly the subgraph of the global unit-disk graph induced by
-/// `subset` (relabelled). Rows are sorted ascending in local ids; when
-/// `subset` is ascending, local order therefore agrees with global id
-/// order. This is the per-tile step of the streaming large-`n` build: the
-/// whole-graph adjacency is never materialised.
+/// `subset` (relabelled). Because local ids follow the cells, the three
+/// cell rows of a 3x3 block are consecutive, increasing ranges of local
+/// ids, so every row comes out ascending without a sort. This is the
+/// per-tile step of the streaming large-`n` build: the whole-graph
+/// adjacency is never materialised.
 ///
 /// All storage comes from `out` and `scratch`; zero heap allocations once
 /// both are warm.
@@ -217,28 +288,50 @@ pub fn unit_disk_csr(
 pub fn unit_disk_csr_subset(
     radius: f64,
     points: &[Point2],
-    subset: &[u32],
+    subset: &mut [u32],
     out: &mut Graph,
     scratch: &mut UnitDiskScratch,
 ) {
+    assert!(radius > 0.0, "transmission radius must be positive");
+    let (offsets, targets) = reset(out, subset.len());
+    if subset.is_empty() {
+        return;
+    }
     let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
     let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for &i in subset {
+    for &i in subset.iter() {
         let p = points[i as usize];
         x0 = x0.min(p.x);
         y0 = y0.min(p.y);
         x1 = x1.max(p.x);
         y1 = y1.max(p.y);
     }
-    bin_and_scan(
-        (x0, y0, x1, y1),
-        radius,
+    let cells = Cells::new((x0, y0, x1, y1), radius);
+    cells.bin(
         subset.len(),
         |li| points[subset[li] as usize],
         |_| true,
-        out,
+        |li| subset[li],
         scratch,
     );
+    let UnitDiskScratch {
+        starts, items, pos, ..
+    } = scratch;
+    subset.copy_from_slice(items);
+
+    // Rows in local (= binned) order, cell by cell: every host of a cell
+    // shares its 3x3 block, whose slots are the local ids themselves.
+    let r2 = radius * radius + EPS;
+    for cy in 0..cells.ny {
+        for cx in 0..cells.nx {
+            let c = cy * cells.nx + cx;
+            let block = cells.block(starts, cx, cy);
+            for k in starts[c] as usize..starts[c + 1] as usize {
+                scan_block(targets, &block, pos, |j| j as u32, k as u32, pos[k], r2);
+                offsets.push(targets.len() as u32);
+            }
+        }
+    }
 }
 
 /// Brute-force unit-disk graph (O(n^2)); reference implementation for tests.
@@ -473,17 +566,25 @@ mod tests {
             (0..200u32).step_by(3).collect(),
             (0..200u32).collect(),
         ];
-        for subset in &subsets {
-            unit_disk_csr_subset(25.0, &pts, subset, &mut out, &mut scratch);
+        for input in &subsets {
+            let mut subset = input.clone();
+            unit_disk_csr_subset(25.0, &pts, &mut subset, &mut out, &mut scratch);
             assert_eq!(out.n(), subset.len());
+            let mut sorted = subset.clone();
+            sorted.sort_unstable();
+            assert_eq!(&sorted, input, "subset comes back permuted");
             for (li, &gi) in subset.iter().enumerate() {
-                let expected: Vec<u32> = subset
+                let row = out.neighbors(li as NodeId);
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "local {li} ascending");
+                let mut got: Vec<u32> = row.iter().map(|&lj| subset[lj as usize]).collect();
+                got.sort_unstable();
+                let expected: Vec<u32> = reference
+                    .neighbors(gi)
                     .iter()
-                    .enumerate()
-                    .filter(|&(lj, &gj)| lj != li && reference.has_edge(gi, gj))
-                    .map(|(lj, _)| lj as u32)
+                    .copied()
+                    .filter(|g| input.binary_search(g).is_ok())
                     .collect();
-                assert_eq!(out.neighbors(li as NodeId), &expected[..], "local {li}");
+                assert_eq!(got, expected, "local {li}");
             }
         }
     }

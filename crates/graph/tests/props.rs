@@ -3,7 +3,48 @@
 use pacds_geom::{placement, Point2, Rect};
 use pacds_graph::{algo, gen, Graph, NeighborBitmap, NodeId};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Builds the unit-disk graph induced by `subset` and checks its contract
+/// against `whole`, the unit-disk graph of all of `points`: `subset` comes
+/// back as a permutation of its input, every row is strictly ascending,
+/// and each row, mapped back through the permuted `subset`, is exactly
+/// the set of `whole`'s neighbours that lie in the subset.
+fn assert_subset_build(radius: f64, points: &[Point2], whole: &Graph, subset: &[u32]) {
+    let mut relabelled = subset.to_vec();
+    let mut sub = Graph::default();
+    gen::unit_disk_csr_subset(
+        radius,
+        points,
+        &mut relabelled,
+        &mut sub,
+        &mut gen::UnitDiskScratch::new(),
+    );
+    assert_eq!(sub.n(), subset.len());
+    let (mut before, mut after) = (subset.to_vec(), relabelled.clone());
+    before.sort_unstable();
+    after.sort_unstable();
+    assert_eq!(
+        after, before,
+        "subset must come back as a permutation of its input"
+    );
+    for (li, &g) in relabelled.iter().enumerate() {
+        let row = sub.neighbors(li as NodeId);
+        assert!(
+            row.windows(2).all(|w| w[0] < w[1]),
+            "local {li}: row {row:?} not strictly ascending"
+        );
+        let mut got: Vec<u32> = row.iter().map(|&lj| relabelled[lj as usize]).collect();
+        got.sort_unstable();
+        let expected: Vec<u32> = whole
+            .neighbors(g)
+            .iter()
+            .copied()
+            .filter(|v| before.binary_search(v).is_ok())
+            .collect();
+        assert_eq!(got, expected, "local {} (point {})", li, g);
+    }
+}
 
 fn random_graph() -> impl Strategy<Value = Graph> {
     (1usize..60, 0.0f64..0.5, any::<u64>()).prop_map(|(n, p, seed)| {
@@ -66,20 +107,19 @@ proptest! {
     fn unit_disk_grid_equals_naive(
         (bounds, radius, pts) in random_arena_points(),
         stride in 1usize..4,
+        shuffle in any::<u64>(),
     ) {
         let whole = gen::unit_disk(bounds, radius, &pts);
         prop_assert_eq!(&whole, &gen::unit_disk_naive(radius, &pts));
         // The induced-subgraph build bins over the subset's own bounding
-        // box; it must agree with the whole graph restricted to the subset.
-        let subset: Vec<u32> = (0..pts.len() as u32).step_by(stride).collect();
-        let mut sub = Graph::default();
-        gen::unit_disk_csr_subset(radius, &pts, &subset, &mut sub, &mut gen::UnitDiskScratch::new());
-        for (li, &g) in subset.iter().enumerate() {
-            let row: Vec<u32> = sub.neighbors(li as NodeId).iter().map(|&lj| subset[lj as usize]).collect();
-            let expected: Vec<u32> =
-                whole.neighbors(g).iter().copied().filter(|&v| (v as usize).is_multiple_of(stride)).collect();
-            prop_assert_eq!(row, expected, "local {}", li);
+        // box; it must agree with the whole graph restricted to the subset,
+        // whatever order the subset comes in.
+        let mut subset: Vec<u32> = (0..pts.len() as u32).step_by(stride).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(shuffle);
+        for i in (1..subset.len()).rev() {
+            subset.swap(i, rng.random_range(0..=i));
         }
+        assert_subset_build(radius, &pts, &whole, &subset);
     }
 
     #[test]
@@ -175,4 +215,47 @@ proptest! {
         prop_assert_eq!(h.m(), g.m());
         prop_assert_eq!(h, g);
     }
+}
+
+#[test]
+fn subset_build_fixed_cases() {
+    let r = 10.0;
+    let check = |pts: &[Point2], subset: &[u32]| {
+        let whole = gen::unit_disk_naive(r, pts);
+        assert_subset_build(r, pts, &whole, subset);
+    };
+    let spread: Vec<Point2> = (0..6).map(|i| Point2::new(7.0 * i as f64, 3.0)).collect();
+    // An empty subset and a single host: no rows, one empty row.
+    check(&spread, &[]);
+    check(&spread, &[4]);
+    // Coincident hosts are all mutual neighbours.
+    check(&[Point2::new(5.0, 5.0); 4], &[3, 0, 2, 1]);
+    // A pair exactly `r` apart is an edge under the rim-inclusive test.
+    let pair = [Point2::new(0.0, 0.0), Point2::new(r, 0.0)];
+    check(&pair, &[1, 0]);
+    let mut relabelled = vec![1, 0];
+    let mut sub = Graph::default();
+    gen::unit_disk_csr_subset(
+        r,
+        &pair,
+        &mut relabelled,
+        &mut sub,
+        &mut gen::UnitDiskScratch::new(),
+    );
+    assert_eq!(sub.m(), 1, "a pair at exactly r is an edge");
+    // Hosts on the cell borders of the subset's binning (multiples of `r`
+    // from its corner), including the far corner that the binning clamps.
+    let mut lattice = Vec::new();
+    for y in 0..4 {
+        for x in 0..4 {
+            lattice.push(Point2::new(x as f64 * r, y as f64 * r));
+            lattice.push(Point2::new(x as f64 * r + 0.5 * r, y as f64 * r));
+        }
+    }
+    let all: Vec<u32> = (0..lattice.len() as u32).rev().collect();
+    check(&lattice, &all);
+    check(
+        &lattice,
+        &all.iter().copied().step_by(3).collect::<Vec<_>>(),
+    );
 }
