@@ -39,8 +39,9 @@
 //! `v` present, `v`'s and all `u ∈ N(v)`'s neighbour lists are *complete*,
 //! so each comparison evaluates exactly as in the whole graph; truncated
 //! data beyond the halo can only belong to comparands whose subset test is
-//! already exactly false. Priorities are static and local ids ascend in
-//! global id order, so tie-breaks agree too. One hop is *not* enough —
+//! already exactly false. Priorities are static and every key breaks ties
+//! on the caller's id, whatever the local order, so tie-breaks agree too.
+//! One hop is *not* enough —
 //! `tests/props.rs` holds a corridor topology where a halo-1 tile
 //! miscounts a dominator's degree and keeps a node the whole graph
 //! removes.
