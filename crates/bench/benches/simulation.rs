@@ -1,8 +1,10 @@
 //! Benchmarks of the simulation loop itself: the cost of one full lifetime
-//! run per drain model, and the distributed protocol engines.
+//! run per drain model, and the distributed protocol under each delivery
+//! schedule.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pacds_core::{CdsConfig, Policy};
+use pacds_distributed::{run_distributed, Schedule};
 use pacds_energy::DrainModel;
 use pacds_sim::{SimConfig, Simulation};
 use rand::SeedableRng;
@@ -33,18 +35,14 @@ fn bench_distributed(c: &mut Criterion) {
     let g = pacds_graph::gen::connected_gnp(&mut rng, 80, 0.08, 20);
     let energy: Vec<u64> = (0..g.n()).map(|i| (i as u64 * 31) % 100).collect();
     let cfg = CdsConfig::paper(Policy::EnergyDegree);
-    group.bench_function("sequential/80", |b| {
-        b.iter(|| {
-            black_box(pacds_distributed::run_distributed_sequential(
-                &g,
-                Some(&energy),
-                &cfg,
-            ))
-        })
-    });
-    group.bench_function("threaded/80", |b| {
-        b.iter(|| black_box(pacds_distributed::run_distributed(&g, Some(&energy), &cfg)))
-    });
+    for (label, schedule) in [
+        ("fifo", Schedule::Fifo),
+        ("shuffled", Schedule::Shuffled(5)),
+    ] {
+        group.bench_function(format!("{label}/80"), |b| {
+            b.iter(|| black_box(run_distributed(&g, Some(&energy), &cfg, schedule)))
+        });
+    }
     group.finish();
 }
 

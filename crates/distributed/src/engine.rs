@@ -1,56 +1,227 @@
-//! Protocol execution engines.
+//! The protocol engine: per-host state machines driven by one message
+//! scheduler.
 //!
-//! [`run_distributed`] spawns one OS thread per host, connected by
-//! `std::sync::mpsc` channels — a real concurrent actor system in which
-//! the only information flow is explicit messages between radio
-//! neighbours.
-//! [`run_distributed_sequential`] runs the identical per-node code
-//! round-robin on one thread (useful inside tight simulation loops and for
-//! deterministic debugging).
+//! A host acts only when a message is delivered to it. Messages travel on
+//! directed links between radio neighbours, each link a FIFO queue, so a
+//! neighbour's messages arrive in the order it sent them. The
+//! [`Schedule`] picks which link delivers next, one delivery at a time,
+//! and the same schedule always replays the same delivery order.
 
 use crate::node::{LocalView, NeighborInfo, NodeState};
-use pacds_core::{CdsConfig, EnergyLevel, Policy, PruneSchedule, Rule2Semantics};
+use crate::stats::ProtocolStats;
+use pacds_core::{Application, CdsConfig, EnergyLevel, PruneSchedule};
 use pacds_graph::{Graph, NodeId, VertexMask};
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, VecDeque};
 
-/// A protocol message between radio neighbours.
+/// The order in which pending messages are delivered. Under either one
+/// every link stays FIFO.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Send order: every host completes a round before any host receives
+    /// a message of the next one (lockstep rounds).
+    Fifo,
+    /// Each delivery is a seeded random pick among the pending messages.
+    /// Host `seed % n`'s sends are held back until nothing else is
+    /// pending, so hosts two hops from it run a round ahead of its
+    /// neighbours and their markers arrive early.
+    Shuffled(u64),
+}
+
+/// The outcome of one protocol execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// Each host's final marker: the gateway mask.
+    pub gateways: VertexMask,
+    /// The messages the hosts put on links.
+    pub sent: ProtocolStats,
+}
+
+/// A protocol message; the link it travels on names the sender.
 #[derive(Debug, Clone)]
 enum Message {
-    /// Round 1: neighbour set + energy level.
+    /// Round 1: the sender's neighbour set and energy level.
     Hello {
-        from: NodeId,
         neighbors: Vec<NodeId>,
         energy: EnergyLevel,
     },
-    /// Rounds 2–3: marker status after marking / after Rule 1. Tagged with
-    /// the round number: a fast neighbour may send its round-3 marker
-    /// before a slow one sends round-2, and both land in the same mailbox.
-    Marker {
-        from: NodeId,
-        round: u8,
-        marked: bool,
-    },
+    /// Rounds 2–3: the sender's marker after marking / after Rule 1,
+    /// tagged with its round.
+    Marker { round: u8, marked: bool },
 }
 
-fn effective_semantics(cfg: &CdsConfig) -> Rule2Semantics {
-    match cfg.policy {
-        Policy::Id => Rule2Semantics::MinOfThree,
-        _ => cfg.rule2,
+/// The links, their queues and the delivery order.
+struct Net {
+    /// `(sender, receiver)` of each link; host `v` sends on links
+    /// `out[v]..out[v + 1]`.
+    ends: Vec<(NodeId, NodeId)>,
+    out: Vec<usize>,
+    queues: Vec<VecDeque<Message>>,
+    /// One entry per message in flight, naming its link.
+    pending: VecDeque<usize>,
+    /// Entries of the held-back host's messages, released into `pending`
+    /// once it empties.
+    held: VecDeque<usize>,
+    held_host: Option<NodeId>,
+    /// Picks deliveries under [`Schedule::Shuffled`]; `None` is FIFO.
+    rng: Option<StdRng>,
+    hello: u64,
+    marker: u64,
+    payload: u64,
+}
+
+impl Net {
+    fn new(g: &Graph, schedule: Schedule) -> Self {
+        let mut ends = Vec::with_capacity(2 * g.m());
+        let mut out = vec![0];
+        for v in g.vertices() {
+            ends.extend(g.neighbors(v).iter().map(|&u| (v, u)));
+            out.push(ends.len());
+        }
+        let (rng, held_host) = match schedule {
+            Schedule::Fifo => (None, None),
+            Schedule::Shuffled(seed) => (
+                Some(StdRng::seed_from_u64(seed)),
+                seed.checked_rem(g.n() as u64).map(|h| h as NodeId),
+            ),
+        };
+        Net {
+            queues: ends.iter().map(|_| VecDeque::new()).collect(),
+            ends,
+            out,
+            pending: VecDeque::new(),
+            held: VecDeque::new(),
+            held_host,
+            rng,
+            hello: 0,
+            marker: 0,
+            payload: 0,
+        }
+    }
+
+    /// Puts `msg` on every link out of `from`, counting each send.
+    fn broadcast(&mut self, from: NodeId, msg: Message) {
+        for link in self.out[from as usize]..self.out[from as usize + 1] {
+            match &msg {
+                Message::Hello { neighbors, .. } => {
+                    self.hello += 1;
+                    self.payload += neighbors.len() as u64;
+                    pacds_obs::inc(pacds_obs::Counter::DistHelloMessages);
+                }
+                Message::Marker { .. } => {
+                    self.marker += 1;
+                    pacds_obs::inc(pacds_obs::Counter::DistMarkerMessages);
+                }
+            }
+            self.queues[link].push_back(msg.clone());
+            if self.held_host == Some(from) {
+                self.held.push_back(link);
+            } else {
+                self.pending.push_back(link);
+            }
+        }
+    }
+
+    /// Takes the next message off its link as `(sender, receiver,
+    /// message)`, or `None` once no message is in flight.
+    fn deliver(&mut self) -> Option<(NodeId, NodeId, Message)> {
+        if self.pending.is_empty() {
+            std::mem::swap(&mut self.pending, &mut self.held);
+        }
+        let pick = match &mut self.rng {
+            Some(rng) if !self.pending.is_empty() => rng.random_range(0..self.pending.len()),
+            _ => 0,
+        };
+        let link = self.pending.swap_remove_front(pick)?;
+        let (from, to) = self.ends[link];
+        let msg = self.queues[link]
+            .pop_front()
+            .expect("a pending entry names a link with a queued message");
+        Some((from, to, msg))
     }
 }
 
-/// Runs the full protocol with one thread per host.
+/// One host's protocol state machine.
+struct Host {
+    state: NodeState,
+    /// The round whose messages the host collects: 1 (hellos), 2 and 3
+    /// (markers); past the last round once it has decided.
+    round: u8,
+    /// Messages of `round` received so far.
+    got: usize,
+    /// Markers of round `round + 1` that arrived before this host
+    /// completed `round`. Per-link FIFO lets none arrive earlier: a
+    /// neighbour sends its next marker only after hearing this host's.
+    early: Vec<(NodeId, bool)>,
+}
+
+impl Host {
+    fn receive(&mut self, from: NodeId, msg: Message) {
+        match msg {
+            Message::Hello { neighbors, energy } => {
+                let info = NeighborInfo { neighbors, energy };
+                self.state.view.neighbor_info.insert(from, info);
+                self.got += 1;
+            }
+            Message::Marker { round, marked } if round == self.round => {
+                self.state.neighbor_marked.insert(from, marked);
+                self.got += 1;
+            }
+            Message::Marker { round, marked } => {
+                assert_eq!(round, self.round + 1, "a marker out of round");
+                self.early.push((from, marked));
+            }
+        }
+    }
+
+    /// Acts on each round the host has all `deg(v)` messages of: decides,
+    /// broadcasts its marker for the next round and takes that round's
+    /// early markers.
+    fn advance(&mut self, cfg: &CdsConfig, last: u8, net: &mut Net) {
+        while self.round <= last && self.got == self.state.view.neighbors.len() {
+            let s = &mut self.state;
+            match self.round {
+                1 => s.marked = s.view.decide_marker(),
+                2 if last == 3 => s.marked &= !s.rule1_decides_unmark(cfg.policy),
+                3 => s.marked &= !s.rule2_decides_unmark(cfg.policy, cfg.rule2_semantics()),
+                _ => {}
+            }
+            self.round += 1;
+            if self.round <= last {
+                let marker = Message::Marker {
+                    round: self.round,
+                    marked: s.marked,
+                };
+                net.broadcast(s.view.id, marker);
+            }
+            self.got = self.early.len();
+            for (from, marked) in self.early.drain(..) {
+                s.neighbor_marked.insert(from, marked);
+            }
+        }
+    }
+}
+
+/// Runs the localized protocol: every host exchanges hellos, then
+/// markers after marking and, for pruning policies, after Rule 1, and
+/// decides Rule 2 on the post-Rule-1 markers. No host reads the graph
+/// beyond its own neighbour list.
 ///
 /// `energy[v]` defaults to 0 for all hosts when `None` (only consulted by
 /// the energy-aware policies).
 ///
 /// # Panics
-/// Panics if `cfg.schedule` is [`PruneSchedule::Fixpoint`]: fixpoint
-/// iteration needs global termination detection, which the localized
-/// protocol deliberately does not have.
-pub fn run_distributed(g: &Graph, energy: Option<&[EnergyLevel]>, cfg: &CdsConfig) -> VertexMask {
+/// Panics unless `cfg` is the single-pass, simultaneous procedure:
+/// fixpoint iteration needs global termination detection and a
+/// sequential sweep needs every lower-priority host's removal, neither of
+/// which a localized protocol has.
+pub fn run_distributed(
+    g: &Graph,
+    energy: Option<&[EnergyLevel]>,
+    cfg: &CdsConfig,
+    schedule: Schedule,
+) -> Run {
     assert_eq!(
         cfg.schedule,
         PruneSchedule::SinglePass,
@@ -58,279 +229,56 @@ pub fn run_distributed(g: &Graph, energy: Option<&[EnergyLevel]>, cfg: &CdsConfi
     );
     assert_eq!(
         cfg.application,
-        pacds_core::Application::Simultaneous,
-        "a sequential in-place sweep has no localized implementation: every \
-         host would need to observe removals by all lower-priority hosts"
+        Application::Simultaneous,
+        "a sequential in-place sweep has no localized implementation"
     );
-    run_distributed_counted(g, energy, cfg).0
-}
-
-/// Like [`run_distributed`], additionally returning the total number of
-/// messages the hosts actually sent (used to validate the analytic
-/// [`crate::stats::protocol_stats`]).
-pub fn run_distributed_counted(
-    g: &Graph,
-    energy: Option<&[EnergyLevel]>,
-    cfg: &CdsConfig,
-) -> (VertexMask, u64) {
-    let n = g.n();
     pacds_obs::inc(pacds_obs::Counter::DistRuns);
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    // Wire the mailboxes: one channel per host; every host gets the Senders
-    // of its radio neighbours and nothing else.
-    let mut senders: Vec<Sender<Message>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Option<Receiver<Message>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-
-    let cfg = *cfg;
-    let sent = std::sync::atomic::AtomicU64::new(0);
-    let results = Mutex::new(vec![false; n]);
-    std::thread::scope(|scope| {
-        for v in 0..n as NodeId {
-            let inbox = receivers[v as usize].take().expect("receiver taken once");
-            let outboxes: Vec<(NodeId, Sender<Message>)> = g
-                .neighbors(v)
-                .iter()
-                .map(|&u| (u, senders[u as usize].clone()))
-                .collect();
-            let my_neighbors = g.neighbors(v).to_vec();
-            let my_energy = energy.map_or(0, |e| e[v as usize]);
-            let results = &results;
-            let sent = &sent;
-            scope.spawn(move || {
-                let (marked, count) = host_main(v, my_neighbors, my_energy, inbox, &outboxes, &cfg);
-                sent.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
-                results.lock().expect("no host panics")[v as usize] = marked;
-            });
-        }
-    });
-    (
-        results.into_inner().expect("no host panics"),
-        sent.load(std::sync::atomic::Ordering::Relaxed),
-    )
-}
-
-/// The per-host protocol body. Receives exactly `deg(v)` messages per
-/// round, so rounds self-synchronise through the channels.
-fn host_main(
-    id: NodeId,
-    neighbors: Vec<NodeId>,
-    energy: EnergyLevel,
-    inbox: Receiver<Message>,
-    outboxes: &[(NodeId, Sender<Message>)],
-    cfg: &CdsConfig,
-) -> (bool, u64) {
-    let deg = neighbors.len();
-    let sent = std::cell::Cell::new(0u64);
-    let broadcast = |msg: Message| {
-        for (_, tx) in outboxes {
-            // A send can only fail if the peer already finished — which
-            // cannot happen before it has received all our messages.
-            let _ = tx.send(msg.clone());
-            sent.set(sent.get() + 1);
-        }
-    };
-
-    // Round 1: hello.
-    broadcast(Message::Hello {
-        from: id,
-        neighbors: neighbors.clone(),
-        energy,
-    });
-    pacds_obs::add(pacds_obs::Counter::DistHelloMessages, deg as u64);
-    // Early markers from fast neighbours (who finished their hello round
-    // before we did) are stashed until their round is processed.
-    let mut stash: Vec<Message> = Vec::new();
-    let mut neighbor_info = HashMap::with_capacity(deg);
-    let mut hellos = 0usize;
-    while hellos < deg {
-        match inbox.recv().expect("hello round") {
-            Message::Hello {
-                from,
-                neighbors,
-                energy,
-            } => {
-                neighbor_info.insert(from, NeighborInfo { neighbors, energy });
-                hellos += 1;
-            }
-            marker @ Message::Marker { .. } => stash.push(marker),
-        }
-    }
-
-    let view = LocalView {
-        id,
-        energy,
-        neighbors,
-        neighbor_info,
-    };
-    let mut state = NodeState::new(view);
-
-    // Round 2: marking + marker exchange.
-    state.marked = state.view.decide_marker();
-    broadcast(Message::Marker {
-        from: id,
-        round: 2,
-        marked: state.marked,
-    });
-    pacds_obs::add(pacds_obs::Counter::DistMarkerMessages, deg as u64);
-    receive_markers(&inbox, deg, 2, &mut stash, &mut state);
-
-    if !cfg.policy.prunes() {
-        return (state.marked, sent.get());
-    }
-
-    // Round 3: Rule 1 on the snapshot, then exchange updated markers.
-    let unmark1 = state.rule1_decides_unmark(cfg.policy);
-    if unmark1 {
-        state.marked = false;
-    }
-    broadcast(Message::Marker {
-        from: id,
-        round: 3,
-        marked: state.marked,
-    });
-    pacds_obs::add(pacds_obs::Counter::DistMarkerMessages, deg as u64);
-    receive_markers(&inbox, deg, 3, &mut stash, &mut state);
-
-    // Round 4: Rule 2 on the post-Rule-1 markers. No further exchange is
-    // needed: the decision is final for this update interval.
-    if state.rule2_decides_unmark(cfg.policy, effective_semantics(cfg)) {
-        state.marked = false;
-    }
-    (state.marked, sent.get())
-}
-
-/// Consumes exactly `deg` markers of round `want`, applying them to
-/// `state`. Markers of *later* rounds that arrive early (per-sender FIFO
-/// only orders messages from the same neighbour) are stashed and replayed
-/// when their round comes up.
-fn receive_markers(
-    inbox: &Receiver<Message>,
-    deg: usize,
-    want: u8,
-    stash: &mut Vec<Message>,
-    state: &mut NodeState,
-) {
-    let mut got = 0usize;
-    // Replay stashed messages for this round first.
-    let mut i = 0;
-    while i < stash.len() {
-        if let Message::Marker { round, .. } = &stash[i] {
-            if *round == want {
-                if let Message::Marker { from, marked, .. } = stash.swap_remove(i) {
-                    state.neighbor_marked.insert(from, marked);
-                    got += 1;
-                }
-                continue;
-            }
-        }
-        i += 1;
-    }
-    while got < deg {
-        match inbox.recv().expect("marker round") {
-            Message::Marker {
-                from,
-                round,
-                marked,
-            } => {
-                if round == want {
-                    state.neighbor_marked.insert(from, marked);
-                    got += 1;
-                } else {
-                    debug_assert!(round > want, "a past round cannot reappear");
-                    stash.push(Message::Marker {
-                        from,
-                        round,
-                        marked,
-                    });
-                }
-            }
-            other => unreachable!("unexpected message in marker round: {other:?}"),
-        }
-    }
-}
-
-/// Runs the identical per-node logic deterministically on one thread.
-///
-/// Every host still only reads its own [`LocalView`] and its neighbours'
-/// broadcast markers — the information flow is the same as
-/// [`run_distributed`], just scheduled round-robin.
-pub fn run_distributed_sequential(
-    g: &Graph,
-    energy: Option<&[EnergyLevel]>,
-    cfg: &CdsConfig,
-) -> VertexMask {
-    assert_eq!(cfg.schedule, PruneSchedule::SinglePass);
-    assert_eq!(cfg.application, pacds_core::Application::Simultaneous);
-    let n = g.n();
-
-    // Round 1 (hello): build each host's local view from its neighbours'
-    // broadcasts.
-    let mut states: Vec<NodeState> = (0..n as NodeId)
-        .map(|v| {
-            let mut neighbor_info = HashMap::new();
-            for &u in g.neighbors(v) {
-                neighbor_info.insert(
-                    u,
-                    NeighborInfo {
-                        neighbors: g.neighbors(u).to_vec(),
-                        energy: energy.map_or(0, |e| e[u as usize]),
-                    },
-                );
-            }
-            NodeState::new(LocalView {
+    let last = if cfg.policy.prunes() { 3 } else { 2 };
+    let mut net = Net::new(g, schedule);
+    let mut hosts: Vec<Host> = g
+        .vertices()
+        .map(|v| Host {
+            state: NodeState::new(LocalView {
                 id: v,
                 energy: energy.map_or(0, |e| e[v as usize]),
                 neighbors: g.neighbors(v).to_vec(),
-                neighbor_info,
-            })
+                neighbor_info: HashMap::with_capacity(g.degree(v)),
+            }),
+            round: 1,
+            got: 0,
+            early: Vec::new(),
         })
         .collect();
-
-    // Round 2: marking, then marker exchange.
-    let markers: Vec<bool> = states.iter().map(|s| s.view.decide_marker()).collect();
-    for (v, s) in states.iter_mut().enumerate() {
-        s.marked = markers[v];
-        for &u in g.neighbors(v as NodeId) {
-            s.neighbor_marked.insert(u, markers[u as usize]);
-        }
+    // Round 1: every host says hello; one without neighbours decides at
+    // once.
+    for host in &mut hosts {
+        let view = &host.state.view;
+        let hello = Message::Hello {
+            neighbors: view.neighbors.clone(),
+            energy: view.energy,
+        };
+        net.broadcast(view.id, hello);
+        host.advance(cfg, last, &mut net);
     }
-    if !cfg.policy.prunes() {
-        return markers;
+    while let Some((from, to, msg)) = net.deliver() {
+        let host = &mut hosts[to as usize];
+        host.receive(from, msg);
+        host.advance(cfg, last, &mut net);
     }
-
-    // Round 3: Rule 1 (simultaneous), exchange.
-    let after1: Vec<bool> = states
-        .iter()
-        .map(|s| s.marked && !s.rule1_decides_unmark(cfg.policy))
-        .collect();
-    for (v, s) in states.iter_mut().enumerate() {
-        s.marked = after1[v];
-        for &u in g.neighbors(v as NodeId) {
-            s.neighbor_marked.insert(u, after1[u as usize]);
-        }
+    assert!(hosts.iter().all(|h| h.round > last), "a host stalled");
+    Run {
+        gateways: hosts.iter().map(|h| h.state.marked).collect(),
+        sent: ProtocolStats::new(net.hello, net.marker, net.payload),
     }
-
-    // Round 4: Rule 2 (simultaneous).
-    let semantics = effective_semantics(cfg);
-    states
-        .iter()
-        .map(|s| s.marked && !s.rule2_decides_unmark(cfg.policy, semantics))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pacds_core::{compute_cds, CdsInput};
+    use pacds_core::{compute_cds, CdsInput, Policy};
     use pacds_graph::gen;
-    use rand::SeedableRng;
+
+    const SCHEDULES: [Schedule; 3] = [Schedule::Fifo, Schedule::Shuffled(0), Schedule::Shuffled(9)];
 
     fn energies(n: usize, seed: u64) -> Vec<u64> {
         (0..n)
@@ -339,8 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_matches_centralized_on_random_graphs() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    fn every_schedule_matches_centralized_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(42);
         for trial in 0..30 {
             let n = 5 + (trial % 40);
             let g = gen::connected_gnp(&mut rng, n, 0.15, 8);
@@ -348,63 +296,50 @@ mod tests {
             for policy in Policy::ALL {
                 for cfg in [CdsConfig::policy(policy), CdsConfig::paper(policy)] {
                     let central = compute_cds(&CdsInput::with_energy(&g, &e), &cfg);
-                    let dist = run_distributed_sequential(&g, Some(&e), &cfg);
-                    assert_eq!(central, dist, "trial {trial} policy {policy:?}");
+                    for schedule in SCHEDULES {
+                        let dist = run_distributed(&g, Some(&e), &cfg, schedule).gateways;
+                        assert_eq!(central, dist, "trial {trial} {policy:?} {schedule:?}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn threaded_matches_centralized() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for trial in 0..5 {
-            let n = 20 + trial * 10;
-            let g = gen::connected_gnp(&mut rng, n, 0.12, 8);
-            let e = energies(n, trial as u64);
-            for policy in [
-                Policy::Id,
-                Policy::Degree,
-                Policy::Energy,
-                Policy::EnergyDegree,
-            ] {
-                let cfg = CdsConfig::paper(policy);
-                let central = compute_cds(&CdsInput::with_energy(&g, &e), &cfg);
-                let dist = run_distributed(&g, Some(&e), &cfg);
-                assert_eq!(central, dist, "trial {trial} policy {policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_handles_unit_disk_topologies() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    fn handles_disconnected_unit_disk_topologies() {
+        let mut rng = StdRng::seed_from_u64(3);
         let bounds = pacds_geom::Rect::paper_arena();
         let pts = pacds_geom::placement::uniform_points(&mut rng, bounds, 60);
         let g = gen::unit_disk(bounds, 25.0, &pts);
         let e = energies(g.n(), 5);
         let cfg = CdsConfig::paper(Policy::EnergyDegree);
-        // Works on possibly-disconnected graphs too: the protocol is local.
+        // The protocol is local, so isolated hosts and separate
+        // components need nothing special.
         let central = compute_cds(&CdsInput::with_energy(&g, &e), &cfg);
-        let dist = run_distributed(&g, Some(&e), &cfg);
-        assert_eq!(central, dist);
+        for schedule in SCHEDULES {
+            assert_eq!(
+                central,
+                run_distributed(&g, Some(&e), &cfg, schedule).gateways
+            );
+        }
     }
 
     #[test]
     fn empty_and_singleton_graphs() {
         let cfg = CdsConfig::policy(Policy::Id);
-        assert!(run_distributed(&Graph::new(0), None, &cfg).is_empty());
-        assert_eq!(run_distributed(&Graph::new(1), None, &cfg), vec![false]);
-        assert_eq!(
-            run_distributed_sequential(&Graph::new(1), None, &cfg),
-            vec![false]
-        );
+        for schedule in SCHEDULES {
+            let empty = run_distributed(&Graph::new(0), None, &cfg, schedule);
+            assert!(empty.gateways.is_empty());
+            assert_eq!(empty.sent, ProtocolStats::new(0, 0, 0));
+            let one = run_distributed(&Graph::new(1), None, &cfg, schedule);
+            assert_eq!(one.gateways, vec![false]);
+        }
     }
 
     #[test]
     #[should_panic]
     fn fixpoint_schedule_is_rejected() {
         let g = gen::path(4);
-        run_distributed(&g, None, &CdsConfig::fixpoint(Policy::Id));
+        run_distributed(&g, None, &CdsConfig::fixpoint(Policy::Id), Schedule::Fifo);
     }
 }

@@ -4,14 +4,15 @@
 //! The centralised functions in `pacds-core` compute on the whole graph at
 //! once. The paper's algorithm, however, is *localized*: each host acts
 //! only on information received from its neighbours. This crate executes
-//! exactly that protocol — one actor per host, communicating over channels,
-//! with **no shared view of the topology** — and the test-suite proves the
-//! outcome is identical to the centralised computation for every policy.
+//! exactly that protocol — one state machine per host, driven by messages
+//! from its radio neighbours, with **no shared view of the topology** —
+//! and the test-suite proves the outcome is identical to the centralised
+//! computation for every policy and every delivery [`Schedule`].
 //!
-//! Protocol rounds (each host expects exactly `deg(v)` messages per round,
-//! which makes channel reads self-synchronising — no global barrier):
+//! Protocol rounds (each host collects exactly `deg(v)` messages per round
+//! before it acts, so no global barrier is needed):
 //!
-//! 1. **Hello** — send `(id, N(v), el(v))` to every neighbour. Afterwards a
+//! 1. **Hello** — send `(N(v), el(v))` to every neighbour. Afterwards a
 //!    host knows its distance-2 neighbourhood, each neighbour's degree and
 //!    energy level.
 //! 2. **Marker** — compute `m(v)` (two unconnected neighbours?) and send it.
@@ -24,6 +25,6 @@ pub mod engine;
 pub mod node;
 pub mod stats;
 
-pub use engine::{run_distributed, run_distributed_counted, run_distributed_sequential};
+pub use engine::{run_distributed, Run, Schedule};
 pub use node::{LocalView, NodeState};
 pub use stats::{protocol_stats, ProtocolStats};

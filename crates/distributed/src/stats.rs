@@ -35,11 +35,6 @@ impl ProtocolStats {
             total_messages: hello_messages + marker_messages,
         }
     }
-
-    /// Total messages.
-    pub fn total_messages(&self) -> u64 {
-        self.hello_messages + self.marker_messages
-    }
 }
 
 /// The exact message counts the protocol in [`crate::engine`] produces on
@@ -51,7 +46,7 @@ impl ProtocolStats {
 /// let g = pacds_graph::gen::path(5); // 4 links
 /// let s = protocol_stats(&g, &CdsConfig::policy(Policy::Id));
 /// assert_eq!(s.hello_messages, 8);   // one per directed edge
-/// assert_eq!(s.total_messages(), 24);
+/// assert_eq!(s.total_messages, 24);
 /// ```
 ///
 /// * Round 1 (hello): every host sends `N(v)` to each neighbour — `2m`
@@ -85,7 +80,7 @@ mod tests {
         assert_eq!(s.marker_messages, 16);
         // degrees 1,2,2,2,1 -> payload 1+4+4+4+1 = 14
         assert_eq!(s.hello_payload_entries, 14);
-        assert_eq!(s.total_messages(), 24);
+        assert_eq!(s.total_messages, 24);
     }
 
     #[test]
@@ -99,8 +94,9 @@ mod tests {
 
     #[test]
     fn message_count_matches_instrumented_engine() {
-        // The threaded engine counts every channel send it performs; the
-        // analytic formula must agree exactly.
+        // The engine counts every message it puts on a link; the analytic
+        // formula must agree on each entry, under either schedule.
+        use crate::engine::{run_distributed, Schedule};
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for (n, p) in [(12usize, 0.2), (30, 0.1), (50, 0.08)] {
@@ -110,10 +106,15 @@ mod tests {
                 CdsConfig::policy(Policy::Id),
                 CdsConfig::paper(Policy::EnergyDegree),
             ] {
-                let expected = protocol_stats(&g, &cfg);
                 let energy = vec![5u64; n];
-                let (_, sent) = crate::engine::run_distributed_counted(&g, Some(&energy), &cfg);
-                assert_eq!(sent, expected.total_messages(), "n={n} cfg={cfg:?}");
+                for schedule in [Schedule::Fifo, Schedule::Shuffled(n as u64)] {
+                    let run = run_distributed(&g, Some(&energy), &cfg, schedule);
+                    assert_eq!(
+                        run.sent,
+                        protocol_stats(&g, &cfg),
+                        "n={n} {cfg:?} {schedule:?}"
+                    );
+                }
             }
         }
     }
@@ -122,7 +123,7 @@ mod tests {
     fn serialization_includes_total_messages() {
         let g = gen::path(5);
         let s = protocol_stats(&g, &CdsConfig::policy(Policy::Id));
-        assert_eq!(s.total_messages, s.total_messages());
+        assert_eq!(s.total_messages, s.hello_messages + s.marker_messages);
         let json = serde_json::to_string(&s).unwrap();
         assert!(
             json.contains("\"total_messages\":24"),

@@ -121,11 +121,6 @@ fn main() {
             if !kind.applicable(&cfg) {
                 continue;
             }
-            // One OS thread per host is too heavy to spawn on every
-            // iteration at n=100; sample the threaded engine sparsely.
-            if kind == ImplKind::DistributedThreaded && (n > 60 || !iterations.is_multiple_of(5)) {
-                continue;
-            }
             checks += 1;
             let got = run_impl(kind, &g, Some(&energy), &cfg);
             if got != expected {

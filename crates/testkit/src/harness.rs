@@ -18,10 +18,10 @@ use crate::casefile::{emit_case, shrink_case, CaseFile};
 use crate::corpus::TopoCase;
 use crate::oracle;
 use pacds_core::{
-    compute_cds, verify_cds, Application, CdsConfig, CdsInput, CdsWorkspace, Policy, PruneSchedule,
+    compute_cds, verify_cds, Application, CdsConfig, CdsInput, Policy, PruneSchedule,
     Rule2Semantics,
 };
-use pacds_distributed::{run_distributed, run_distributed_sequential};
+use pacds_distributed::{run_distributed, Schedule};
 use pacds_graph::{Graph, VertexMask};
 use std::path::PathBuf;
 
@@ -30,24 +30,24 @@ use std::path::PathBuf;
 pub enum ImplKind {
     /// The frozen v0 pipeline (`pacds_bench::seed_baseline`).
     SeedBaseline,
-    /// The allocating pipeline (`pacds_core::compute_cds`).
+    /// The pipeline (`pacds_core::compute_cds`, which runs a fresh
+    /// `CdsWorkspace`).
     Pipeline,
-    /// The retained-scratch [`CdsWorkspace`].
-    Workspace,
-    /// `pacds_distributed::run_distributed_sequential` (round-robin).
-    DistributedSeq,
-    /// `pacds_distributed::run_distributed` (one OS thread per host).
-    DistributedThreaded,
+    /// `pacds_distributed::run_distributed` under [`Schedule::Fifo`].
+    DistributedFifo,
+    /// `pacds_distributed::run_distributed` under
+    /// [`Schedule::Shuffled`], seeded with the instance's edge count so a
+    /// case file replays the same delivery order.
+    DistributedShuffled,
 }
 
 impl ImplKind {
     /// Every implementation, cheapest first.
-    pub const ALL: [ImplKind; 5] = [
+    pub const ALL: [ImplKind; 4] = [
         ImplKind::SeedBaseline,
         ImplKind::Pipeline,
-        ImplKind::Workspace,
-        ImplKind::DistributedSeq,
-        ImplKind::DistributedThreaded,
+        ImplKind::DistributedFifo,
+        ImplKind::DistributedShuffled,
     ];
 
     /// Stable name (used in case files and failure messages).
@@ -55,19 +55,18 @@ impl ImplKind {
         match self {
             ImplKind::SeedBaseline => "seed_baseline",
             ImplKind::Pipeline => "pipeline",
-            ImplKind::Workspace => "workspace",
-            ImplKind::DistributedSeq => "distributed_seq",
-            ImplKind::DistributedThreaded => "distributed_threaded",
+            ImplKind::DistributedFifo => "distributed_fifo",
+            ImplKind::DistributedShuffled => "distributed_shuffled",
         }
     }
 
     /// Whether this implementation supports `cfg`. The seed baseline and
-    /// both distributed engines implement only the paper's simultaneous
+    /// the distributed protocol implement only the paper's simultaneous
     /// single-pass procedure (they panic otherwise, by contract).
     pub fn applicable(&self, cfg: &CdsConfig) -> bool {
         match self {
-            ImplKind::Pipeline | ImplKind::Workspace => true,
-            ImplKind::SeedBaseline | ImplKind::DistributedSeq | ImplKind::DistributedThreaded => {
+            ImplKind::Pipeline => true,
+            ImplKind::SeedBaseline | ImplKind::DistributedFifo | ImplKind::DistributedShuffled => {
                 cfg.application == Application::Simultaneous
                     && cfg.schedule == PruneSchedule::SinglePass
             }
@@ -86,12 +85,10 @@ pub fn run_impl(kind: ImplKind, g: &Graph, energy: Option<&[u64]>, cfg: &CdsConf
             };
             compute_cds(&input, cfg)
         }
-        ImplKind::Workspace => {
-            let mut ws = CdsWorkspace::new();
-            ws.compute(g, energy, cfg).clone()
+        ImplKind::DistributedFifo => run_distributed(g, energy, cfg, Schedule::Fifo).gateways,
+        ImplKind::DistributedShuffled => {
+            run_distributed(g, energy, cfg, Schedule::Shuffled(g.m() as u64)).gateways
         }
-        ImplKind::DistributedSeq => run_distributed_sequential(g, energy, cfg),
-        ImplKind::DistributedThreaded => run_distributed(g, energy, cfg),
     }
 }
 
@@ -269,8 +266,8 @@ mod tests {
         }
         for kind in [
             ImplKind::SeedBaseline,
-            ImplKind::DistributedSeq,
-            ImplKind::DistributedThreaded,
+            ImplKind::DistributedFifo,
+            ImplKind::DistributedShuffled,
         ] {
             assert!(!kind.applicable(&seq));
             assert!(!kind.applicable(&fix));

@@ -51,8 +51,6 @@ fn named_families_conform_across_the_full_matrix() {
     let mut report = ConformanceReport::new();
     for case in &cases {
         for cfg in &matrix {
-            // The threaded distributed engine spawns one OS thread per
-            // host; named families are small, so it runs everywhere here.
             report.check_case(case, cfg, &ImplKind::ALL);
         }
     }
@@ -73,20 +71,13 @@ fn random_unit_disk_corpus_conforms() {
         // cases without making the naive O(n·Δ⁴) oracle the bottleneck.
         let policy = Policy::ALL[i % Policy::ALL.len()];
         let rotating = matrix[i % matrix.len()];
-        let impls: &[ImplKind] = if case.graph.n() <= 40 && i % 10 == 0 {
-            &ImplKind::ALL
-        } else {
-            // The threaded engine is sampled above; everything else always.
-            &[
-                ImplKind::SeedBaseline,
-                ImplKind::Pipeline,
-                ImplKind::Workspace,
-                ImplKind::DistributedSeq,
-            ]
-        };
-        report.check_case(case, &CdsConfig::policy(policy), impls);
-        report.check_case(case, &CdsConfig::paper(policy), impls);
-        report.check_case(case, &rotating, impls);
+        for cfg in [
+            CdsConfig::policy(policy),
+            CdsConfig::paper(policy),
+            rotating,
+        ] {
+            report.check_case(case, &cfg, &ImplKind::ALL);
+        }
     }
     assert!(report.checked >= 3 * 200);
     report.finish();

@@ -97,7 +97,7 @@ fn replay_reproduces_a_recorded_real_mismatch() {
     let expected = oracle::compute_cds_oracle(&g, Some(&energy), &cfg);
     let file = CaseFile::capture(
         "replay-check",
-        ImplKind::Workspace,
+        ImplKind::Pipeline,
         &g,
         &energy,
         &cfg,
@@ -115,15 +115,23 @@ fn replay_reproduces_a_recorded_real_mismatch() {
 
 #[test]
 fn replay_rejects_case_files_naming_a_retired_implementation() {
-    // Case files recorded against the removed `parallel` entry point must
-    // fail cleanly rather than panic or silently run something else.
+    // Case files recorded against a removed entry point must fail cleanly
+    // rather than panic or silently run something else.
     let g = gen::path(4);
     let energy = vec![1u64; 4];
     let cfg = CdsConfig::policy(Policy::Id);
     let mask = oracle::compute_cds_oracle(&g, Some(&energy), &cfg);
-    let file = CaseFile::capture_named("retired-impl", "parallel", &g, &energy, &cfg, &mask, &mask);
-    let path = emit_case(&file);
-    let err = replay(&path).expect_err("a retired implementation cannot replay");
-    assert_eq!(err, "unknown implementation \"parallel\"");
-    std::fs::remove_file(&path).ok();
+    for retired in [
+        "parallel",
+        "workspace",
+        "distributed_seq",
+        "distributed_threaded",
+    ] {
+        let file =
+            CaseFile::capture_named("retired-impl", retired, &g, &energy, &cfg, &mask, &mask);
+        let path = emit_case(&file);
+        let err = replay(&path).expect_err("a retired implementation cannot replay");
+        assert_eq!(err, format!("unknown implementation {retired:?}"));
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -1,21 +1,20 @@
 //! Differential check of the protocol-overhead accounting: the message
-//! counts the instrumented engine *observes* must equal the analytic
-//! predictions in [`pacds_distributed::stats`] on the adversarial corpus.
+//! counts the engine *observes* must equal the analytic predictions in
+//! [`pacds_distributed::stats`] on the adversarial corpus, under every
+//! delivery schedule.
 //!
 //! Two layers of evidence, both over the same corpus cases:
 //!
-//! * the engine's own send counter (`run_distributed_counted`) — always on;
-//! * the `pacds-obs` hello/marker counters ticked inside `host_main` —
-//!   only under `--features obs`, where the per-case *delta* of the global
-//!   counters must match the per-round analytic split exactly.
+//! * the engine's own send counts (`Run::sent`: hello, marker and hello
+//!   payload entries) — always on;
+//! * the `pacds-obs` hello/marker counters ticked where the engine puts a
+//!   message on a link — only under `--features obs`, where the per-run
+//!   *delta* of the global counters must match the per-round analytic
+//!   split exactly.
 
 use pacds_core::{CdsConfig, Policy};
-use pacds_distributed::{protocol_stats, run_distributed_counted};
+use pacds_distributed::{protocol_stats, run_distributed, Schedule};
 use pacds_testkit::corpus;
-
-/// Threaded engine spawns one OS thread per host; keep corpus cases small
-/// enough that the whole sweep stays cheap.
-const MAX_N: usize = 64;
 
 #[test]
 fn observed_message_counts_match_analytic_stats_on_corpus() {
@@ -30,46 +29,43 @@ fn observed_message_counts_match_analytic_stats_on_corpus() {
 
     let mut checked = 0usize;
     for case in &cases {
-        if case.graph.n() > MAX_N {
-            continue;
-        }
         for cfg in &configs {
-            let expected = protocol_stats(&case.graph, cfg);
+            for schedule in [Schedule::Fifo, Schedule::Shuffled(case.graph.m() as u64)] {
+                let expected = protocol_stats(&case.graph, cfg);
 
-            #[cfg(feature = "obs")]
-            let before = pacds_obs::Snapshot::capture();
+                #[cfg(feature = "obs")]
+                let before = pacds_obs::Snapshot::capture();
 
-            let (_, sent) = run_distributed_counted(&case.graph, Some(&case.energy), cfg);
-            assert_eq!(
-                sent,
-                expected.total_messages(),
-                "engine send counter diverged from analytic stats on {} ({:?})",
-                case.name,
-                cfg.policy,
-            );
-
-            #[cfg(feature = "obs")]
-            {
-                let after = pacds_obs::Snapshot::capture();
-                let delta = |label: &str| after.counter(label) - before.counter(label);
+                let run = run_distributed(&case.graph, Some(&case.energy), cfg, schedule);
                 assert_eq!(
-                    delta("dist.hello_messages"),
-                    expected.hello_messages,
-                    "hello counter diverged on {} ({:?})",
-                    case.name,
-                    cfg.policy,
+                    run.sent, expected,
+                    "engine send counts diverged from analytic stats on {} ({:?}, {schedule:?})",
+                    case.name, cfg.policy,
                 );
-                assert_eq!(
-                    delta("dist.marker_messages"),
-                    expected.marker_messages,
-                    "marker counter diverged on {} ({:?})",
-                    case.name,
-                    cfg.policy,
-                );
-                assert!(delta("dist.runs") >= 1);
+
+                #[cfg(feature = "obs")]
+                {
+                    let after = pacds_obs::Snapshot::capture();
+                    let delta = |label: &str| after.counter(label) - before.counter(label);
+                    assert_eq!(
+                        delta("dist.hello_messages"),
+                        expected.hello_messages,
+                        "hello counter diverged on {} ({:?})",
+                        case.name,
+                        cfg.policy,
+                    );
+                    assert_eq!(
+                        delta("dist.marker_messages"),
+                        expected.marker_messages,
+                        "marker counter diverged on {} ({:?})",
+                        case.name,
+                        cfg.policy,
+                    );
+                    assert!(delta("dist.runs") >= 1);
+                }
+
+                checked += 1;
             }
-
-            checked += 1;
         }
     }
     assert!(checked >= 30, "corpus sweep too small: {checked} runs");

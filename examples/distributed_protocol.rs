@@ -1,13 +1,13 @@
-//! Runs the localized message-passing protocol — one actor thread per host,
-//! communicating only with radio neighbours — and checks it against the
-//! centralised computation.
+//! Runs the localized message-passing protocol — one state machine per
+//! host, hearing only from its radio neighbours, under a seeded shuffled
+//! delivery order — and checks it against the centralised computation.
 //!
 //! ```sh
 //! cargo run --example distributed_protocol
 //! ```
 
 use pacds::core::{compute_cds, CdsConfig, CdsInput, Policy};
-use pacds::distributed::run_distributed;
+use pacds::distributed::{run_distributed, Schedule};
 use pacds::graph::{gen, mask_to_vec};
 use rand::SeedableRng;
 
@@ -22,7 +22,7 @@ fn main() {
         "{} hosts exchange neighbour sets, markers and rule decisions over",
         graph.n()
     );
-    println!("std::sync::mpsc channels — no host ever sees the global topology.\n");
+    println!("per-link FIFO queues in a shuffled order — no host ever sees the global topology.\n");
 
     for policy in [
         Policy::Id,
@@ -31,16 +31,18 @@ fn main() {
         Policy::EnergyDegree,
     ] {
         let cfg = CdsConfig::paper(policy);
-        let distributed = run_distributed(&graph, Some(&energy), &cfg);
+        let run = run_distributed(&graph, Some(&energy), &cfg, Schedule::Shuffled(4242));
+        let distributed = run.gateways;
         let centralized = compute_cds(&CdsInput::with_energy(&graph, &energy), &cfg);
         assert_eq!(
             distributed, centralized,
             "protocol must agree with the centralised computation"
         );
         println!(
-            "{:>4}: {} gateways {:?}",
+            "{:>4}: {} gateways after {} messages {:?}",
             policy.label(),
             distributed.iter().filter(|&&b| b).count(),
+            run.sent.total_messages,
             &mask_to_vec(&distributed)[..mask_to_vec(&distributed).len().min(14)]
         );
     }

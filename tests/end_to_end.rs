@@ -3,7 +3,7 @@
 //! protocol equivalence at full pipeline scale.
 
 use pacds::core::{compute_cds, CdsConfig, CdsInput, Policy};
-use pacds::distributed::{run_distributed, run_distributed_sequential};
+use pacds::distributed::{run_distributed, Schedule};
 use pacds::graph::{algo, gen, NodeId};
 use pacds::routing::{stretch_summary, BackboneRoutes};
 use rand::SeedableRng;
@@ -81,10 +81,10 @@ fn distributed_protocol_agrees_on_unit_disk_networks() {
         for policy in Policy::ALL {
             for cfg in [CdsConfig::policy(policy), CdsConfig::paper(policy)] {
                 let central = compute_cds(&CdsInput::with_energy(&g, &energy), &cfg);
-                let seq = run_distributed_sequential(&g, Some(&energy), &cfg);
-                assert_eq!(central, seq, "sequential {policy:?}");
-                let thr = run_distributed(&g, Some(&energy), &cfg);
-                assert_eq!(central, thr, "threaded {policy:?}");
+                for schedule in [Schedule::Fifo, Schedule::Shuffled(seed)] {
+                    let run = run_distributed(&g, Some(&energy), &cfg, schedule);
+                    assert_eq!(central, run.gateways, "{policy:?} {schedule:?}");
+                }
             }
         }
     }
