@@ -18,8 +18,9 @@
 //! * **kill → reroute** — one gateway on an active route is killed; the
 //!   stale wave must NACK (never deliver into the dead node), and the
 //!   refresh → reinstall → retransmit → redelivery sequence is timed end
-//!   to end. `adjacency_ns` is the part of the refresh the churn engine
-//!   does not account for: the dataplane's adjacency upkeep. The engine's
+//!   to end. `adjacency_ns` is the part of the refresh the churn engine's
+//!   halo, solve and scatter phases do not account for (the network keeps
+//!   its open-time adjacency, so no CSR upkeep is left in it). The engine's
 //!   times are summed over its pool workers, so the engine runs one pool
 //!   thread (as in perfbench's churn-reroute) to keep that difference
 //!   exact. The reroute must repair at least one destination tree and
@@ -95,7 +96,8 @@ fn bench() -> Result<(), Error> {
          transmissions from the same source at full coverage; kill_* time the gateway-death \
          NACK -> churn refresh -> table reinstall -> retransmit -> redelivery sequence end to \
          end (reroute_ns includes refresh_ns; adjacency_ns is refresh_ns minus the churn \
-         engine's halo + solve + scatter time, i.e. the adjacency upkeep, exact because the \
+         engine's halo + solve + scatter time, i.e. work outside those phases (the network \
+         keeps its open-time adjacency, so no CSR upkeep is left in it), exact because the \
          engine runs one pool thread; trees_rebuilt / trees_repaired count the destination \
          trees the reroute built in full / repaired in place); misroutes counts packets \
          forwarded into a dead node and is asserted zero — the structural liveness-check \

@@ -77,9 +77,10 @@ pub struct DpParams {
 struct Reroute {
     requeued: usize,
     refresh_ns: f64,
-    /// Refresh minus the churn engine's halo + solve + scatter time: the
-    /// adjacency upkeep. Exact only with one pool thread, since the
-    /// engine's times are summed over workers.
+    /// Refresh minus the churn engine's halo + solve + scatter time: work
+    /// outside those phases. The network keeps its open-time adjacency,
+    /// so no CSR upkeep is left in it. Exact only with one pool thread,
+    /// since the engine's times are summed over workers.
     adjacency_ns: f64,
     /// Refresh through redelivery.
     ns: f64,
@@ -191,7 +192,8 @@ impl Traffic {
         let (mut extra, mut ratio, mut max_extra) = (0, 0.0, 0);
         for k in 0..pairs {
             let (_, src, dst) = self.flows[k];
-            let shortest = bfs_hops(self.net.graph(), src, dst).ok_or("flow is disconnected")?;
+            let (g, alive) = (self.net.graph(), self.net.alive());
+            let shortest = bfs_hops(g, alive, src, dst).ok_or("flow is disconnected")?;
             self.route(src, dst)?;
             let routed = (self.probe.len() - 1) as u32;
             (extra, max_extra) = (extra + routed - shortest, max_extra.max(routed - shortest));
@@ -263,8 +265,9 @@ impl Traffic {
     }
 }
 
-/// BFS hop count from `src` to `dst` over the CSR adjacency.
-fn bfs_hops(g: &Graph, src: NodeId, dst: NodeId) -> Option<u32> {
+/// BFS hop count from `src` to `dst` over the live hosts of the CSR
+/// adjacency (dead hosts keep their rows there).
+fn bfs_hops(g: &Graph, alive: &[bool], src: NodeId, dst: NodeId) -> Option<u32> {
     let mut dist = vec![u32::MAX; g.n()];
     let mut queue = vec![src];
     dist[src as usize] = 0;
@@ -272,7 +275,7 @@ fn bfs_hops(g: &Graph, src: NodeId, dst: NodeId) -> Option<u32> {
     while let Some(&v) = queue.get(head) {
         head += 1;
         for &u in g.neighbors(v) {
-            if dist[u as usize] == u32::MAX {
+            if alive[u as usize] && dist[u as usize] == u32::MAX {
                 dist[u as usize] = dist[v as usize] + 1;
                 queue.push(u);
             }

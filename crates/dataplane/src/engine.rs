@@ -149,9 +149,10 @@ impl Dataplane {
     /// arena is cleared wholesale; flow caches miss on the epoch bump).
     /// Destination trees survive: each is repaired from the hosts that
     /// joined or left the backbone on its next use. That repair holds
-    /// only under [`BackboneRoutes::install`]'s precondition: between two
-    /// installs the graph only loses edges. Hosts may die, but none may
-    /// move or appear — an arriving host brings edges.
+    /// only under [`BackboneRoutes::install`]'s precondition: the graph
+    /// pumped over does not change between installs. Hosts die through
+    /// `alive` and keep their rows (as in [`crate::ChurnNet`]); none may
+    /// move or appear.
     ///
     /// # Panics
     /// Panics if packets are still queued inside the node graph — pump to

@@ -29,7 +29,8 @@
 //! * [`engine`] — [`Dataplane`]: the node graph, the pump loop, the
 //!   NACK/retransmit path.
 //! * [`net`] — [`ChurnNet`]: the live network (churn control plane plus
-//!   retained CSR adjacency) the benches and CLI drive traffic over.
+//!   the CSR adjacency built at open, dead hosts masked) the benches and
+//!   CLI drive traffic over.
 //!
 //! The liveness contract, end to end: a kill flips the *current* alive
 //! mask immediately; backbone tables only change at the next churn

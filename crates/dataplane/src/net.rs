@@ -1,38 +1,35 @@
 //! The live network under the dataplane: a [`ChurnEngine`] control plane
-//! plus the retained CSR adjacency the forwarding engine actually walks.
+//! plus the CSR adjacency the forwarding engine walks.
 //!
 //! `ChurnNet` makes the control-plane/data-plane staleness window
 //! explicit. A [`ChurnNet::kill`] updates the *current* liveness mask
 //! immediately — the radio is off the moment the host dies, which is
 //! what [`crate::Dataplane::pump`] checks before every transmission —
-//! but the gateway backbone and the adjacency only change at the next
+//! but the gateway backbone only changes at the next
 //! [`ChurnNet::refresh`], exactly as the incremental CDS engine
 //! re-solves its dirty tiles. The gap between those two moments is the
 //! window the NACK/retransmit path exists to close.
 //!
-//! Kills never move a host, so the adjacency among live hosts stays the
-//! one built at [`ChurnNet::open`]. A refresh therefore patches the
-//! retained CSR in place ([`Graph::isolate_in_place`]) — only the rows
-//! of the newly dead hosts and their neighbours are rewritten — instead of
-//! rebuilding the unit-disk graph over all hosts.
+//! Kills never move a host and never add an edge, so the adjacency stays
+//! the one built at [`ChurnNet::open`]: a dead host keeps its row and is
+//! masked, not removed. Every reader checks liveness already — the
+//! forward node and the flood engine read the alive mask, route trees
+//! span only live gateways, and after a refresh the gateway mask is
+//! false for every dead host — so a refresh costs the engine's re-solve
+//! alone, not a pass over the CSR.
 
 use pacds_core::CdsConfig;
 use pacds_geom::{Point2, Rect};
 use pacds_graph::gen::{unit_disk_csr, UnitDiskScratch};
-use pacds_graph::{Graph, NodeId};
+use pacds_graph::Graph;
 use pacds_shard::{ChurnEngine, ChurnError, ChurnEvent, ChurnStats, ShardSpec};
 
-/// A churn-driven unit-disk network with retained adjacency and masks.
+/// A churn-driven unit-disk network: the control-plane engine and the
+/// adjacency built at open.
 #[derive(Debug)]
 pub struct ChurnNet {
     engine: ChurnEngine,
     graph: Graph,
-    /// Current liveness — updated by [`Self::kill`] *immediately*.
-    alive: Vec<bool>,
-    /// Gateway mask as of the last refresh (the control plane's view).
-    gateway: Vec<bool>,
-    /// Hosts killed since the last refresh, still connected in `graph`.
-    pending: Vec<NodeId>,
 }
 
 impl ChurnNet {
@@ -56,38 +53,25 @@ impl ChurnNet {
             &mut graph,
             &mut UnitDiskScratch::default(),
         );
-        Ok(Self {
-            graph,
-            alive: engine.alive().to_vec(),
-            gateway: engine.gateways().clone(),
-            pending: Vec::new(),
-            engine,
-        })
+        Ok(Self { engine, graph })
     }
 
     /// Kills `node`: the control plane records the event (dirty tiles,
     /// deferred re-solve) and the *current* liveness mask flips at once.
-    /// Tables and adjacency stay stale until [`Self::refresh`].
+    /// The gateway mask stays stale until [`Self::refresh`].
     pub fn kill(&mut self, node: u32) -> Result<(), ChurnError> {
-        self.engine.apply(&ChurnEvent::KillNode { node })?;
-        self.alive[node as usize] = false;
-        self.pending.push(node);
-        Ok(())
+        self.engine.apply(&ChurnEvent::KillNode { node })
     }
 
-    /// Re-solves the dirty tiles and brings adjacency, liveness, and the
-    /// gateway mask back in sync with the control plane.
+    /// Re-solves the dirty tiles, bringing the gateway mask back in sync
+    /// with the liveness mask.
     pub fn refresh(&mut self) -> ChurnStats {
-        let stats = self.engine.refresh();
-        self.alive.clear();
-        self.alive.extend_from_slice(self.engine.alive());
-        self.gateway.clear();
-        self.gateway.extend_from_slice(self.engine.gateways());
-        self.graph.isolate_in_place(&mut self.pending);
-        stats
+        self.engine.refresh()
     }
 
-    /// The adjacency as of the last refresh.
+    /// The adjacency built at [`Self::open`]. Dead hosts keep their rows:
+    /// they are masked by [`Self::alive`], not removed, so a reader that
+    /// needs the live graph must skip the hosts that mask clears.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -95,22 +79,23 @@ impl ChurnNet {
     /// Current per-host liveness (fresher than the installed tables
     /// between a kill and the next refresh).
     pub fn alive(&self) -> &[bool] {
-        &self.alive
+        self.engine.alive()
     }
 
-    /// Gateway mask as of the last refresh.
+    /// Gateway mask as of the last refresh; false for every host dead by
+    /// then.
     pub fn gateway(&self) -> &[bool] {
-        &self.gateway
+        self.engine.gateways()
     }
 
     /// Number of gateways as of the last refresh.
     pub fn gateway_count(&self) -> usize {
-        self.gateway.iter().filter(|&&b| b).count()
+        self.engine.gateway_count()
     }
 
     /// Host count (including dead id slots).
     pub fn n(&self) -> usize {
-        self.alive.len()
+        self.graph.n()
     }
 
     /// The underlying control-plane engine.
@@ -156,22 +141,18 @@ mod tests {
             .iter()
             .position(|&b| b)
             .expect("some gateway exists") as u32;
-        let degree = net.graph().degree(gw);
-        assert!(degree > 0, "a gateway has neighbours");
+        let open = net.graph().clone();
+        assert!(open.degree(gw) > 0, "a gateway has neighbours");
         net.kill(gw).unwrap();
         assert!(!net.alive()[gw as usize], "liveness flips at once");
         assert!(net.gateway()[gw as usize], "backbone still lists it");
-        assert_eq!(
-            net.graph().degree(gw),
-            degree,
-            "adjacency untouched until refresh"
-        );
         net.refresh();
         assert!(
             !net.gateway()[gw as usize],
             "refresh evicts the dead gateway"
         );
-        assert_eq!(net.graph().degree(gw), 0, "dead host is isolated");
+        assert!(!net.alive()[gw as usize], "the dead host stays masked");
+        assert_eq!(net.graph(), &open, "kills never touch the adjacency");
     }
 
     #[test]
@@ -200,8 +181,16 @@ mod tests {
         g
     }
 
+    /// The open-time adjacency with the dead hosts' edges dropped.
+    fn live_view(net: &ChurnNet) -> Graph {
+        let dead: Vec<bool> = net.alive().iter().map(|&a| !a).collect();
+        let mut g = Graph::default();
+        g.rebuild_from_masked(net.graph(), &dead);
+        g
+    }
+
     #[test]
-    fn refresh_patch_equals_a_fresh_unit_disk_build() {
+    fn the_live_view_equals_a_fresh_unit_disk_build() {
         const R: f64 = 25.0;
         let bounds = Rect::paper_arena();
         let spec = ShardSpec {
@@ -228,21 +217,17 @@ mod tests {
                 &CdsConfig::policy(Policy::Degree),
             )
             .unwrap();
-            assert_eq!(
-                net.graph(),
-                &fresh_graph(&net, bounds, R),
-                "seed {seed}: open"
-            );
+            let open = net.graph().clone();
+            assert_eq!(open, fresh_graph(&net, bounds, R), "seed {seed}: open");
 
             // A host with two neighbours that are neighbours of each other.
-            let g = net.graph().clone();
             let (hub, a, b) = (1..n - 2)
                 .find_map(|u| {
-                    let row = g.neighbors(u);
+                    let row = open.neighbors(u);
                     row.iter().enumerate().find_map(|(i, &a)| {
                         row[i + 1..]
                             .iter()
-                            .find(|&&b| g.has_edge(a, b) && a != 0 && b != 0)
+                            .find(|&&b| open.has_edge(a, b) && a != 0 && b != 0)
                             .map(|&b| (u, a, b))
                     })
                 })
@@ -277,27 +262,31 @@ mod tests {
                     net.kill(v).unwrap();
                 }
                 net.refresh();
+                assert_eq!(net.graph(), &open, "seed {seed}: batch {i} moved an edge");
                 assert_eq!(
-                    net.graph(),
-                    &fresh_graph(&net, bounds, R),
+                    live_view(&net),
+                    fresh_graph(&net, bounds, R),
                     "seed {seed}: batch {i} {batch:?}"
                 );
             }
-            // Kill every neighbour of a live host, then the host itself,
-            // now already isolated.
+            // Kill every live neighbour of a live host, then the host
+            // itself, by then alone in the live view.
             let v = (0..n)
-                .find(|&v| net.alive()[v as usize] && net.graph().degree(v) > 0)
+                .find(|&v| net.alive()[v as usize] && live_view(&net).degree(v) > 0)
                 .expect("half the crowd is still connected");
-            for u in net.graph().neighbors(v).to_vec() {
-                net.kill(u).unwrap();
+            for &u in open.neighbors(v) {
+                if net.alive()[u as usize] {
+                    net.kill(u).unwrap();
+                }
             }
             net.refresh();
-            assert_eq!(net.graph().degree(v), 0, "seed {seed}: {v} is orphaned");
+            assert_eq!(live_view(&net).degree(v), 0, "seed {seed}: {v} is orphaned");
             net.kill(v).unwrap();
             net.refresh();
+            assert_eq!(net.graph(), &open, "seed {seed}: orphan moved an edge");
             assert_eq!(
-                net.graph(),
-                &fresh_graph(&net, bounds, R),
+                live_view(&net),
+                fresh_graph(&net, bounds, R),
                 "seed {seed}: orphan"
             );
         }

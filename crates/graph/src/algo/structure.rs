@@ -117,10 +117,12 @@ mod tests {
     /// component count among the remaining vertices.
     fn naive_cuts(g: &Graph) -> Vec<bool> {
         let base = crate::algo::num_components(g);
+        let mut h = Graph::default();
         (0..g.n() as NodeId)
             .map(|v| {
-                let mut h = g.clone();
-                h.isolate_in_place(&mut vec![v]);
+                let mut dropped = vec![false; g.n()];
+                dropped[v as usize] = true;
+                h.rebuild_from_masked(g, &dropped);
                 // Removing v leaves it as its own isolated component.
                 let comps_without_v = crate::algo::num_components(&h) - 1;
                 comps_without_v > base - usize::from(g.degree(v) == 0)

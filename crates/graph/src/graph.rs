@@ -20,11 +20,10 @@ pub type NodeId = u32;
 /// operations and deterministic iteration come for free; equal graphs
 /// therefore have equal arrays, and `==` compares adjacency.
 ///
-/// A graph changes only through whole rebuilds and in-place patches that
-/// reuse the two arrays: [`Graph::rebuild_from_masked`],
-/// [`Graph::rebuild_induced`], [`crate::gen::unit_disk_csr`] and, when
-/// hosts only switch off, [`Graph::isolate_in_place`]. Once the arrays have
-/// reached their high-water capacity none of these touches the heap.
+/// A graph changes only through whole rebuilds that reuse the two arrays:
+/// [`Graph::rebuild_from_masked`], [`Graph::rebuild_induced`] and
+/// [`crate::gen::unit_disk_csr`]. Once the arrays have reached their
+/// high-water capacity none of these touches the heap.
 /// `Graph::default()` is the empty reusable slot for them.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Graph {
@@ -333,94 +332,6 @@ impl Graph {
         }
     }
 
-    /// Isolates every vertex in `dead` in place: their rows are emptied
-    /// and they are removed from their neighbours' rows. The vertex count
-    /// is kept and rows stay ascending, so the result equals a rebuild of
-    /// the graph without those vertices' edges (for a unit-disk graph: a
-    /// fresh [`crate::gen::unit_disk_csr`] with them in the off-mask).
-    ///
-    /// Only the rows of `dead` and of their neighbours are rewritten; the
-    /// rows between them are block-moved left over the removed entries.
-    /// `dead` may be in any order, hold duplicates and already isolated
-    /// vertices; it doubles as the sorted list of touched rows and is left
-    /// empty, so with a retained `dead` the call is allocation-free once
-    /// that buffer has grown to the largest batch's `Σ (1 + degree)`.
-    ///
-    /// # Panics
-    /// Panics if a vertex is out of range, if the graph has 2³¹ or more
-    /// vertices, or if a row lacks its mirror entry (asymmetric input).
-    pub fn isolate_in_place(&mut self, dead: &mut Vec<NodeId>) {
-        // Removed entries are tagged with the top bit. Tagging keeps every
-        // row ascending under `& !GONE`, so the mirror lookups below can
-        // still binary-search rows that earlier vertices already tagged.
-        const GONE: NodeId = 1 << 31;
-        assert!(self.n() <= GONE as usize, "vertex ids must fit in 31 bits");
-        for &u in dead.iter() {
-            let u = u as usize;
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for k in lo..hi {
-                let v = (self.targets[k] & !GONE) as usize;
-                self.targets[k] |= GONE;
-                let (vlo, vhi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-                let at = self.targets[vlo..vhi]
-                    .binary_search_by_key(&(u as NodeId), |&t| t & !GONE)
-                    .expect("rows must be symmetric");
-                self.targets[vlo + at] |= GONE;
-            }
-        }
-        // Every row holding a tagged entry: the dead and their neighbours.
-        let kills = dead.len();
-        for i in 0..kills {
-            let u = dead[i] as usize;
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            dead.extend(self.targets[lo..hi].iter().map(|&t| t & !GONE));
-        }
-        dead.sort_unstable();
-        dead.dedup();
-
-        // One forward pass over the touched rows. `offsets[r]` already holds
-        // row r's new start when row r is reached; `offsets[r + 1]` still
-        // holds its old end. `shift` is the number of entries removed so far.
-        let mut shift = 0usize;
-        let mut next = dead.first().map_or(0, |&r| r as usize);
-        for &r in dead.iter() {
-            let r = r as usize;
-            self.shift_rows(next, r, shift);
-            let start = self.offsets[r] as usize;
-            let end = self.offsets[r + 1] as usize;
-            let mut w = start;
-            for k in start + shift..end {
-                let t = self.targets[k];
-                if t & GONE == 0 {
-                    self.targets[w] = t;
-                    w += 1;
-                }
-            }
-            shift = end - w;
-            self.offsets[r + 1] = w as u32;
-            next = r + 1;
-        }
-        let n = self.n();
-        self.shift_rows(next, n, shift);
-        self.targets.truncate(self.targets.len() - shift);
-        dead.clear();
-    }
-
-    /// Moves the untouched rows `from..to` left by `shift` entries (part of
-    /// [`Self::isolate_in_place`]'s pass: `offsets[from]` is already new,
-    /// `offsets[from + 1..=to]` are still old).
-    fn shift_rows(&mut self, from: usize, to: usize, shift: usize) {
-        if shift == 0 || from >= to {
-            return;
-        }
-        let lo = self.offsets[from] as usize + shift;
-        let hi = self.offsets[to] as usize;
-        self.targets.copy_within(lo..hi, lo - shift);
-        for o in &mut self.offsets[from + 1..=to] {
-            *o -= shift as u32;
-        }
-    }
-
     /// Direct access to the raw arrays for in-crate builders
     /// ([`crate::gen::unit_disk_csr`] writes edges straight into them).
     #[inline]
@@ -598,41 +509,6 @@ mod tests {
         assert!(!sub.has_edge(1, 2));
         let (none, old_of) = g.induced(&[false; 5]);
         assert_eq!((none.n(), old_of.len()), (0, 0));
-    }
-
-    #[test]
-    fn isolate_in_place_removes_all_incident_edges() {
-        let mut g = figure1();
-        g.isolate_in_place(&mut vec![1]); // v
-        assert_eq!(g.m(), 2); // u-y and w-x remain
-        assert_eq!(g.degree(1), 0);
-        assert!(g.has_edge(0, 4));
-        assert!(g.has_edge(2, 3));
-        assert_eq!(g, without(&figure1(), &[false, true, false, false, false]));
-    }
-
-    #[test]
-    fn isolate_in_place_matches_masked_rebuild() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let g = gen::gnp(&mut rng, 60, 0.15);
-        let mut c = g.clone();
-        let mut dropped = vec![false; 60];
-        let mut dead = Vec::new();
-        // Unsorted, duplicated, both id-range ends, an empty batch, and 7
-        // again once it is already isolated.
-        let batches: [&[NodeId]; 5] = [&[59, 0, 0], &[31, 7, 44, 30], &[], &[7, 12], &[45, 2]];
-        for batch in batches {
-            for &v in batch {
-                dropped[v as usize] = true;
-            }
-            dead.extend_from_slice(batch);
-            c.isolate_in_place(&mut dead);
-            assert!(dead.is_empty(), "the pending list is consumed");
-            let mut want = Graph::default();
-            want.rebuild_from_masked(&g, &dropped);
-            assert_eq!(c, want, "after {batch:?}");
-            assert_eq!(c, without(&g, &dropped), "after {batch:?}");
-        }
     }
 
     #[test]

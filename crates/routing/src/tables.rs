@@ -30,11 +30,16 @@
 //!
 //! * every host that left is cut off the tree, and so is every host left
 //!   with no neighbour one hop closer — checked for each neighbour one hop
-//!   farther of a cut host, and for each host whose degree fell (a dead
-//!   host's row is empty, so its former neighbours are found that way);
+//!   farther of a cut host (a dead host keeps its row, so its former
+//!   children are found through it);
 //! * the cut hosts still live and every host that joined enter at their
 //!   best remaining neighbour, and a BFS run in increasing distance
 //!   settles the rest, lowering only where a distance shrinks.
+//!
+//! The repair's contract: the graph does not change between installs;
+//! hosts die through the masks. Each tree records the edge count it was
+//! built or repaired over, and a cached tree used with a graph of another
+//! edge count panics instead of routing wrong.
 //!
 //! Full builds and repairs share that settle pass; a build is a settle
 //! seeded with the destination alone. An array is rebuilt in full when it
@@ -115,6 +120,8 @@ struct DestTree {
     dest: NodeId,
     /// The install this array is exact for.
     installed: u64,
+    /// Edge count of the graph the array was built or repaired over.
+    edges: usize,
     dist: Vec<u32>,
 }
 
@@ -261,13 +268,6 @@ pub struct BackboneRoutes {
     changed: Vec<NodeId>,
     /// Installs so far; the table epoch is its low 32 bits.
     installs: u64,
-    /// Every host's degree at the install the tables were last used at.
-    degree: Vec<u32>,
-    /// The install `degree` was taken at.
-    observed: u64,
-    /// Hosts whose degree fell between the last two observed installs:
-    /// the former neighbours of hosts that died, whose own rows are gone.
-    lost_edge: Vec<NodeId>,
     /// Dense destination → tree-slot map; [`NONE`] = no tree.
     slot_of: Vec<u32>,
     trees: Vec<DestTree>,
@@ -288,13 +288,14 @@ impl BackboneRoutes {
     /// joined or left the live backbone since the previous install. Cached
     /// trees stay; each is repaired from that list on its next use.
     ///
-    /// Precondition for the repair: between two installs the graph only
-    /// loses edges — hosts may die (their edges go) and any host may join
-    /// or leave the backbone, but no edge appears. A caller whose hosts
-    /// move installs into fresh tables instead.
+    /// Precondition for the repair: the graph does not change between
+    /// installs. Hosts die through `alive` and keep their rows, and any
+    /// host may join or leave the backbone. A caller whose hosts move
+    /// installs into fresh tables instead; one that patches the graph
+    /// under cached trees gets a panic on their next use.
     ///
     /// Costs one O(n) sequential compare of the masks on top of their
-    /// copy, and the first use after it one O(n) pass over the degrees.
+    /// copy.
     ///
     /// # Panics
     /// Panics if the masks differ in length.
@@ -310,9 +311,7 @@ impl BackboneRoutes {
             self.live.clear();
             self.live.resize(n, false);
             self.live_count = 0;
-            self.degree.clear();
             self.changed.reserve(n);
-            self.lost_edge.reserve(n);
             let s = &mut self.scratch;
             s.region.reserve(n);
             s.seeds.reserve(n);
@@ -416,8 +415,11 @@ impl BackboneRoutes {
     /// Returns the tree slot for destination gateway `dg`, current for
     /// this install: cached, repaired, or built. `dg` must be a live
     /// gateway.
+    ///
+    /// # Panics
+    /// Panics if a tree current for this or the previous install was
+    /// built over a graph with another edge count.
     fn tree_slot(&mut self, g: &Graph, dg: NodeId) -> usize {
-        self.observe(g);
         let slot = match self.slot_of[dg as usize] {
             NONE => {
                 let slot = self.claim(dg);
@@ -426,7 +428,16 @@ impl BackboneRoutes {
             }
             s => s as usize,
         };
-        match self.installs - self.trees[slot].installed {
+        let t = &self.trees[slot];
+        let age = self.installs - t.installed;
+        assert!(
+            age > 1 || t.edges == g.m(),
+            "the graph changed under a cached route tree ({} edges, now {}); \
+             hosts must die through the alive mask",
+            t.edges,
+            g.m()
+        );
+        match age {
             0 => {}
             1 if self.repair(g, slot) => {
                 obs_count!(Counter::DpRouteRepairs);
@@ -435,31 +446,6 @@ impl BackboneRoutes {
             _ => self.build(g, slot),
         }
         slot
-    }
-
-    /// On the first use after an install, lists the hosts whose degree
-    /// fell since the install last observed (a repair's only way to the
-    /// neighbours of a host that died: its row is empty now) and takes
-    /// the degrees for this one.
-    fn observe(&mut self, g: &Graph) {
-        if self.observed == self.installs {
-            return;
-        }
-        self.observed = self.installs;
-        self.lost_edge.clear();
-        if self.degree.len() != self.n {
-            self.degree.clear();
-            self.degree
-                .extend((0..self.n as NodeId).map(|v| g.degree(v) as u32));
-            return;
-        }
-        for (v, d) in self.degree.iter_mut().enumerate() {
-            let now = g.degree(v as NodeId) as u32;
-            if now < *d {
-                self.lost_edge.push(v as NodeId);
-            }
-            *d = now;
-        }
     }
 
     /// A pool slot for `dg`'s first tree: one whose tree is two or more
@@ -494,6 +480,7 @@ impl BackboneRoutes {
         t.dist.resize(self.n, UNREACHED);
         t.dist[t.dest as usize] = 0;
         t.installed = self.installs;
+        t.edges = g.m();
         let Scratch { seeds, queue, .. } = &mut self.scratch;
         seeds.clear();
         seeds.push((0, t.dest));
@@ -513,9 +500,7 @@ impl BackboneRoutes {
             seeds,
             queue,
         } = &mut self.scratch;
-        // Cut the hosts that left, then every host that lost an edge and
-        // with it its last neighbour one hop closer; the cuts propagate
-        // from there.
+        // Cut the hosts that left; the cuts propagate from there.
         region.clear();
         for &x in &self.changed {
             if !self.live[x as usize] && t.dist[x as usize] != UNREACHED {
@@ -523,12 +508,6 @@ impl BackboneRoutes {
                     return false;
                 }
                 t.cut(x, region);
-            }
-        }
-        for &u in &self.lost_edge {
-            let d = t.dist[u as usize];
-            if d != UNREACHED && d != 0 && !t.supported(g, u) {
-                t.cut(u, region);
             }
         }
         if !t.invalidate(g, region, self.live_count / REBUILD_DIVISOR) {
@@ -738,29 +717,34 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_hosts_former_neighbours_are_found_by_their_degree() {
-        // The same ladder, but 1 dies and its edges go: its row is empty,
-        // so 2 (whose only closer neighbour was 1) is found through its
-        // fallen degree.
-        let edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)];
-        let g = Graph::from_edges(6, &edges);
+    fn a_dead_gateways_children_are_cut_through_its_kept_row() {
+        // The same ladder, but 1 dies: the graph keeps its row, so 2
+        // (whose only closer neighbour was 1) is reached from the cut 1.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]);
         let mut br = BackboneRoutes::new();
         br.install(&[true; 6], &[true; 6]);
         assert_eq!(br.distances(&g, 0).unwrap(), [0, 1, 2, 1, 2, 3]);
-        let without_1: Vec<_> = edges
-            .iter()
-            .copied()
-            .filter(|&(a, b)| a != 1 && b != 1)
-            .collect();
-        let g = Graph::from_edges(6, &without_1);
         let alive = [true, false, true, true, true, true];
         br.install(&[true; 6], &alive);
         assert_eq!(br.distances(&g, 0).unwrap(), [0, UNREACHED, 4, 1, 2, 3]);
-        assert_eq!(br.lost_edge, [0, 1, 2, 4], "1 itself and its neighbours");
+        assert_eq!(br.scratch.region, [(1, 1), (2, 2)], "4 kept its distance");
         assert_eq!((br.trees_built(), br.trees_repaired()), (0, 1));
         let mut out = Vec::new();
         br.assemble(&g, 2, 0, &mut out).unwrap();
         assert_eq!(out, [2, 5, 4, 3, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the graph changed under a cached route tree")]
+    fn a_graph_patched_between_installs_is_refused() {
+        let g = gen::path(4);
+        let mut br = BackboneRoutes::new();
+        br.install(&[true; 4], &[true; 4]);
+        br.distances(&g, 0);
+        // Host 3 "dies" by losing its edge instead of through the mask.
+        let patched = Graph::from_edges(4, &[(0, 1), (1, 2)]);
+        br.install(&[true, true, true, false], &[true, true, true, false]);
+        br.distances(&patched, 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! incremental state checked against both from-scratch oracles after
 //! **every** event, across the shardable configuration matrix.
 //!
-//! Exit code 1 on any mismatch, after shrinking and emitting a replayable
-//! case/trace file.
+//! Exit code 1 on any mismatch or implementation panic, after shrinking
+//! and emitting a replayable case/trace file.
 //!
 //! Environment:
 //! * `PACDS_FUZZ_SECS` — time budget in seconds (default 60).
@@ -24,12 +24,11 @@
 
 use pacds_geom::{placement, Rect};
 use pacds_graph::gen;
-use pacds_testkit::casefile::{emit_case, shrink_case, CaseFile};
 use pacds_testkit::churn::{
     death_burst_trace, drain_trace, mixed_trace, mobility_trace, shardable_matrix, ChurnReport,
     TraceArena,
 };
-use pacds_testkit::harness::{full_config_matrix, run_impl, ImplKind};
+use pacds_testkit::harness::{check_impl, full_config_matrix, ImplKind};
 use pacds_testkit::oracle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -122,17 +121,10 @@ fn main() {
                 continue;
             }
             checks += 1;
-            let got = run_impl(kind, &g, Some(&energy), &cfg);
-            if got != expected {
-                let name = format!("fuzz-{iterations}");
-                let file = CaseFile::capture(&name, kind, &g, &energy, &cfg, &expected, &got);
-                let shrunk = shrink_case(file, |g2, e2| {
-                    run_impl(kind, g2, Some(e2), &cfg)
-                        != oracle::compute_cds_oracle(g2, Some(e2), &cfg)
-                });
-                let path = emit_case(&shrunk);
+            let name = format!("fuzz-{iterations}");
+            if let Some(path) = check_impl(&name, kind, &g, &energy, &cfg, &expected) {
                 eprintln!(
-                    "MISMATCH: {} vs oracle under {cfg:?} (iteration {iterations}); shrunk case: {}",
+                    "FAILED: {} vs oracle under {cfg:?} (iteration {iterations}); shrunk case: {}",
                     kind.name(),
                     path.display()
                 );

@@ -1,11 +1,11 @@
 //! Shrunk, replayable failure case files.
 //!
-//! When the harness finds a mismatch it does not panic on the full-size
-//! instance: it first greedily shrinks the topology (dropping vertices,
-//! then edges, as long as the mismatch survives), then writes a JSON case
-//! file that [`replay`] can re-execute verbatim. The emit directory is
-//! `$PACDS_TESTKIT_CASE_DIR` when set (CI uploads it as an artifact),
-//! `target/testkit-failures` otherwise.
+//! When the harness finds a mismatch (or an implementation panics) it
+//! does not panic on the full-size instance: it first greedily shrinks
+//! the topology (dropping vertices, then edges, as long as the failure
+//! survives), then writes a JSON case file that [`replay`] can re-execute
+//! verbatim. The emit directory is `$PACDS_TESTKIT_CASE_DIR` when set (CI
+//! uploads it as an artifact), `target/testkit-failures` otherwise.
 
 use crate::harness::ImplKind;
 use pacds_core::CdsConfig;
@@ -30,8 +30,12 @@ pub struct CaseFile {
     pub energy: Vec<u64>,
     /// Oracle gateway set (as a sorted vertex list).
     pub expected: Vec<NodeId>,
-    /// What the implementation produced at capture time.
+    /// What the implementation produced at capture time (empty when it
+    /// panicked).
     pub got: Vec<NodeId>,
+    /// The panic message, when the implementation panicked instead of
+    /// returning a mask.
+    pub panic: Option<String>,
 }
 
 impl CaseFile {
@@ -70,6 +74,7 @@ impl CaseFile {
             energy: energy.to_vec(),
             expected: mask_to_vec(expected),
             got: mask_to_vec(got),
+            panic: None,
         }
     }
 
@@ -156,19 +161,21 @@ pub fn emit_case(file: &CaseFile) -> PathBuf {
 pub struct Replay {
     /// Oracle result on the recorded instance, recomputed now.
     pub expected: Vec<NodeId>,
-    /// Implementation result, recomputed now.
+    /// Implementation result, recomputed now (empty when it panicked).
     pub got: Vec<NodeId>,
+    /// The implementation's panic message, if it panicked now.
+    pub panic: Option<String>,
 }
 
 impl Replay {
-    /// Whether the mismatch still reproduces.
+    /// Whether the failure still reproduces: a mismatch or a panic.
     pub fn reproduces(&self) -> bool {
-        self.expected != self.got
+        self.panic.is_some() || self.expected != self.got
     }
 }
 
 /// Re-executes a case file: rebuilds the graph, reruns the oracle and the
-/// named implementation, and reports both results.
+/// named implementation (catching a panic), and reports both results.
 pub fn replay(path: &Path) -> Result<Replay, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let file: CaseFile = serde_json::from_str(&text).map_err(|e| e.to_string())?;
@@ -178,10 +185,11 @@ pub fn replay(path: &Path) -> Result<Replay, String> {
         .ok_or_else(|| format!("unknown implementation {:?}", file.implementation))?;
     let g = file.graph();
     let expected = crate::oracle::compute_cds_oracle(&g, Some(&file.energy), &file.cfg);
-    let got = crate::harness::run_impl(kind, &g, Some(&file.energy), &file.cfg);
+    let got = crate::harness::run_impl_caught(kind, &g, Some(&file.energy), &file.cfg);
     Ok(Replay {
         expected: mask_to_vec(&expected),
-        got: mask_to_vec(&got),
+        got: got.as_deref().map_or_else(|_| Vec::new(), mask_to_vec),
+        panic: got.err(),
     })
 }
 
@@ -212,6 +220,7 @@ mod tests {
             energy: energy.clone(),
             expected: vec![],
             got: vec![],
+            panic: None,
         };
         let shrunk = shrink_case(file, |g2, _| g2.max_degree() >= 3);
         assert!(shrunk.n <= 4, "shrunk to n={}", shrunk.n);
@@ -231,11 +240,18 @@ mod tests {
             energy: vec![1, 2, 3, 4, 5],
             expected: vec![0, 1],
             got: vec![0, 2],
+            panic: Some("a host stalled".into()),
         };
         let json = serde_json::to_string(&file).unwrap();
         let back: CaseFile = serde_json::from_str(&json).unwrap();
         assert_eq!(back.graph(), g);
         assert_eq!(back.cfg, file.cfg);
         assert_eq!(back.expected, file.expected);
+        assert_eq!(back.panic, file.panic);
+        // A file written before the panic field existed reads as no panic.
+        let old = json.replace(r#","panic":"a host stalled""#, "");
+        assert!(!old.contains("panic"), "{old}");
+        let back: CaseFile = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.panic, None);
     }
 }

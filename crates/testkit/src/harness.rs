@@ -6,7 +6,9 @@
 //! asserts bit-identity, cross-checks the production verifier against the
 //! independent oracle verifier, and — on mismatch — shrinks the topology
 //! and emits a replayable JSON case file instead of panicking on the
-//! full-size instance.
+//! full-size instance. An implementation that panics fails its case the
+//! same way ([`run_impl_caught`]): the sweep goes on, and the panic
+//! message is kept in the case file.
 //!
 //! Bit-identity is asserted *per configuration*: different configurations
 //! (e.g. simultaneous vs sequential application) intentionally produce
@@ -23,6 +25,7 @@ use pacds_core::{
 };
 use pacds_distributed::{run_distributed, Schedule};
 use pacds_graph::{Graph, VertexMask};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// Every production implementation the harness can drive.
@@ -92,6 +95,54 @@ pub fn run_impl(kind: ImplKind, g: &Graph, energy: Option<&[u64]>, cfg: &CdsConf
     }
 }
 
+/// [`run_impl`] with a panic caught and returned as its message.
+pub fn run_impl_caught(
+    kind: ImplKind,
+    g: &Graph,
+    energy: Option<&[u64]>,
+    cfg: &CdsConfig,
+) -> Result<VertexMask, String> {
+    catch_unwind(AssertUnwindSafe(|| run_impl(kind, g, energy, cfg))).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
+/// Runs `kind` on one instance against the oracle's `expected` mask. On a
+/// mismatch or a panic, shrinks the instance while it still fails (either
+/// way), emits the case file under `name` and returns its path.
+pub fn check_impl(
+    name: &str,
+    kind: ImplKind,
+    g: &Graph,
+    energy: &[u64],
+    cfg: &CdsConfig,
+    expected: &[bool],
+) -> Option<PathBuf> {
+    let got = run_impl_caught(kind, g, Some(energy), cfg);
+    if got.as_deref() == Ok(expected) {
+        return None;
+    }
+    let mut file = CaseFile::capture(
+        name,
+        kind,
+        g,
+        energy,
+        cfg,
+        expected,
+        got.as_deref().unwrap_or(&[]),
+    );
+    file.panic = got.err();
+    let shrunk = shrink_case(file, |g2, e2| {
+        run_impl_caught(kind, g2, Some(e2), cfg)
+            != Ok(oracle::compute_cds_oracle(g2, Some(e2), cfg))
+    });
+    Some(emit_case(&shrunk))
+}
+
 /// Accumulates conformance failures; panics with the case-file paths at
 /// [`ConformanceReport::finish`] so one run reports *all* mismatches.
 #[derive(Debug, Default)]
@@ -147,16 +198,8 @@ impl ConformanceReport {
                 continue;
             }
             self.checked += 1;
-            let got = run_impl(kind, g, energy, cfg);
-            if got != expected {
-                let file =
-                    CaseFile::capture(&case.name, kind, g, &case.energy, cfg, &expected, &got);
-                let shrunk = shrink_case(file, |g2, e2| {
-                    run_impl(kind, g2, Some(e2), cfg)
-                        != oracle::compute_cds_oracle(g2, Some(e2), cfg)
-                });
-                self.failures.push(emit_case(&shrunk));
-            }
+            let failure = check_impl(&case.name, kind, g, &case.energy, cfg, &expected);
+            self.failures.extend(failure);
         }
     }
 

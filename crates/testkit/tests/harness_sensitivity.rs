@@ -3,12 +3,13 @@
 //! A deliberately wrong "implementation" (it skips Rule 2) is run through
 //! the same capture → shrink → emit → replay flow the harness uses for
 //! production code, proving end to end that a real regression would be
-//! detected, minimised, and persisted as a replayable case file.
+//! detected, minimised, and persisted as a replayable case file — and so
+//! would an implementation that panics.
 
 use pacds_core::{CdsConfig, Policy};
 use pacds_graph::{gen, Graph};
 use pacds_testkit::casefile::{case_dir, emit_case, replay, shrink_case, CaseFile};
-use pacds_testkit::harness::ImplKind;
+use pacds_testkit::harness::{check_impl, run_impl_caught, ImplKind};
 use pacds_testkit::oracle;
 
 /// The planted bug: marking + Rule 1, but no Rule 2.
@@ -134,4 +135,30 @@ fn replay_rejects_case_files_naming_a_retired_implementation() {
         assert_eq!(err, format!("unknown implementation {retired:?}"));
         std::fs::remove_file(&path).ok();
     }
+}
+
+#[test]
+fn a_panicking_implementation_fails_its_case_with_a_replayable_file() {
+    // The distributed protocol refuses sequential application by contract
+    // (it panics): driven there anyway, it stands in for an implementation
+    // that panics on a case. The harness must record the failure — a
+    // shrunk case file holding the panic message — not abort the sweep.
+    let g = gen::cycle(7);
+    let energy = vec![2u64; 7];
+    let cfg = CdsConfig::sequential(Policy::Degree);
+    let kind = ImplKind::DistributedFifo;
+    assert!(!kind.applicable(&cfg));
+    let msg = run_impl_caught(kind, &g, Some(&energy), &cfg).expect_err("it panics");
+    assert!(!msg.is_empty());
+
+    let expected = oracle::compute_cds_oracle(&g, Some(&energy), &cfg);
+    let path = check_impl("panic-check", kind, &g, &energy, &cfg, &expected)
+        .expect("a panic is a failing case");
+    let file: CaseFile =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).expect("case file parses");
+    assert_eq!(file.panic.as_deref(), Some(msg.as_str()));
+    assert!(file.n < g.n(), "the panicking case shrank (n={})", file.n);
+    let rep = replay(&path).expect("replay runs");
+    assert!(rep.reproduces() && rep.panic.is_some());
+    std::fs::remove_file(&path).ok();
 }

@@ -523,65 +523,6 @@ fn dataplane_kill_repair_reroute_is_allocation_free_after_warmup() {
     );
 }
 
-fn csr_kill_patch_is_allocation_free_after_warmup() {
-    // The dataplane's refresh path after a kill: `Graph::isolate_in_place`
-    // empties the dead hosts' rows, drops them from their neighbours' rows
-    // and block-moves the rows between. On a warm graph and a retained
-    // pending list, a patch performs zero heap allocations. Each round
-    // restores the full graph (itself allocation-free once warm) and then
-    // applies a fixed cycle of batches, so warm-up sees every batch.
-    use pacds::geom::Rect;
-    use pacds::graph::gen::{unit_disk_csr, UnitDiskScratch};
-    use pacds::graph::Graph;
-
-    let bounds = Rect::square(300.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let pts = pacds::geom::placement::uniform_points(&mut rng, bounds, N);
-    let mut full = Graph::default();
-    unit_disk_csr(
-        bounds,
-        25.0,
-        &pts,
-        None,
-        &mut full,
-        &mut UnitDiskScratch::new(),
-    );
-    let batches: [&[u32]; 4] = [&[500], &[0, 999], &[17, 400, 401, 402], &[3, 250, 750, 998]];
-
-    let mut g = Graph::default();
-    let mut pending = Vec::new();
-    let round = |g: &mut Graph, pending: &mut Vec<u32>| {
-        g.clone_from(&full);
-        for batch in batches {
-            pending.extend_from_slice(batch);
-            g.isolate_in_place(pending);
-        }
-    };
-
-    for _ in 0..WARMUP {
-        round(&mut g, &mut pending);
-    }
-
-    for r in 0..MEASURED {
-        let before = allocs();
-        round(&mut g, &mut pending);
-        let grew = allocs() - before;
-        assert_eq!(
-            grew, 0,
-            "round {r}: warm kill patches performed {grew} heap allocations"
-        );
-    }
-
-    let mut dropped = vec![false; N];
-    for &v in batches.concat().iter() {
-        dropped[v as usize] = true;
-    }
-    let mut want = Graph::default();
-    want.rebuild_from_masked(&full, &dropped);
-    assert_eq!(g, want, "the patched graph equals a masked rebuild");
-    assert!(g.m() < full.m(), "the kills removed edges");
-}
-
 fn churn_engine_refresh_is_allocation_free_after_warmup() {
     // The churn engine's warm step on its derived grid (`shards: 0`): apply
     // events (ownership moves, dirty marking), re-solve the dirty tiles,
@@ -709,10 +650,6 @@ const CASES: &[(&str, fn())] = &[
     (
         "dataplane_kill_repair_reroute_is_allocation_free_after_warmup",
         dataplane_kill_repair_reroute_is_allocation_free_after_warmup,
-    ),
-    (
-        "csr_kill_patch_is_allocation_free_after_warmup",
-        csr_kill_patch_is_allocation_free_after_warmup,
     ),
     (
         "churn_engine_refresh_is_allocation_free_after_warmup",
