@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the substrates: unit-disk construction (cell
 //! binning vs naive, and the warm-scratch CSR builds), neighbourhood
-//! bitmaps, and BFS floods.
+//! bitmaps, BFS floods, and the serving layer's request key.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pacds_core::{CdsConfig, Policy};
 use pacds_geom::{placement, Rect};
 use pacds_graph::{algo, gen, Graph, NeighborBitmap};
+use pacds_serve::keys;
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -94,10 +96,31 @@ fn bench_graph_algos(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_request_key(c: &mut Criterion) {
+    // The key a cache-warm `ComputeCds` pays before its lookup: config,
+    // the raw n x 8-byte energy block and the canonical edge list. n = 200
+    // is the shape of the wire workloads' warm request (~1.6k edges).
+    let mut group = c.benchmark_group("request_key");
+    let cfg = CdsConfig::policy(Policy::Energy);
+    for n in [200usize, 2000] {
+        let side = 100.0 * (n as f64 / 100.0).sqrt();
+        let g = gen::unit_disk(Rect::square(side), 25.0, &points(n, side, 11));
+        let edges: Vec<_> = g.edges().collect();
+        let energy: Vec<u8> = (0..n as u64)
+            .flat_map(|v| (v % 10 + 1).to_le_bytes())
+            .collect();
+        group.bench_with_input(BenchmarkId::new("compute_key", n), &edges, |b, edges| {
+            b.iter(|| black_box(keys::compute_key(&cfg, Some(&energy), n as u32, edges)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_unit_disk,
     bench_unit_disk_csr,
-    bench_graph_algos
+    bench_graph_algos,
+    bench_request_key
 );
 criterion_main!(benches);

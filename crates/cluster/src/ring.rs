@@ -4,7 +4,10 @@
 //! contributes `vnodes` points, placed by hashing `(ring tag, backend id,
 //! vnode index)` — so a backend's points depend only on its *id*, never on
 //! membership, list order, or address. The owner of a key is the backend
-//! of the first point clockwise from the key.
+//! of the first point clockwise from the key. Points and request keys are
+//! `Digest128` values, whose finalizer already spreads them uniformly over
+//! the circle (`crates/graph/tests/digest_quality.rs` pins its avalanche),
+//! so the ring compares them as they are.
 //!
 //! Two invariants fall out of this construction and are pinned by the
 //! tests below:
@@ -24,10 +27,10 @@
 //! distinct backend clockwise. Failover is therefore just "keep walking",
 //! and a recovered backend resumes exactly its old arcs.
 
-use pacds_graph::digest::{DigestSink, Fnv1a128};
+use pacds_graph::digest::{Digest128, DigestSink};
 
 /// Domain tag for ring point placement.
-const RING_TAG: &[u8] = b"pacds.cluster.ring.v1";
+const RING_TAG: &[u8] = b"pacds.cluster.ring.v2";
 
 /// Hard cap on cluster membership: the lookup walk tracks visited
 /// backends in one `u64` bitmask so routing never allocates.
@@ -37,31 +40,6 @@ pub const MAX_BACKENDS: usize = 64;
 /// arc-share ratio across a handful of backends stays within ~2× —
 /// good enough for cache spreading; lookups stay O(log(members · vnodes)).
 pub const DEFAULT_VNODES: u32 = 256;
-
-/// Bijective finalizer applied to both point positions and lookup keys.
-///
-/// FNV-1a is a fine fingerprint but a poor point-placement hash: its high
-/// bits avalanche weakly for short inputs, so raw digests cluster on the
-/// circle and arc shares skew badly. Running *both* sides of the
-/// comparison through the same strong mix (murmur3's 64-bit finalizer on
-/// each half, cross-fed) makes placement uniform for any input
-/// distribution without changing what the digest identifies — the mix is
-/// invertible, so distinct keys stay distinct.
-fn spread(x: u128) -> u128 {
-    fn fmix64(mut x: u64) -> u64 {
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        x ^= x >> 33;
-        x
-    }
-    let mut lo = x as u64;
-    let mut hi = (x >> 64) as u64;
-    lo = fmix64(lo ^ hi);
-    hi = fmix64(hi ^ lo);
-    ((hi as u128) << 64) | lo as u128
-}
 
 /// An immutable consistent-hash ring over a fixed membership.
 #[derive(Debug, Clone)]
@@ -81,11 +59,11 @@ impl HashRing {
         let mut points = Vec::with_capacity(ids.len() * vnodes as usize);
         for (i, id) in ids.iter().enumerate() {
             for v in 0..vnodes {
-                let mut d = Fnv1a128::new();
+                let mut d = Digest128::new();
                 d.write(RING_TAG);
                 d.write(id.as_ref().as_bytes());
                 d.write_u32(v);
-                points.push((spread(d.finish()), i as u32));
+                points.push((d.finish(), i as u32));
             }
         }
         // Position collisions (astronomically unlikely) tie-break by
@@ -113,7 +91,6 @@ impl HashRing {
         available: F,
         exclude: Option<u32>,
     ) -> Option<u32> {
-        let key = spread(key);
         let start = self.points.partition_point(|&(pos, _)| pos < key);
         let mut seen: u64 = 0;
         for off in 0..self.points.len() {
@@ -151,7 +128,7 @@ mod tests {
     /// Deterministic probe keys spread over the u128 space.
     fn keys(count: u64) -> impl Iterator<Item = u128> {
         (0..count).map(|i| {
-            let mut d = Fnv1a128::new();
+            let mut d = Digest128::new();
             d.write(b"ring-test-key");
             d.write_u64(i);
             d.finish()

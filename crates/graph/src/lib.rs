@@ -15,8 +15,9 @@
 //! * [`gen`] — unit-disk graphs from host positions (grid-accelerated),
 //!   G(n, p), and deterministic families (path, cycle, star, complete, grid).
 //! * [`io`] — DOT and edge-list import/export.
-//! * [`digest`] — canonical, insertion-order-independent FNV-1a graph
-//!   digests (the serving layer's cache key).
+//! * [`digest`] — canonical, insertion-order-independent graph digests
+//!   (FNV-1a for [`graph_digest`], a word-wide 128-bit digest for the
+//!   serving layer's cache key).
 
 pub mod algo;
 pub mod bitmap;

@@ -2,9 +2,9 @@
 //!
 //! Values are fully-encoded response payloads (version, kind, body), so a
 //! hit is a hash lookup plus one `memcpy` into the caller's retained buffer
-//! — no re-encoding, no allocation on the hot path. Keys are FNV-1a 128
-//! digests of the canonical topology + configuration + energy (see
-//! `pacds_graph::digest` and the handler's keying), so the key *is* the
+//! — no re-encoding, no allocation on the hot path. Keys are 128-bit
+//! digests (`pacds_graph::digest::Digest128`) of the canonical topology + configuration + energy (see the
+//! handler's keying), so the key *is* the
 //! identity and the map needs no separate equality probe beyond the `u128`.
 //!
 //! The cache is split into [`SHARDS`] independently-locked shards selected

@@ -10,9 +10,9 @@
 //!
 //! ## Cache keying
 //!
-//! Results are keyed by a 128-bit FNV-1a digest over a domain tag, the
-//! 4-byte config encoding, the energy assignment, and the **canonical**
-//! edge list (`pacds_graph::digest::canonicalize_edges` — flipped to
+//! Results are keyed by a 128-bit digest (`keys`, eight bytes per step)
+//! over a domain tag, the 4-byte config encoding, the energy assignment,
+//! and the **canonical** edge list (`pacds_graph::digest::canonicalize_edges` — flipped to
 //! `u < v`, sorted, deduplicated, in place). Two requests describing the
 //! same topology in different wire orders therefore share a cache entry.
 //! Generated topologies are keyed by their generation parameters instead,
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use pacds_core::{CdsConfig, CdsWorkspace};
 use pacds_geom::{Point2, Rect};
-use pacds_graph::digest::{DigestSink, Fnv1a128};
+use pacds_graph::digest::{Digest128, DigestSink};
 use pacds_shard::{check_shardable, ChurnEngine, ChurnEvent, ShardSpec, ShardedCds, REQUIRED_HALO};
 
 use crate::keys;
@@ -48,7 +48,7 @@ use crate::protocol::{
 /// Tile results are keyed per (graph uid, tile, version) — a serve-local
 /// space, so the tag stays here; the compute/gen/graph-name tags live in
 /// [`keys`] where the cluster coordinator shares them.
-const KEY_TAG_TILE: &[u8] = b"pacds.serve.tile.v1";
+const KEY_TAG_TILE: &[u8] = b"pacds.serve.tile.v2";
 
 /// Maximum concurrently open churn graphs per server.
 pub const MAX_OPEN_GRAPHS: usize = 64;
@@ -846,7 +846,7 @@ fn handle_query_tile(state: &ServeState, body: &[u8], resp: &mut Vec<u8>) -> Han
     // never looked up again — per-dirty-tile invalidation without a cache
     // removal primitive. The frame carries no hit flag, so cold and warm
     // responses are byte-identical.
-    let mut d = Fnv1a128::new();
+    let mut d = Digest128::new();
     d.write(KEY_TAG_TILE);
     d.write_u64(open.uid);
     d.write_u32(tile);

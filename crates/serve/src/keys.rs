@@ -1,9 +1,12 @@
 //! Canonical 128-bit request digests — the cache keys, and the cluster
 //! coordinator's routing keys.
 //!
-//! The server caches results under a 128-bit FNV-1a digest of the
-//! *canonical* request content (domain tag + config + energy + sorted
-//! deduplicated edge list), so permuted wire orders share one cache entry.
+//! The server caches results under a 128-bit digest
+//! ([`Digest128`], eight bytes per step) of the *canonical* request
+//! content (domain tag + config + energy + sorted deduplicated edge list),
+//! so permuted wire orders share one cache entry. A warm hit pays this
+//! digest over the whole request (~14 KB at n = 200), so its speed is the
+//! speed of the cache.
 //! `pacds-cluster` routes by the **same** digest: the backend that owns a
 //! key on the hash ring is the backend whose LRU warms up for it, so the
 //! coordinator's ring and the backends' caches agree by construction.
@@ -12,18 +15,20 @@
 //! here silently reshuffles the whole cluster keyspace (every key goes
 //! cold at once). `crates/serve/tests/digest_golden.rs` pins exact values
 //! for a fixed corpus — a failure there means a protocol-version bump and
-//! a deliberate full-cluster cache flush, not a routine refactor.
+//! a deliberate full-cluster cache flush, not a routine refactor. The
+//! `.v2` tags mark the move from byte-serial FNV-1a-128 to [`Digest128`]:
+//! coordinators and backends must run the same version.
 
 use pacds_core::CdsConfig;
-use pacds_graph::digest::{fold_edges, DigestSink, Fnv1a128};
+use pacds_graph::digest::{fold_edges, Digest128, DigestSink};
 
 use crate::protocol::{self, GenComputeRequest};
 
 /// Domain tags separating the key spaces (and all of them from raw
 /// `pacds_graph::digest::graph_digest` values).
-pub const KEY_TAG_COMPUTE: &[u8] = b"pacds.serve.compute.v1";
-pub const KEY_TAG_GEN: &[u8] = b"pacds.serve.gen.v1";
-pub const KEY_TAG_GRAPH_NAME: &[u8] = b"pacds.serve.graphname.v1";
+pub const KEY_TAG_COMPUTE: &[u8] = b"pacds.serve.compute.v2";
+pub const KEY_TAG_GEN: &[u8] = b"pacds.serve.gen.v2";
+pub const KEY_TAG_GRAPH_NAME: &[u8] = b"pacds.serve.graphname.v2";
 
 /// Folds the 4-byte config encoding into a digest (the exact
 /// [`protocol::config_bytes`] the wire carries — no allocation).
@@ -43,7 +48,7 @@ pub fn compute_key(
     n: u32,
     edges: &[(u32, u32)],
 ) -> u128 {
-    let mut d = Fnv1a128::new();
+    let mut d = Digest128::new();
     d.write(KEY_TAG_COMPUTE);
     put_config_key(&mut d, cfg);
     match energy_raw {
@@ -60,7 +65,7 @@ pub fn compute_key(
 /// Cache/routing key for a `GenCompute` request (placement parameters and
 /// seeds fully determine the generated topology, so they *are* the key).
 pub fn gen_key(req: &GenComputeRequest) -> u128 {
-    let mut d = Fnv1a128::new();
+    let mut d = Digest128::new();
     d.write(KEY_TAG_GEN);
     put_config_key(&mut d, &req.cfg);
     d.write_u32(req.n);
@@ -84,7 +89,7 @@ pub fn gen_key(req: &GenComputeRequest) -> u128 {
 /// owning this key, so a named graph and its subscriptions live on exactly
 /// one backend for the graph's whole lifetime.
 pub fn graph_name_key(name: &str) -> u128 {
-    let mut d = Fnv1a128::new();
+    let mut d = Digest128::new();
     d.write(KEY_TAG_GRAPH_NAME);
     d.write(name.as_bytes());
     d.finish()

@@ -23,7 +23,7 @@
 //!   [`CdsWorkspace`](pacds_core::CdsWorkspace) plus buffers), so
 //!   steady-state cache-warm serving performs **zero allocations** —
 //!   pinned by the workspace-level `tests/zero_alloc.rs`.
-//! * [`cache`] — a sharded LRU keyed by a 128-bit FNV-1a digest of the
+//! * [`cache`] — a sharded LRU keyed by a word-wide 128-bit digest of the
 //!   *canonical* (order-independent) edge list + config + energy, built on
 //!   `pacds_graph::digest`. Permuted wire orders share one entry.
 //! * Backpressure is explicit: a bounded accept queue; when full, clients

@@ -139,6 +139,10 @@ pub fn case_dir() -> PathBuf {
 }
 
 /// Writes `file` as pretty JSON into [`case_dir`], returning the path.
+///
+/// The file name carries the implementation, the case, every configuration
+/// axis and the shrunk size, so one case failing under several
+/// configurations leaves one file per configuration.
 pub fn emit_case(file: &CaseFile) -> PathBuf {
     let dir = case_dir();
     std::fs::create_dir_all(&dir).expect("create case dir");
@@ -147,7 +151,11 @@ pub fn emit_case(file: &CaseFile) -> PathBuf {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect();
-    let path = dir.join(format!("{}-{}-n{}.json", file.implementation, slug, file.n));
+    let cfg = &file.cfg;
+    let path = dir.join(format!(
+        "{}-{}-{:?}-{:?}-{:?}-{:?}-n{}.json",
+        file.implementation, slug, cfg.policy, cfg.schedule, cfg.rule2, cfg.application, file.n
+    ));
     std::fs::write(
         &path,
         serde_json::to_string_pretty(file).expect("serialize case"),

@@ -25,8 +25,10 @@ use pacds_core::{
 };
 use pacds_distributed::{run_distributed, Schedule};
 use pacds_graph::{Graph, VertexMask};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::Cell;
+use std::panic::{self, catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Once;
 
 /// Every production implementation the harness can drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,9 +113,44 @@ pub fn run_impl_caught(
     })
 }
 
+thread_local! {
+    /// Set while this thread re-runs a failing case to shrink it.
+    static SHRINKING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread's panics kept off stderr.
+///
+/// Shrinking a panicking case re-runs it once per candidate, and each
+/// caught panic would otherwise print its message (and, under
+/// `RUST_BACKTRACE`, a backtrace). The first call installs one process-wide
+/// panic hook that stays silent while this thread-local flag is set and
+/// hands every other panic to the hook it replaced, so other threads —
+/// parallel tests included — still report their own panics.
+fn shrinking<R>(f: impl FnOnce() -> R) -> R {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !SHRINKING.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SHRINKING.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SHRINKING.with(|s| s.replace(true)));
+    f()
+}
+
 /// Runs `kind` on one instance against the oracle's `expected` mask. On a
 /// mismatch or a panic, shrinks the instance while it still fails (either
-/// way), emits the case file under `name` and returns its path.
+/// way), emits the case file under `name` and returns its path. A panic
+/// reaches the panic hook once, on the first run (its message is also kept
+/// in the case file); the shrinking re-runs are silent.
 pub fn check_impl(
     name: &str,
     kind: ImplKind,
@@ -137,7 +174,7 @@ pub fn check_impl(
     );
     file.panic = got.err();
     let shrunk = shrink_case(file, |g2, e2| {
-        run_impl_caught(kind, g2, Some(e2), cfg)
+        shrinking(|| run_impl_caught(kind, g2, Some(e2), cfg))
             != Ok(oracle::compute_cds_oracle(g2, Some(e2), cfg))
     });
     Some(emit_case(&shrunk))

@@ -162,3 +162,42 @@ fn a_panicking_implementation_fails_its_case_with_a_replayable_file() {
     assert!(rep.reproduces() && rep.panic.is_some());
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn one_case_failing_under_two_configs_leaves_two_files() {
+    // The same case at the same shrunk size, failing under two
+    // configurations: each configuration keeps its own case file.
+    let g = gen::cycle(5);
+    let energy = vec![1u64; 5];
+    let configs = [
+        CdsConfig::policy(Policy::Degree),
+        CdsConfig::sequential(Policy::Degree),
+    ];
+    let paths: Vec<_> = configs
+        .iter()
+        .map(|cfg| {
+            let expected = oracle::compute_cds_oracle(&g, Some(&energy), cfg);
+            let wrong: Vec<bool> = expected.iter().map(|b| !b).collect();
+            let file = CaseFile::capture(
+                "two-configs",
+                ImplKind::Pipeline,
+                &g,
+                &energy,
+                cfg,
+                &expected,
+                &wrong,
+            );
+            emit_case(&file)
+        })
+        .collect();
+    assert_ne!(paths[0], paths[1]);
+    for (path, cfg) in paths.iter().zip(&configs) {
+        let file: CaseFile =
+            serde_json::from_str(&std::fs::read_to_string(path).expect("both files exist"))
+                .expect("case file parses");
+        assert_eq!(file.cfg, *cfg, "{}", path.display());
+    }
+    for path in &paths {
+        std::fs::remove_file(path).ok();
+    }
+}
